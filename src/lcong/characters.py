@@ -48,7 +48,8 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _multiplicative_order(a: int, modulus: int, group_order: int) -> int:
+def multiplicative_order(a: int, modulus: int, group_order: int) -> int:
+    """Order of the unit a modulo ``modulus``; ``group_order`` is a multiple of it."""
     order = group_order
     for q in _prime_factors(group_order):
         while order % q == 0 and pow(a, order // q, modulus) == 1:
@@ -61,7 +62,7 @@ def smallest_primitive_root(p: int, m: int) -> int:
     modulus = p**m
     phi = euler_phi(modulus)
     for g in range(2, modulus):
-        if math.gcd(g, p) == 1 and _multiplicative_order(g, modulus, phi) == phi:
+        if math.gcd(g, p) == 1 and multiplicative_order(g, modulus, phi) == phi:
             return g
     raise ArithmeticError(f"no primitive root modulo {modulus}")
 

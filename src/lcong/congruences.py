@@ -22,7 +22,12 @@ from .bernoulli import (
     l_value,
     script_l,
 )
-from .characters import DirichletCharacter, is_prime, opposite_parity
+from .characters import (
+    DirichletCharacter,
+    is_prime,
+    multiplicative_order,
+    opposite_parity,
+)
 from .cyclotomic import (
     CyclotomicElement,
     Valuation,
@@ -30,7 +35,6 @@ from .cyclotomic import (
     congruent_mod,
     divides_p_locally,
     euler_phi,
-    is_unit_at_p,
     p_content_valuation,
     root_of_unity_order,
 )
@@ -259,16 +263,27 @@ def verify_lvalue_shift_two_iff(
 def unit_branch_witness(chi: DirichletCharacter, k: int) -> int | None:
     """Least a coprime to p with 1 - chi(a) a^(k+1) prime to p, or None.
 
-    "Prime to p" means invertible in Z_(p)[zeta]: the rational norm has
-    p-adic valuation zero.  A full coprime residue system modulo p^m is
-    an exhaustive search space because both chi(a) and a^(k+1) mod p
-    only depend on a mod p^m.
+    "Prime to p" means invertible in Z_(p)[zeta_N].  With chi(a) = zeta_N^t
+    and c = a^(k+1), the element 1 - c zeta_N^t is a non-unit exactly when
+    some prime P above p has zeta_N^t == 1/c (mod P).  Roots of unity of
+    p-power order are 1 modulo every such P, reduction is injective on
+    those of order prime to p, and the Galois group permutes the P
+    transitively (Washington, Introduction to Cyclotomic Fields, GTM 83,
+    ch. 2).  So it is a non-unit exactly when the order of c mod p equals
+    the prime-to-p part of the order N/gcd(t, N) of zeta_N^t.  Content
+    valuation 0 is not enough: 1 - zeta_p has it but divides p.
+
+    A full coprime residue system modulo p^m is an exhaustive search
+    space because both chi(a) and a^(k+1) mod p only depend on a mod p^m.
     """
-    p = chi.p
+    p, n = chi.p, chi.zeta_order
     for a in range(1, chi.modulus):
         if a % p == 0:
             continue
-        if is_unit_at_p(1 - chi(a) * a ** (k + 1), p):
+        order = n // math.gcd(chi.value_exponent(a), n)
+        while order % p == 0:
+            order //= p
+        if multiplicative_order(pow(a, k + 1, p), p, p - 1) != order:
             return a
     return None
 

@@ -3,13 +3,17 @@
 One JSON record per line, keyed by (p, m, exponent vector, k), holding
 the exact power-basis coefficients as "num/den" strings.  Append-only
 with last-entry-wins on duplicate keys, so a single writer needs no
-coordination beyond O_APPEND.
+coordination beyond O_APPEND.  A final line without its newline is what
+a crash during an append leaves: it is never trusted, only skipped with
+a warning, and the next append cuts it off.  A bad line anywhere else
+is a CacheError.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,9 +67,14 @@ def read_entries(path: Path | str) -> dict[CacheKey, CyclotomicElement]:
     entries: dict[CacheKey, CyclotomicElement] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                key, value = _decode(line, lineno)
-                entries[key] = value
+            if not line.strip():
+                continue
+            if not line.endswith("\n"):
+                print(f"warning: skipping unterminated last line {lineno} of {path}",
+                      file=sys.stderr)
+                continue
+            key, value = _decode(line, lineno)
+            entries[key] = value
     return entries
 
 
@@ -87,11 +96,24 @@ def append_new(path: Path | str, cache: BernoulliCache) -> int:
     if not keys:
         return 0
     path.parent.mkdir(parents=True, exist_ok=True)
+    if path.exists():
+        _truncate_torn_tail(path)
     with open(path, "a", encoding="utf-8") as fh:
         for key in keys:
             fh.write(_encode(key, cache._twisted[key]) + "\n")
     cache.dirty_keys.clear()
     return len(keys)
+
+
+def _truncate_torn_tail(path: Path) -> None:
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 def entry_count(path: Path | str) -> int:

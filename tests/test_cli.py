@@ -180,6 +180,28 @@ class TestCacheCommand:
         path.write_text("not json at all\n")
         assert main(["cache", "verify", "--path", str(path)]) == EXIT_INTERNAL
 
+    def test_torn_last_line_is_recomputed(self, tmp_path, capsys):
+        # A crash during an append leaves the last record without its
+        # newline: the next sweep skips it, recomputes its value and
+        # cuts it off before appending, so the file is valid again.
+        path = tmp_path / "values.jsonl"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "jobs": [{"id": "1.4", "m": [3], "k": [1, 3], "n": [1], "q": [1]}],
+            "cache": str(path),
+        }))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) - len(whole.splitlines()[-1]) // 2])
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert f"unterminated last line {len(whole.splitlines())}" in warnings[0]
+        assert path.read_text() == whole
+        assert main(["cache", "verify", "--path", str(path)]) == EXIT_OK
+        assert "0 mismatches" in capsys.readouterr().out
+
     def test_default_path_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LCONG_CACHE_DIR", str(tmp_path))
         assert main(["cache", "stat"]) == EXIT_OK
@@ -195,3 +217,17 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "stern" in result.stdout
+
+    def test_unexpected_error_exits_three_without_traceback(self):
+        # 3^12 exceeds the discrete-log table bound: ResourceLimitError.
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", "1.6", "--p", "3",
+             "--m", "12", "--k", "0", "--n", "1", "--q", "1"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_INTERNAL
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "internal error: ResourceLimitError: "
+            "modulus 531441 exceeds dlog table bound 200000"
+        ]

@@ -32,6 +32,7 @@ from lcong.congruences import (
     verify_voronoi,
 )
 from lcong.power_sums import DomainError
+from norm_oracle import least_unit_witness
 
 
 class TestKummerClassical:
@@ -163,6 +164,19 @@ class TestLvalueShiftOddPrime:
         chi = character(5, 1, (1,))
         for k in (0, 2, 4, 6):
             assert unit_branch_witness(chi, k) is None
+
+    @pytest.mark.parametrize(
+        "p,m",
+        [(2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)],
+    )
+    def test_witness_matches_norm_oracle(self, p, m):
+        # The witness depends on k only through k + 1 mod p - 1, so
+        # k < p - 1 is exhaustive for p <= 5.
+        for chi in enumerate_primitive(p, m):
+            for k in range(min(p - 1, 4)):
+                assert unit_branch_witness(chi, k) == least_unit_witness(chi, k), (
+                    chi.label(), k
+                )
 
     def test_branch_ii_mod9(self):
         chi = character(3, 2, (1,))

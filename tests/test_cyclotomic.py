@@ -11,13 +11,12 @@ from lcong.cyclotomic import (
     cyclotomic_polynomial,
     divides_p_locally,
     euler_phi,
-    is_unit_at_p,
     p_content_valuation,
-    rational_norm,
     rational_valuation,
     root_of_unity_order,
     zeta,
 )
+from norm_oracle import is_unit_at_p, rational_norm
 
 
 def poly_from_roots_oracle(n):

@@ -1,13 +1,14 @@
 import pytest
 
 from lcong.characters import character, enumerate_characters, enumerate_primitive
-from lcong.cyclotomic import congruent_mod, is_unit_at_p
+from lcong.cyclotomic import congruent_mod
 from lcong.power_sums import (
     DomainError,
     floor_weighted_sum,
     power_sum,
     power_sum_via_bernoulli,
 )
+from norm_oracle import is_unit_at_p
 
 MODULI = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2))
 
