@@ -1,8 +1,9 @@
 """A tour of exact cyclotomic arithmetic.
 
 Everything in lcong is built on elements of Q(zeta_N) stored on the
-power basis with Fraction coefficients: no floats anywhere, so "equal"
-means equal and "divisible" means divisible.
+power basis as integer coordinates over one positive denominator: no
+floats anywhere, so "equal" means equal and "divisible" means divisible.
+Printing shows each coordinate as a reduced fraction.
 """
 
 from fractions import Fraction
@@ -30,6 +31,7 @@ print("(1 - zeta_3)(1 - zeta_3^2) =", (1 - zeta(3)) * (1 - zeta(3, 2)))  # 3
 
 # Division is exact field division (extended gcd against Phi_N):
 x = 1 + zeta(8) - zeta(8, 3) * Fraction(2, 3)
+print("x =", x, "is stored as", x.num, "over", x.den)
 print("x * x^-1 =", x * x.inverse())
 
 # The p-content valuation reads off how divisible an element is by p.

@@ -19,25 +19,13 @@ E_k = 2 L(-k, chi_-4) holds exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from threading import Lock
 
 from .characters import DirichletCharacter, opposite_parity
-from .cyclotomic import CyclotomicElement, zeta
+from .cyclotomic import CyclotomicElement
 
 CharKey = tuple[int, int, tuple[int, ...]]
-
-
-@lru_cache(maxsize=None)
-def _zeta_int_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # Integer coordinate rows of 1, zeta, ..., zeta^(n-1) on the power basis.
-    rows = []
-    for t in range(n):
-        coeffs = zeta(n, t).coeffs
-        assert all(c.denominator == 1 for c in coeffs)
-        rows.append(tuple(int(c) for c in coeffs))
-    return tuple(rows)
 
 
 class ParityError(ValueError):
@@ -106,13 +94,7 @@ class BernoulliCache:
     # -- character moments ----------------------------------------------
 
     def power_moment(self, chi: DirichletCharacter, r: int) -> CyclotomicElement:
-        """T_r = sum_(a=1..f) chi(a) a^r, cached per character.
-
-        chi(a) has integer power-basis coordinates, so the moment is
-        accumulated with plain integer arithmetic: group a by the
-        exponent t with chi(a) = zeta^t, then take one integer linear
-        combination of the zeta-power coordinate rows.
-        """
+        """T_r = sum_(a=1..f) chi(a) a^r, cached per character."""
         key = chi.key()
         moments = self._moments.get(key)
         if moments is None:
@@ -123,26 +105,10 @@ class BernoulliCache:
         # Growing the list must be serialized: appends are not idempotent
         # (a doubled append would shift every later index).
         with self._lock:
-            if r < len(moments):
-                return moments[r]
-            n = chi.zeta_order
-            rows = _zeta_int_rows(n)
-            groups: dict[int, list[int]] = {}
-            for a in range(1, chi.modulus + 1):
-                t = chi.value_exponent(a)
-                if t is not None:
-                    groups.setdefault(t, []).append(a)
-            width = len(rows[0])
             while len(moments) <= r:
                 rr = len(moments)
-                vec = [0] * width
-                for t, residues in groups.items():
-                    s = sum(a**rr for a in residues)
-                    if s:
-                        for i, c in enumerate(rows[t]):
-                            if c:
-                                vec[i] += s * c
-                moments.append(CyclotomicElement(n, vec, reduce=False))
+                # chi(f) = 0, so residue 0 stands in for a = f.
+                moments.append(chi.weighted_sum([a**rr for a in range(chi.modulus)]))
             return moments[r]
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:

@@ -140,7 +140,8 @@ class DirichletCharacter:
     group: UnitGroup
     images: tuple[int, ...]
     zeta_order: int = field(init=False)
-    _exponent_table: dict[int, int] = field(init=False, repr=False)
+    _weights: tuple[int, ...] = field(init=False, repr=False)
+    _conductor: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.group.generators):
@@ -151,13 +152,11 @@ class DirichletCharacter:
         )
         object.__setattr__(self, "images", norm_images)
         object.__setattr__(self, "zeta_order", n)
-        table = {}
-        for residue, exps in self.group.dlog.items():
-            total = 0
-            for e_img, exp, (_, order) in zip(norm_images, exps, self.group.generators):
-                total += e_img * exp * (n // order)
-            table[residue] = total % n
-        object.__setattr__(self, "_exponent_table", table)
+        # chi(g_i)^x = zeta_N^(e_i * (N / order_i) * x)
+        object.__setattr__(self, "_weights", tuple(
+            e * (n // order) for e, (_, order) in zip(norm_images, self.group.generators)
+        ))
+        object.__setattr__(self, "_conductor", self._least_conductor())
 
     # -- identity -------------------------------------------------------
 
@@ -191,14 +190,31 @@ class DirichletCharacter:
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, a: int) -> CyclotomicElement:
-        exp = self._exponent_table.get(a % self.modulus)
+        exp = self.value_exponent(a)
         if exp is None:
             return CyclotomicElement.zero(self.zeta_order)
         return zeta(self.zeta_order, exp)
 
     def value_exponent(self, a: int) -> int | None:
         """Exponent t with chi(a) = zeta_N^t, or None when chi(a) = 0."""
-        return self._exponent_table.get(a % self.modulus)
+        exps = self.group.dlog.get(a % self.modulus)
+        if exps is None:
+            return None
+        return sum(w * x for w, x in zip(self._weights, exps)) % self.zeta_order
+
+    def weighted_sum(self, weights: list[int]) -> CyclotomicElement:
+        """sum_r chi(r) * weights[r] over residues r, the weights integers.
+
+        The weights are bucketed by the exponent t of chi(r) = zeta_N^t
+        into one integer vector of length N, which is reduced once.
+        """
+        vec = [0] * self.zeta_order
+        for r, w in enumerate(weights):
+            if w:
+                t = self.value_exponent(r)
+                if t is not None:
+                    vec[t] += w
+        return CyclotomicElement(self.zeta_order, vec)
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.images))
@@ -220,15 +236,17 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest divisor d of p^m with chi trivial on the kernel of
         (Z/p^m)* -> (Z/d)*."""
-        for j in range(self.m + 1):
-            d = self.p**j
-            if all(
-                self._exponent_table[a] == 0
-                for a in self._exponent_table
-                if a % d == 1 % d
-            ):
-                return d
-        raise AssertionError("unreachable: chi is trivial on the full kernel of d = p^m")
+        return self._conductor
+
+    def _least_conductor(self) -> int:
+        # The kernel for d = p^j is generated by 1 + p^j (j >= 1 for odd p,
+        # j >= 2 for p = 2; for p = 2 the kernel at d = 2 is everything).
+        if self.is_trivial():
+            return 1
+        for j in range(2 if self.p == 2 else 1, self.m):
+            if self.value_exponent(1 + self.p**j) == 0:
+                return self.p**j
+        return self.modulus
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus

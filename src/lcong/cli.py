@@ -118,9 +118,10 @@ def _report_and_exit(config: SweepConfig) -> int:
     # process happens to have memoized: the file is the reuse layer.
     cache = BernoulliCache()
     cache_path = config.cache_path
+    loaded = 0
     if cache_path:
         try:
-            valuecache.load_into(cache_path, cache)
+            loaded = valuecache.load_into(cache_path, cache)
         except valuecache.CacheError as exc:
             print(f"cache error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
@@ -133,8 +134,24 @@ def _report_and_exit(config: SweepConfig) -> int:
         return EXIT_INTERNAL
     if cache_path:
         valuecache.append_new(cache_path, cache)
+    if loaded and not report.all_hold:
+        report = _recheck_fresh(config, report, cache)
     print(table_text(report, max_rows=200))
     return EXIT_OK if report.all_hold else EXIT_FAILURES
+
+
+def _recheck_fresh(config: SweepConfig, report, cache: BernoulliCache):
+    """Re-run a failing sweep without the cached values; the fresh run is
+    reported, and the values the file held wrongly are appended again."""
+    fresh = BernoulliCache()
+    fresh_report = run_sweep(config, cache=fresh)
+    for old, new in zip(report.verdicts, fresh_report.verdicts):
+        if (old.holds, old.observed_margin) != (new.holds, new.observed_margin):
+            print(f"warning: cached values changed {old.id} {old.params}: "
+                  f"holds={old.holds} margin={old.observed_margin} from the cache, "
+                  f"holds={new.holds} margin={new.observed_margin} recomputed", file=sys.stderr)
+    valuecache.append_corrections(config.cache_path, fresh, cache)
+    return fresh_report
 
 
 def cmd_verify(args) -> int:

@@ -1,12 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored on the power basis 1, z, ..., z^(phi(N)-1) with
-Fraction coefficients, fully reduced modulo the N-th cyclotomic
-polynomial, so equality is coefficient-wise.  All "mod p^n" language in
-this package means: every power-basis coefficient of the difference has
-rational p-adic valuation >= n (membership in p^n * Z_(p)[zeta_N]).
-Z[zeta_N] is the full ring of integers of Q(zeta_N), which is what makes
-the coefficient-wise reading equivalent to p-local integrality.
+An element is stored as (N, integer numerator vector, positive
+denominator) on the power basis 1, z, ..., z^(phi(N)-1), fully reduced
+modulo the N-th cyclotomic polynomial and normalised by the gcd of the
+denominator and the numerators, so equality is field-wise.  Phi_N is
+monic in Z, so addition, multiplication, reduction and embedding never
+leave integer arithmetic; only the inverse divides, once, at the end.
+All "mod p^n" language in this package means: every power-basis
+coefficient of the difference has rational p-adic valuation >= n
+(membership in p^n * Z_(p)[zeta_N]).  Z[zeta_N] is the full ring of
+integers of Q(zeta_N), which is what makes the coefficient-wise reading
+equivalent to p-local integrality.
 """
 
 from __future__ import annotations
@@ -75,70 +79,109 @@ def _int_poly_quotient(num: list[int], den: Iterable[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _modulus(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(N) and the nonzero terms (j, c_j) of Phi_N below its leading x^phi(N).
     phi_n = cyclotomic_polynomial(order)
     deg = len(phi_n) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+    return deg, tuple((j, c) for j, c in enumerate(phi_n[:deg]) if c)
+
+
+def _reduce(vec: list[int], order: int) -> list[int]:
+    """vec reduced modulo Phi_N in place, padded or cut to length phi(N).
+
+    Phi_N is monic with integer coefficients, so x^deg = -sum_j c_j x^j
+    keeps the reduction in Z.
+    """
+    deg, low = _modulus(order)
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
         if c:
-            coeffs[i] = Fraction(0)
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * phi_n[j]
-    coeffs = coeffs[:deg]
-    coeffs.extend([Fraction(0)] * (deg - len(coeffs)))
-    return tuple(coeffs)
+            base = i - deg
+            for j, cj in low:
+                vec[base + j] -= c * cj
+    del vec[deg:]
+    vec.extend([0] * (deg - len(vec)))
+    return vec
+
+
+def _poly_mul(a: Iterable[int], b: Iterable[int]) -> list[int]:
+    a, terms = list(a), [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + (terms[-1][0] if terms else 0))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _new(order: int, num: list[int], den: int) -> "CyclotomicElement":
+    # num is reduced (length phi(N)) and den > 0; divides out gcd(den, *num).
+    return object.__new__(CyclotomicElement)._set(order, num, den)
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_N) in canonical power-basis form.
+    """An element num/den of Q(zeta_N) in canonical power-basis form.
 
-    Immutable; arithmetic with ints and Fractions coerces them to
-    degree-0 elements.  Operands of different order are first embedded
-    into Q(zeta_lcm).
+    ``num`` holds integer coordinates on 1, z, ..., z^(phi(N)-1) and
+    ``den`` is a positive common denominator with gcd(den, *num) = 1, so
+    equal elements of one order have equal fields.  Immutable; arithmetic
+    with ints and Fractions coerces them to degree-0 elements.  Operands
+    of different order are first embedded into Q(zeta_lcm).
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar], *, reduce: bool = True):
+    def __init__(self, order: int, coeffs: Iterable[Scalar]):
+        """sum_i coeffs[i] zeta_N^i for rational coeffs of any length."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        vec = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if reduce:
-            self.coeffs: tuple[Fraction, ...] = _reduce_mod_cyclotomic(vec, order)
-        else:
-            self.coeffs = tuple(vec)
+        vec = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in vec))
+        self._set(order, _reduce([c.numerator * (den // c.denominator) for c in vec], order), den)
+
+    def _set(self, order: int, num: list[int], den: int) -> "CyclotomicElement":
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         self.order = order
+        self.num = tuple(num)
+        self.den = den
+        return self
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicElement":
-        return cls(order, [0] * euler_phi(order), reduce=False)
+        return cls.from_rational(0, order)
 
     @classmethod
     def one(cls, order: int = 1) -> "CyclotomicElement":
-        c = [Fraction(0)] * euler_phi(order)
-        c[0] = Fraction(1)
-        return cls(order, c, reduce=False)
+        return cls.from_rational(1, order)
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> "CyclotomicElement":
-        c = [Fraction(0)] * euler_phi(order)
-        c[0] = Fraction(value)
-        return cls(order, c, reduce=False)
+        q = Fraction(value)
+        return _new(order, _reduce([q.numerator], order), q.denominator)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def embed(self, order: int) -> "CyclotomicElement":
         """Image under Q(zeta_N) -> Q(zeta_M), zeta_N |-> zeta_M^(M/N); N | M."""
@@ -147,10 +190,9 @@ class CyclotomicElement:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return CyclotomicElement(order, out)
+        vec = [0] * ((len(self.num) - 1) * step + 1)
+        vec[::step] = self.num
+        return _new(order, _reduce(vec, order), self.den)
 
     def _coerce(self, other: ElementLike) -> "tuple[CyclotomicElement, CyclotomicElement] | None":
         if isinstance(other, (int, Fraction)):
@@ -164,60 +206,49 @@ class CyclotomicElement:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: ElementLike) -> "CyclotomicElement":
+    def _add(self, other: ElementLike, sign: int) -> "CyclotomicElement":
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CyclotomicElement(
-            a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)], reduce=False
-        )
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        return _new(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
+
+    def __add__(self, other: ElementLike) -> "CyclotomicElement":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.order, [-c for c in self.coeffs], reduce=False)
+        return _new(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other: ElementLike) -> "CyclotomicElement":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CyclotomicElement(
-            a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)], reduce=False
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other: ElementLike) -> "CyclotomicElement":
         return (-self) + other
 
     def __mul__(self, other: ElementLike) -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(
-                self.order, [c * other for c in self.coeffs], reduce=False
-            )
+            return _new(self.order, [c * other.numerator for c in self.num],
+                        self.den * other.denominator)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return CyclotomicElement(a.order, prod)
+        return _new(a.order, _reduce(_poly_mul(a.num, b.num), a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicElement":
-        """Multiplicative inverse via extended gcd against Phi_N over Q."""
+        """Multiplicative inverse den * s / c, where s * num == c (mod Phi_N)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return CyclotomicElement.from_rational(1 / self.coeffs[0], self.order)
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        u = _poly_ext_gcd_inverse(list(self.coeffs), phi_n)
-        return CyclotomicElement(self.order, u)
+        s, c = _bezout_constant(self.num, self.order)
+        if c < 0:
+            s, c = [-x for x in s], -c
+        return _new(self.order, [x * self.den for x in s], c)
 
     def __truediv__(self, other: ElementLike) -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
@@ -248,12 +279,11 @@ class CyclotomicElement:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, CyclotomicElement):
-            if other.order == self.order:
-                return self.coeffs == other.coeffs
-            common = math.lcm(self.order, other.order)
-            return self.embed(common).coeffs == other.embed(common).coeffs
+            a, b = self._coerce(other)
+            return a.num == b.num and a.den == b.den
         return NotImplemented
 
     __hash__ = None  # mixed-order equality makes a consistent hash impractical
@@ -261,11 +291,12 @@ class CyclotomicElement:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         sym = f"z{self.order}"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if not c:
                 continue
             if i == 0:
@@ -288,58 +319,40 @@ class CyclotomicElement:
         return f"CyclotomicElement({self.order}, {[str(c) for c in self.coeffs]})"
 
 
-def _poly_ext_gcd_inverse(f: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    # Returns u with u*f == 1 (mod modulus); modulus irreducible over Q.
-    r0, r1 = modulus[:], f[:]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
+def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[list[int], int]:
+    """(s, c) with s * f == c (mod Phi_N) and c a nonzero integer; f != 0.
 
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    r0, r1 = trim(r0), trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, trim(_poly_sub(s0, _poly_mul(q, s1)))
-    # r0 is a nonzero constant gcd; scale the Bezout coefficient.
-    c = r0[0]
-    return [x / c for x in s0]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [], num
-    out = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            out[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    return out, num[:dd]
+    Euclid on pseudo-remainders: every remainder r carries its cofactor s
+    with s * f == r (mod Phi_N), each elimination step scales both by
+    integers, and each pair is divided by its content, so every step stays
+    in Z.  Phi_N is irreducible, so the last nonzero remainder is a
+    constant.
+    """
+    r0, s0 = list(cyclotomic_polynomial(order)), [0]
+    r1, s1 = _trim(list(f)), [1]
+    while len(r1) > 1:
+        d1, lead = len(r1) - 1, r1[-1]
+        r, s = r0[:], s0 + [0] * (len(r0) + len(s1) - len(s0))
+        for i in range(len(r) - 1, d1 - 1, -1):
+            if r[i]:
+                g = math.gcd(lead, r[i])
+                mult, c, shift = lead // g, r[i] // g, i - d1
+                if mult != 1:
+                    r, s = [x * mult for x in r], [x * mult for x in s]
+                for j, y in enumerate(r1):
+                    r[shift + j] -= c * y
+                for j, y in enumerate(s1):
+                    s[shift + j] -= c * y
+        r, s = _trim(r[:d1]), _reduce(s, order)
+        g = math.gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
+    return _reduce(s1, order), r1[0]
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _trim(poly: list[int]) -> list[int]:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
 
 def zeta(order: int, exponent: int = 1) -> CyclotomicElement:
@@ -352,13 +365,7 @@ def zeta(order: int, exponent: int = 1) -> CyclotomicElement:
 @lru_cache(maxsize=65536)
 def _zeta_power(order: int, j: int) -> CyclotomicElement:
     # Elements are immutable, so sharing cached instances is safe.
-    deg = euler_phi(order)
-    if j < deg:
-        c = [Fraction(0)] * deg
-        c[j] = Fraction(1)
-        return CyclotomicElement(order, c, reduce=False)
-    c = [Fraction(0)] * j + [Fraction(1)]
-    return CyclotomicElement(order, c)
+    return _new(order, _reduce([0] * j + [1], order), 1)
 
 
 def as_element(value: ElementLike, order: int = 1) -> CyclotomicElement:
@@ -395,10 +402,9 @@ def p_content_valuation(x: ElementLike, p: int) -> Valuation:
     integrality.
     """
     x = as_element(x)
-    vals = [rational_valuation(c, p) for c in x.coeffs if c]
-    if not vals:
+    if x.is_zero():
         return INFINITE
-    return min(vals)
+    return rational_valuation(Fraction(math.gcd(*x.num), x.den), p)
 
 
 def congruent_mod(

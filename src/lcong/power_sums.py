@@ -2,9 +2,10 @@
 
 S_k(n, chi) = sum_(j=1..n) chi(j) j^k is computed by grouping the terms
 by residue class mod the character's modulus, so the inner accumulation
-is plain integer arithmetic and only one field operation per residue
-class remains.  Exactness makes the regrouping indistinguishable from
-ascending-j summation.
+is plain integer arithmetic; the per-class sums are then bucketed by the
+exponent of chi and reduced once (DirichletCharacter.weighted_sum).
+Exactness makes the regrouping indistinguishable from ascending-j
+summation.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:
     per_class = [0] * f
     for j in range(1, n + 1):
         per_class[j % f] += j**k
-    total = CyclotomicElement.zero(chi.zeta_order)
-    for r in range(f):
-        if per_class[r]:
-            value = chi(r)
-            if not value.is_zero():
-                total = total + value * per_class[r]
-    return total
+    return chi.weighted_sum(per_class)
 
 
 def power_sum_via_bernoulli(
@@ -91,10 +86,4 @@ def floor_weighted_sum(
     per_class = [0] * f
     for j in range(1, modulus):
         per_class[j % f] += j**k * (j * a // modulus)
-    result = CyclotomicElement.zero(chi.zeta_order)
-    for r in range(f):
-        if per_class[r]:
-            value = chi(r)
-            if not value.is_zero():
-                result = result + value * per_class[r]
-    return result
+    return chi.weighted_sum(per_class)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bernoulli import BernoulliCache, CharKey
@@ -54,9 +53,7 @@ def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
             (int(record["p"]), int(record["m"]), tuple(int(e) for e in record["chi"])),
             int(record["k"]),
         )
-        value = CyclotomicElement(
-            int(record["order"]), [Fraction(c) for c in record["coeffs"]]
-        )
+        value = CyclotomicElement(int(record["order"]), record["coeffs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CacheError(f"corrupt cache record at line {lineno}: {exc}") from exc
     return key, value
@@ -105,6 +102,15 @@ def append_new(path: Path | str, cache: BernoulliCache) -> int:
     return len(keys)
 
 
+def append_corrections(path: Path | str, fresh: BernoulliCache, loaded: BernoulliCache) -> int:
+    """Append the values ``fresh`` computed that ``loaded`` lacks or holds
+    differently; last-entry-wins then heals the file.  Returns the count."""
+    fresh.dirty_keys = {
+        key for key in fresh.dirty_keys if loaded._twisted.get(key) != fresh._twisted[key]
+    }
+    return append_new(path, fresh)
+
+
 def _truncate_torn_tail(path: Path) -> None:
     with open(path, "rb+") as fh:
         if fh.seek(0, os.SEEK_END) == 0:
@@ -145,8 +151,6 @@ def verify(path: Path | str, limit: int | None = None) -> list[str]:
         (p, m, images), k = key
         chi = character(p, m, images)
         recomputed = fresh.twisted_bernoulli(chi, k)
-        if not (
-            recomputed.order == value.order and recomputed.coeffs == value.coeffs
-        ):
+        if not (recomputed.order == value.order and recomputed == value):
             mismatches.append(f"p={p} m={m} chi={list(images)} k={k}")
     return mismatches

@@ -202,6 +202,32 @@ class TestCacheCommand:
         assert main(["cache", "verify", "--path", str(path)]) == EXIT_OK
         assert "0 mismatches" in capsys.readouterr().out
 
+    def test_wrong_cached_value_is_recomputed(self, tmp_path, capsys):
+        # A cache entry with a wrong B_(4,chi) flips 1.4 for chi = 8:0,1;
+        # the failing sweep is run again without the cache, the fresh
+        # verdict is reported, and the appended value heals the file.
+        path = tmp_path / "values.jsonl"
+        args = ["verify", "1.4", "--m", "3", "--chi", "0,1", "--k", "1",
+                "--n", "1", "--q", "1", "--cache", str(path)]
+        assert main(args) == EXIT_OK
+        good = path.read_text()
+        assert '"coeffs": ["-44", "0"], "k": 4' in good
+        path.write_text(good.replace('["-44", "0"]', '["-45", "0"]'))
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        captured = capsys.readouterr()
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: cached values changed 1.4 ")
+        assert "holds=False" in warnings[0] and "holds=True" in warnings[0]
+        assert "NO" not in captured.out
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3 and '["-44", "0"]' in lines[-1]
+        assert main(["cache", "verify", "--path", str(path)]) == EXIT_OK
+        assert "0 mismatches" in capsys.readouterr().out
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_default_path_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LCONG_CACHE_DIR", str(tmp_path))
         assert main(["cache", "stat"]) == EXIT_OK
