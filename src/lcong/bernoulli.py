@@ -1,14 +1,13 @@
 """Bernoulli numbers, Euler (secant) numbers, character-twisted Bernoulli
 numbers, and Dirichlet L-values at non-positive integers.
 
-Everything is exact.  Twisted Bernoulli numbers B_(k,chi) come from the
-closed form
+Everything is exact.  Twisted Bernoulli numbers B_(k,chi) come from
+Bernoulli polynomials (Washington, GTM 83, Prop. 4.1),
 
-    B_(k,chi) = sum_(j<=k) C(k,j) * B_j * f^(j-1) * T_(k-j),
-    T_r = sum_(a=1..f) chi(a) * a^r,   f = modulus of chi,
+    B_(k,chi) = f^(k-1) * sum_(a=1..f) chi(a) * B_k(a/f),   f = modulus of chi,
 
-which is the finite-sum equivalent of the defining generating function
-sum_a chi(a) t e^(at) / (e^(ft) - 1).  L(-k, chi) = -B_(k+1,chi)/(k+1)
+whose weights depend on (f, k) only, so one integer row per modulus and
+index serves every character.  L(-k, chi) = -B_(k+1,chi)/(k+1)
 whenever k and chi have opposite parity.
 
 The Euler numbers use the secant generating function 2/(e^t + e^(-t)),
@@ -19,7 +18,7 @@ E_k = 2 L(-k, chi_-4) holds exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from threading import Lock
 
 from .characters import DirichletCharacter, opposite_parity
@@ -39,19 +38,20 @@ class UndefinedCaseError(ValueError):
 
 
 class BernoulliCache:
-    """Memo store for B_k, E_k, B_(k,chi) and per-character power moments.
+    """Memo store for B_k, E_k, B_(k,chi) and the per-modulus integer rows
+    the twisted values are built from.
 
     Values are immutable once written and recomputation is deterministic,
     so concurrent last-writer-wins dict updates are safe; a lock guards
-    the growth of the index-addressed sequences, where an interleaved
-    append would shift later entries.
+    only the growth of the index-addressed B_k and E_k sequences, where an
+    interleaved append would shift later entries.
     """
 
     def __init__(self):
         self._bernoulli: list[Fraction] = [Fraction(1)]
         self._euler: list[int] = [1]
         self._twisted: dict[tuple[CharKey, int], CyclotomicElement] = {}
-        self._moments: dict[CharKey, list[CyclotomicElement]] = {}
+        self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._lock = Lock()
         #: keys written since the last persistence sync (see lcong.valuecache)
         self.dirty_keys: set[tuple[CharKey, int]] = set()
@@ -91,40 +91,36 @@ class BernoulliCache:
                     self._euler.append(-acc)
         return self._euler[k]
 
-    # -- character moments ----------------------------------------------
+    # -- twisted values ------------------------------------------------
 
-    def power_moment(self, chi: DirichletCharacter, r: int) -> CyclotomicElement:
-        """T_r = sum_(a=1..f) chi(a) a^r, cached per character."""
-        key = chi.key()
-        moments = self._moments.get(key)
-        if moments is None:
-            with self._lock:
-                moments = self._moments.setdefault(key, [])
-        if r < len(moments):
-            return moments[r]
-        # Growing the list must be serialized: appends are not idempotent
-        # (a doubled append would shift every later index).
-        with self._lock:
-            while len(moments) <= r:
-                rr = len(moments)
-                # chi(f) = 0, so residue 0 stands in for a = f.
-                moments.append(chi.weighted_sum([a**rr for a in range(chi.modulus)]))
-            return moments[r]
+    def _row(self, f: int, k: int) -> tuple[int, list[int]]:
+        """(D, [D f^(k-1) B_k(a/f) for a = 0..f-1]) with D = f L, L = lcm(den B_j,
+        j <= k): each weight is the integer sum_j C(k,j) (L B_j) f^j a^(k-j)."""
+        row = self._rows.get((f, k))
+        if row is None:
+            bs = [self.bernoulli(j) for j in range(k + 1)]
+            den = lcm(*(b.denominator for b in bs))
+            # coefficients of a^k, a^(k-1), ..., a^0, evaluated by Horner in a
+            coeffs = [
+                comb(k, j) * (den // b.denominator) * b.numerator * f**j
+                for j, b in enumerate(bs)
+            ]
+            weights = []
+            for a in range(f):
+                acc = 0
+                for c in coeffs:
+                    acc = acc * a + c
+                weights.append(acc)
+            row = self._rows[(f, k)] = (f * den, weights)
+        return row
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:
         key = (chi.key(), k)
         cached = self._twisted.get(key)
         if cached is not None:
             return cached
-        f = chi.modulus
-        total = CyclotomicElement.zero(chi.zeta_order)
-        for j in range(k + 1):
-            b = self.bernoulli(j)
-            if b == 0:
-                continue
-            total = total + self.power_moment(chi, k - j) * (
-                comb(k, j) * b * Fraction(f) ** (j - 1)
-            )
+        scale, row = self._row(chi.modulus, k)  # chi(0) = chi(f) = 0 stands in for a = f
+        total = chi.weighted_sum(row) * Fraction(1, scale)
         self._twisted[key] = total
         self.dirty_keys.add(key)
         return total

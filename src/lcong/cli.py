@@ -27,7 +27,7 @@ from .bernoulli import (
     l_value,
     script_l,
 )
-from .characters import character, enumerate_primitive
+from .characters import ResourceLimitError, character, enumerate_primitive
 from .sweep import (
     ConfigError,
     SweepConfig,
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParityError, UndefinedCaseError, ValueError) as exc:
+    except (ParityError, UndefinedCaseError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

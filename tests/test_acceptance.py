@@ -48,7 +48,8 @@ from lcong.power_sums import DomainError, power_sum, power_sum_via_bernoulli
 from lcong.sweep import SweepConfig, SweepJob, csv_text, records_lines, run_sweep
 from lcong import valuecache
 
-from test_bernoulli import bernoulli_series_oracle, direct_twisted_bernoulli, euler_series_oracle
+from moment_oracle import moment_twisted_bernoulli
+from test_bernoulli import bernoulli_series_oracle, euler_series_oracle
 
 
 def report(criterion, detail, t0):
@@ -331,7 +332,8 @@ def test_criterion7_shift_iff_alignment_as_stated():
     p^n.  Everywhere else the stated predicate agrees with the
     congruence, whose truth is checked against p-integrality of the
     difference over p^n, and at n = 1 the L* values are recomputed from
-    the Bernoulli-polynomial formula.  The test fails if the printed
+    the moment formula of tests/moment_oracle.py, a route independent of
+    the Bernoulli-polynomial rows lcong uses.  The test fails if the printed
     alignment ever holds at a boundary point or fails anywhere else; see
     the README, "Known results and sharpness data".
     """
@@ -339,7 +341,7 @@ def test_criterion7_shift_iff_alignment_as_stated():
     points = 0
     boundary = set()
     disagreements = set()
-    literal_checks = 0
+    oracle_checks = 0
     for p in (3, 5, 7):
         for chi in enumerate_primitive(p, 2):
             k0 = 0 if chi.is_odd() else 1
@@ -359,9 +361,9 @@ def test_criterion7_shift_iff_alignment_as_stated():
                     assert v.observed_margin == vh, point
                     if n == 1:  # h = 0 covers the right side, L*_k0
                         k = k0 + (p - 1) * h
-                        l_literal = direct_twisted_bernoulli(chi, k + 1) * Fraction(-1, k + 1)
-                        assert v.lhs == normalizer * l_literal, point
-                        literal_checks += 1
+                        l_moment = moment_twisted_bernoulli(chi, k + 1) * Fraction(-1, k + 1)
+                        assert v.lhs == normalizer * l_moment, point
+                        oracle_checks += 1
                     if v.params["expected"] != v.params["congruent"]:
                         disagreements.add(point)
                     if vh == n - 1:
@@ -382,7 +384,7 @@ def test_criterion7_shift_iff_alignment_as_stated():
     report("7 (1.8 as stated)",
            f"printed alignment fails at exactly {len(disagreements)} of {points} points, "
            f"all val_p(h) = n-1, each forced by 1.7 (holds) and nondiv; "
-           f"{literal_checks} L* values match the Bernoulli-polynomial formula", t0)
+           f"{oracle_checks} L* values match the moment-formula oracle", t0)
 
 
 def test_criterion8_classical_checks():

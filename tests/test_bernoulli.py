@@ -19,8 +19,14 @@ from lcong.bernoulli import (
     l_value,
     script_l,
 )
-from lcong.characters import character, enumerate_primitive, opposite_parity
+from lcong.characters import (
+    character,
+    enumerate_characters,
+    enumerate_primitive,
+    opposite_parity,
+)
 from lcong.cyclotomic import CyclotomicElement, p_content_valuation
+from moment_oracle import moment_twisted_bernoulli
 
 
 def invert_series(coeffs, length):
@@ -51,8 +57,9 @@ def euler_series_oracle(length):
 
 
 def direct_twisted_bernoulli(chi, k):
-    # Literal evaluation of f^(k-1) sum_a chi(a) B_k(a/f), a different
-    # code path from the moment-table accumulation used in production.
+    # Literal evaluation of f^(k-1) sum_a chi(a) B_k(a/f) in Fractions, one
+    # residue at a time: the identity production evaluates through scaled
+    # integer rows.  The independent route is moment_oracle's moment formula.
     f = chi.modulus
     return sum(
         (chi(a) * bernoulli_polynomial(k, Fraction(a, f)) for a in range(1, f + 1)),
@@ -154,6 +161,21 @@ class TestTwistedBernoulli:
             for k in range(11):
                 direct = direct_twisted_bernoulli(chi, k)
                 assert generalized_bernoulli(k, chi) == direct, (chi.label(), k)
+
+    @pytest.mark.parametrize(
+        "pm",
+        [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+         (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)],
+        ids=lambda pm: f"{pm[0]}^{pm[1]}",
+    )
+    def test_against_moment_oracle(self, pm):
+        # Every character, imprimitive ones and the character mod 2 included;
+        # one fresh cache per modulus, so its characters share the rows.
+        cache = BernoulliCache()
+        for chi in enumerate_characters(*pm):
+            for k in range(25):
+                expected = moment_twisted_bernoulli(chi, k)
+                assert cache.twisted_bernoulli(chi, k) == expected, (chi.label(), k)
 
     def test_wrong_parity_vanishing(self):
         for p, m in ((2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):

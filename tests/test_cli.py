@@ -244,16 +244,30 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "stern" in result.stdout
 
-    def test_unexpected_error_exits_three_without_traceback(self):
+    def test_modulus_above_table_bound_is_a_usage_error(self):
         # 3^12 exceeds the discrete-log table bound: ResourceLimitError.
         result = subprocess.run(
             [sys.executable, "-m", "lcong.cli", "verify", "1.6", "--p", "3",
              "--m", "12", "--k", "0", "--n", "1", "--q", "1"],
             capture_output=True, text=True,
         )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            "error: modulus 531441 exceeds dlog table bound 200000"
+        ]
+
+    def test_unexpected_error_exits_three_without_traceback(self):
+        script = (
+            "import sys\n"
+            "import lcong.cli as cli\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise RuntimeError('injected')\n"
+            "cli.run_sweep = boom\n"
+            "sys.exit(cli.main(['verify', 'stern', '--k', '0', '--n', '1', '--q', '1']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+        )
         assert result.returncode == EXIT_INTERNAL
         assert "Traceback" not in result.stderr
-        assert result.stderr.splitlines() == [
-            "internal error: ResourceLimitError: "
-            "modulus 531441 exceeds dlog table bound 200000"
-        ]
+        assert result.stderr.splitlines() == ["internal error: RuntimeError: injected"]
