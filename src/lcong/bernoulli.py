@@ -38,19 +38,24 @@ class UndefinedCaseError(ValueError):
 
 
 class BernoulliCache:
-    """Memo store for B_k, E_k, B_(k,chi) and the per-modulus integer rows
-    the twisted values are built from.
+    """Memo store for B_k, E_k, B_(k,chi), the per-modulus integer rows
+    the twisted values are built from, and the unit-normalized values
+    L*_k of ``script_l`` keyed by (chi.key(), k).
 
     Values are immutable once written and recomputation is deterministic,
     so concurrent last-writer-wins dict updates are safe; a lock guards
     only the growth of the index-addressed B_k and E_k sequences, where an
-    interleaved append would shift later entries.
+    interleaved append would shift later entries.  The L* memo is one of
+    those unlocked last-writer-wins dicts; it is derived from the twisted
+    values, never persisted (the file cache holds B_(k,chi) only), and
+    seeding a twisted value drops the L* entry built on it.
     """
 
     def __init__(self):
         self._bernoulli: list[Fraction] = [Fraction(1)]
         self._euler: list[int] = [1]
         self._twisted: dict[tuple[CharKey, int], CyclotomicElement] = {}
+        self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._lock = Lock()
         #: keys written since the last persistence sync (see lcong.valuecache)
@@ -128,6 +133,7 @@ class BernoulliCache:
     def store_twisted(self, key: tuple[CharKey, int], value: CyclotomicElement) -> None:
         """Seed a precomputed twisted Bernoulli number (e.g. from a file cache)."""
         self._twisted[key] = value
+        self._script_l.pop((key[0], key[1] - 1), None)  # L*_(k-1) is built on B_(k,chi)
 
 
 #: Default process-wide cache; sweeps re-use values heavily.
@@ -189,7 +195,11 @@ def script_l(
 
     The factor 1 - chi(u) divides p, which forces the result to be
     p-integral (and 2-integral with a full factor of 2 when p = 2).
+    Memoized on ``cache`` per (chi.key(), k).
     """
+    key = (chi.key(), k)
+    if (value := cache._script_l.get(key)) is not None:
+        return value
     p, m = chi.p, chi.m
     if not chi.is_primitive():
         raise UndefinedCaseError(
@@ -203,4 +213,5 @@ def script_l(
         raise UndefinedCaseError(
             f"normalized L-value undefined for conductor {p}^{m}"
         )
-    return (1 - chi(unit)) * l_value(k, chi, cache)
+    value = cache._script_l[key] = (1 - chi(unit)) * l_value(k, chi, cache)
+    return value

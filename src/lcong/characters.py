@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .cyclotomic import CyclotomicElement, euler_phi, zeta
@@ -224,8 +225,13 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.images)
 
-    def is_odd(self) -> bool:
+    @cached_property
+    def _odd(self) -> bool:
+        # Computed on first use, so enumerating characters does not pay for it.
         return self.value_exponent(self.modulus - 1) != 0
+
+    def is_odd(self) -> bool:
+        return self._odd
 
     def is_even(self) -> bool:
         return not self.is_odd()

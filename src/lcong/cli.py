@@ -101,15 +101,25 @@ def load_config(path: str | Path) -> SweepConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     jobs = raw.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         raise ConfigError("config must contain a non-empty 'jobs' list")
+    if not all(isinstance(j, dict) for j in jobs):
+        raise ConfigError("every job must be a JSON object")
+    for key in ("csv", "records", "cache"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"'{key}' must be a path string, not {raw[key]!r}")
+    parallelism = raw.get("parallelism", 1)
+    if not isinstance(parallelism, int) or isinstance(parallelism, bool):
+        raise ConfigError(f"'parallelism' must be an integer, not {parallelism!r}")
     return SweepConfig(
         jobs=tuple(_job_from_mapping(j) for j in jobs),
         csv_path=raw.get("csv"),
         records_path=raw.get("records"),
         cache_path=raw.get("cache"),
-        parallelism=int(raw.get("parallelism", 1)),
+        parallelism=parallelism,
     )
 
 
@@ -184,7 +194,7 @@ def cmd_sweep(args) -> int:
         overrides["records_path"] = args.records
     if args.cache:
         overrides["cache_path"] = args.cache
-    if args.jobs:
+    if args.jobs is not None:
         overrides["parallelism"] = args.jobs
     if overrides:
         import dataclasses

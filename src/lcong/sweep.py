@@ -5,7 +5,11 @@ Grid points whose hypotheses fail are recorded as skips, never as
 failed verdicts.  Identical configs produce byte-identical
 machine-readable reports (the only timestamp lives in the JSONL header
 record), and parallel execution yields the same verdict sequence as
-serial execution because results are collected in submission order.
+serial execution.  The thread pool takes the work in batches: each
+contiguous run of instances that share a congruence id and a character
+(or just an id, for jobs without characters) is one task, so one thread
+computes all of a character's values, and the batches' results are
+collected in submission order.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterator, Optional
 
 from . import congruences as cg
@@ -406,6 +411,15 @@ def run_instance(
         return SkipRecord(id=spec.id, params=params, reason=str(exc))
 
 
+def _run_key(item: tuple[CongruenceSpec, dict]) -> tuple:
+    spec, inst = item
+    return spec.id, inst["chi"].key() if "chi" in inst else None
+
+
+def _run_batch(batch: list, cache: BernoulliCache) -> list[CongruenceVerdict | SkipRecord]:
+    return [run_instance(spec, inst, cache) for spec, inst in batch]
+
+
 def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> SweepReport:
     """Evaluate every grid point of every job; write configured reports."""
     if not config.jobs:
@@ -418,12 +432,12 @@ def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> Swe
 
     t0 = time.perf_counter()
     if config.parallelism == 1:
-        results = [run_instance(spec, inst, cache) for spec, inst in work]
+        results = _run_batch(work, cache)
     else:
+        batches = [list(run) for _, run in groupby(work, key=_run_key)]
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(
-                pool.map(lambda item: run_instance(item[0], item[1], cache), work)
-            )
+            done = pool.map(lambda batch: _run_batch(batch, cache), batches)
+            results = [result for batch_results in done for result in batch_results]
     duration = time.perf_counter() - t0
 
     verdicts = [r for r in results if isinstance(r, CongruenceVerdict)]

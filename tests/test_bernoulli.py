@@ -247,6 +247,35 @@ class TestScriptL:
             for k in range(start, 21, 2):
                 assert p_content_valuation(script_l(k, chi), p) >= bound, (pm, chi.label(), k)
 
+    @pytest.mark.parametrize("pm", [(2, 3), (2, 4), (2, 5), (3, 2), (5, 2), (3, 3)],
+                             ids=lambda pm: f"{pm[0]}^{pm[1]}")
+    def test_memo_matches_unmemoized_route(self, pm):
+        # One warm cache answers every L*_k (the second call is a memo
+        # hit); the reference builds (1 - chi(u)) L(-k, chi) on a fresh
+        # cache per value, so no memo entry can leak into it.
+        p, m = pm
+        unit = 5 if p == 2 else p + 1
+        warm = BernoulliCache()
+        checked = 0
+        for chi in enumerate_primitive(p, m):
+            for k in range(13):
+                if not opposite_parity(chi, k):
+                    continue
+                expected = (1 - chi(unit)) * l_value(k, chi, BernoulliCache())
+                assert script_l(k, chi, warm) == expected, (chi.label(), k)
+                assert script_l(k, chi, warm) == expected, (chi.label(), k)
+                checked += 1
+        assert len(warm._script_l) == checked > 0
+
+    def test_seeded_value_replaces_memoized_one(self, chi8):
+        cache = BernoulliCache()
+        assert script_l(3, chi8, cache) == 22
+        # L*_3 is built on B_(4,chi); seeding another B_(4,chi) must not
+        # leave the old L*_3 behind.
+        cache.store_twisted((chi8.key(), 4), CyclotomicElement(chi8.zeta_order, [-45]))
+        assert script_l(3, chi8, cache) == (1 - chi8(5)) * Fraction(45, 4)
+        assert script_l(1, chi8, cache) == -2
+
 
 class TestDenominatorStructure:
     @pytest.mark.parametrize("pm", [(2, 3), (2, 4), (3, 2), (5, 1), (7, 1)])
@@ -286,6 +315,26 @@ class TestCache:
                 assert shared.twisted_bernoulli(chi, k) == reference.twisted_bernoulli(chi, k), (
                     chi.label(), k,
                 )
+
+    def test_concurrent_script_l_is_consistent(self):
+        # Pool threads share one L* memo with last-writer-wins updates and
+        # no lock; with rapid thread switching every value read back must
+        # still equal the one an isolated cache computes.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        chis = enumerate_primitive(2, 4) + enumerate_primitive(3, 2)
+        jobs = [(k, chi) for k in range(12, -1, -1) for chi in chis if opposite_parity(chi, k)]
+        shared = BernoulliCache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: script_l(*job, shared), jobs * 3))
+        finally:
+            sys.setswitchinterval(interval)
+        reference = BernoulliCache()
+        assert got == [script_l(k, chi, reference) for k, chi in jobs * 3]
 
     def test_dirty_key_tracking(self, chi8):
         cache = BernoulliCache()

@@ -116,6 +116,47 @@ class TestSweepCommand:
         path.write_text("{jobs: [")
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_jobs_zero_is_a_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}]})
+        assert main(["sweep", "--config", cfg, "--jobs", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: parallelism")
+
+    @pytest.mark.parametrize("parallelism", [1.7, "two", True, None, [2]])
+    def test_non_integer_parallelism_is_a_config_error(self, tmp_path, capsys, parallelism):
+        cfg = self.write_config(tmp_path, {
+            "jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}],
+            "parallelism": parallelism,
+        })
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: 'parallelism'")
+
+    @pytest.mark.parametrize("body", [[{"id": "1.3"}], "jobs", 3, None])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, body):
+        assert main(["sweep", "--config", self.write_config(tmp_path, body)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_job_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"jobs": [["id", "1.3"]]})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("key", ["csv", "records", "cache"])
+    def test_non_string_output_path_is_a_config_error(self, tmp_path, key):
+        # An integer path would be opened as a file descriptor (1 is
+        # stdout), so the check runs in a child process of its own.
+        cfg = self.write_config(tmp_path, {
+            "jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}], key: 1,
+        })
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "sweep", "--config", cfg],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"configuration error: '{key}' must be a path string, not 1"
+        ]
+
     def test_cache_integration(self, tmp_path, capsys):
         cache_path = tmp_path / "values.jsonl"
         cfg = self.write_config(tmp_path, {
