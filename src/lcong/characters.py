@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .cyclotomic import CyclotomicElement, euler_phi, zeta
+from .cyclotomic import CyclotomicElement, euler_phi, prime_factors, zeta
 
 #: Largest modulus for which a full discrete-log table is built.
 MAX_TABLE_MODULUS = 200_000
@@ -25,34 +25,13 @@ class ResourceLimitError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def multiplicative_order(a: int, modulus: int, group_order: int) -> int:
     """Order of the unit a modulo ``modulus``; ``group_order`` is a multiple of it."""
     order = group_order
-    for q in _prime_factors(group_order):
+    for q in prime_factors(group_order):
         while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q
     return order

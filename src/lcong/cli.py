@@ -13,6 +13,7 @@ usage error, 3 internal/cache error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from .sweep import (
     SweepConfig,
     SweepJob,
     lookup,
+    parse_values,  # re-exported: part of the CLI module's public names
     registered_ids,
     run_sweep,
     table_text,
@@ -47,50 +49,10 @@ EXIT_INTERNAL = 3
 PARAM_FLAGS = ("p", "m", "k", "l", "n", "q", "a", "h", "d", "chi_p", "chi_m")
 
 
-def parse_values(text: str) -> list[int]:
-    """Parse '3', '1,3,5', '0..20', or '0..20:2' into a list of ints."""
-    out: list[int] = []
-    for chunk in str(text).split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            span, _, step = chunk.partition(":")
-            lo, _, hi = span.partition("..")
-            out.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
-        elif chunk:
-            out.append(int(chunk))
-    if not out:
-        raise ConfigError(f"empty parameter value {text!r}")
-    return out
-
-
-def _normalize_axis(value) -> list:
-    if isinstance(value, str):
-        return parse_values(value)
-    if isinstance(value, int):
-        return [value]
-    if isinstance(value, list):
-        out = []
-        for v in value:
-            out.extend(parse_values(v) if isinstance(v, str) else [v])
-        return out
-    raise ConfigError(f"cannot interpret parameter value {value!r}")
-
-
 def _job_from_mapping(mapping: dict) -> SweepJob:
     if "id" not in mapping:
         raise ConfigError("every job needs an 'id'")
-    params = {}
-    for key, value in mapping.items():
-        if key == "id":
-            continue
-        if key == "parity":
-            params[key] = value
-        elif key == "chi":
-            if isinstance(value, str):
-                value = [value.split(",")]
-            params[key] = [list(map(int, images)) for images in value]
-        else:
-            params[key] = _normalize_axis(value)
+    params = {key: value for key, value in mapping.items() if key != "id"}
     return SweepJob(id=str(mapping["id"]), params=params)
 
 
@@ -166,15 +128,11 @@ def _recheck_fresh(config: SweepConfig, report, cache: BernoulliCache):
 
 def cmd_verify(args) -> int:
     spec = lookup(args.id)
-    params: dict = {}
-    for flag in PARAM_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[flag] = parse_values(value)
-    if args.parity:
-        params["parity"] = args.parity
-    if args.chi:
-        params["chi"] = [[int(e) for e in args.chi.split(",")]]
+    params = {
+        flag: getattr(args, flag)
+        for flag in (*PARAM_FLAGS, "chi", "parity")
+        if getattr(args, flag) is not None
+    }
     job = SweepJob(id=spec.id, params=params)
     config = SweepConfig(
         jobs=(job,),
@@ -187,20 +145,12 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    overrides = {}
-    if args.csv:
-        overrides["csv_path"] = args.csv
-    if args.records:
-        overrides["records_path"] = args.records
-    if args.cache:
-        overrides["cache_path"] = args.cache
-    if args.jobs is not None:
-        overrides["parallelism"] = args.jobs
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    return _report_and_exit(config)
+    # (SweepConfig field, flag) pairs: a given flag overrides the file
+    fields = (("csv_path", "csv"), ("records_path", "records"),
+              ("cache_path", "cache"), ("parallelism", "jobs"))
+    overrides = {field: getattr(args, flag) for field, flag in fields
+                 if getattr(args, flag) is not None}
+    return _report_and_exit(dataclasses.replace(config, **overrides))
 
 
 def _table_rows_classical(kind: str, max_k: int):

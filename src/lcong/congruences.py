@@ -36,6 +36,8 @@ from .cyclotomic import (
     divides_p_locally,
     euler_phi,
     p_content_valuation,
+    prime_factors,
+    rational_valuation,
     root_of_unity_order,
 )
 from .power_sums import DomainError, floor_weighted_sum, power_sum
@@ -47,9 +49,10 @@ class CongruenceVerdict:
 
     For plain congruence checks, ``holds`` is equivalent to
     ``observed_margin >= required_modulus_exponent``.  For iff-style
-    checks (ids ending in ``-iff``) and for the non-divisibility check,
-    ``holds`` records agreement with the predicted boolean instead; the
-    margin is still the observed valuation of lhs - rhs.
+    checks (the verdicts with ``branch == "iff"``: ``stern-iff``, ``1.5``
+    and ``1.8``) and for the non-divisibility check, ``holds`` records
+    agreement with the predicted boolean instead; the margin is still
+    the observed valuation of lhs - rhs.
     """
 
     id: str
@@ -73,10 +76,17 @@ def _congruence_verdict(
     p: int,
     n: int,
     branch: str | None = None,
+    expected: bool | None = None,
 ) -> CongruenceVerdict:
+    """Verdict on lhs == rhs (mod p^n).  Given ``expected``, the verdict
+    is an iff check instead: it holds when the congruence's truth equals
+    ``expected``, and both booleans are appended to ``params``."""
     lhs = as_element(lhs)
     rhs = as_element(rhs)
     holds, margin = congruent_mod(lhs, rhs, p, n)
+    if expected is not None:
+        params = {**params, "congruent": holds, "expected": expected}
+        holds, branch = holds == expected, "iff"
     return CongruenceVerdict(
         id=id_,
         params=params,
@@ -176,19 +186,9 @@ def verify_stern_iff(
     """Two-sided check of:  E_k == E_l (mod 2^n)  iff  k == l (mod 2^n)."""
     _require(k % 2 == 0 and l % 2 == 0, "k, l must be even")
     _require(n >= 1, "n must be >= 1")
-    lhs = as_element(cache.euler(k))
-    rhs = as_element(cache.euler(l))
-    congruent, margin = congruent_mod(lhs, rhs, 2, n)
-    expected = (k - l) % 2**n == 0
-    return CongruenceVerdict(
-        id="stern-iff",
-        params={"k": k, "l": l, "n": n, "congruent": congruent, "expected": expected},
-        holds=congruent == expected,
-        required_modulus_exponent=n,
-        observed_margin=margin,
-        lhs=lhs,
-        rhs=rhs,
-        branch="iff",
+    return _congruence_verdict(
+        "stern-iff", {"k": k, "l": l, "n": n}, cache.euler(k), cache.euler(l), 2, n,
+        expected=(k - l) % 2**n == 0,
     )
 
 
@@ -238,25 +238,8 @@ def verify_lvalue_shift_two_iff(
         raise ParityError("k and l must both have parity opposite to chi")
     lhs = script_l(k, chi, cache)
     rhs = script_l(l, chi, cache)
-    congruent, margin = congruent_mod(lhs, rhs, 2, n + 2)
-    expected = (k - l) % 2**n == 0
-    return CongruenceVerdict(
-        id="1.5",
-        params={
-            "chi": chi.label(),
-            "k": k,
-            "l": l,
-            "n": n,
-            "congruent": congruent,
-            "expected": expected,
-        },
-        holds=congruent == expected,
-        required_modulus_exponent=n + 2,
-        observed_margin=margin,
-        lhs=lhs,
-        rhs=rhs,
-        branch="iff",
-    )
+    params = {"chi": chi.label(), "k": k, "l": l, "n": n}
+    return _congruence_verdict("1.5", params, lhs, rhs, 2, n + 2, expected=(k - l) % 2**n == 0)
 
 
 @lru_cache(maxsize=65536)
@@ -359,26 +342,11 @@ def verify_lvalue_shift_odd_iff(
     )
     lhs = script_l(k + (p - 1) * h, chi, cache)
     rhs = script_l(k, chi, cache)
-    congruent, margin = congruent_mod(lhs, rhs, p, n)
-    expected = h % p ** (n - 1) == 0
-    return CongruenceVerdict(
-        id="1.8",
-        params={
-            "chi": chi.label(),
-            "k": k,
-            "h": h,
-            "n": n,
-            "congruent": congruent,
-            "expected": expected,
-            "expected_aligned": h % p**n == 0,
-        },
-        holds=congruent == expected,
-        required_modulus_exponent=n,
-        observed_margin=margin,
-        lhs=lhs,
-        rhs=rhs,
-        branch="iff",
-    )
+    params = {"chi": chi.label(), "k": k, "h": h, "n": n}
+    verdict = _congruence_verdict("1.8", params, lhs, rhs, p, n, expected=h % p ** (n - 1) == 0)
+    # Reports print params in insertion order: the aligned reading goes last.
+    verdict.params["expected_aligned"] = h % p**n == 0
+    return verdict
 
 
 # ---------------------------------------------------------------------
@@ -467,18 +435,11 @@ def verify_lerch(a: int, n: int) -> CongruenceVerdict:
             total += pow(j, -1, n) * (j * a // n)
     rhs = pow(a, -1, n) * total % n
     holds = (lhs - rhs) % n == 0
-    base = _prime_power_base(n)
-    if base is not None:
-        p, e = base
-        if holds:
-            margin: Valuation = e
-        else:
-            margin = 0
-            diff = (lhs - rhs) % n
-            while diff % p == 0:
-                diff //= p
-                margin += 1
-        required = e
+    primes = prime_factors(n)
+    if len(primes) == 1:
+        # 0 <= lhs, rhs < n = p^e, so the margin is val_p(lhs - rhs) capped at e
+        required = rational_valuation(n, primes[0])
+        margin: Valuation = min(rational_valuation(lhs - rhs, primes[0]), required)
     else:
         required, margin = 1, (1 if holds else 0)
     return CongruenceVerdict(
@@ -490,17 +451,6 @@ def verify_lerch(a: int, n: int) -> CongruenceVerdict:
         lhs=as_element(lhs),
         rhs=as_element(rhs),
     )
-
-
-def _prime_power_base(n: int) -> tuple[int, int] | None:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return None
 
 
 # ---------------------------------------------------------------------

@@ -29,20 +29,27 @@ INFINITE = math.inf
 Valuation = Union[int, float]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for q in prime_factors(n):
+        result -= result // q
     return result
 
 

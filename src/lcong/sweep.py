@@ -22,7 +22,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterator, Optional
 
 from . import congruences as cg
@@ -36,18 +36,80 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
+def parse_values(text: str) -> list[int]:
+    """Parse '3', '1,3,5', '0..20', or '0..20:2' into a list of ints."""
+    out: list[int] = []
+    try:
+        for chunk in str(text).split(","):
+            chunk = chunk.strip()
+            if ".." in chunk:
+                span, _, step = chunk.partition(":")
+                lo, _, hi = span.partition("..")
+                out.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
+            elif chunk:
+                out.append(int(chunk))
+    except ValueError:
+        raise ConfigError(f"cannot parse parameter value {text!r}") from None
+    if not out:
+        raise ConfigError(f"empty parameter value {text!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class SweepJob:
+    """One congruence id over a parameter grid.  ``params`` is parsed and
+    checked on construction, so a malformed job raises ConfigError:
+
+    - an axis is an int, a string '3', '1,3,5' or 'lo..hi[:step]', or a
+      list of ints and such strings; it is stored as a list of ints;
+    - ``chi`` is a string 'e1,e2' of generator image exponents or a list
+      of integer exponent lists; it is stored as a list of int lists;
+    - ``parity`` is 'even', 'odd' or None.
+    """
+
     id: str
     params: dict
 
-    def axis(self, name: str) -> list:
+    def __post_init__(self) -> None:
+        parsed = {}
+        for key, value in self.params.items():
+            if key == "chi":
+                value = self._parse_chi(value)
+            elif key != "parity":
+                value = self._parse_axis(key, value)
+            elif value not in (None, "even", "odd"):
+                raise ConfigError(f"job '{self.id}': parity must be 'even' or 'odd'")
+            parsed[key] = value
+        object.__setattr__(self, "params", parsed)
+
+    def _parse_axis(self, name: str, value) -> list[int]:
+        out: list[int] = []
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(v, str):
+                out.extend(parse_values(v))
+            elif type(v) is int:  # not a bool, a float or an object
+                out.append(v)
+            else:
+                raise ConfigError(f"job '{self.id}': cannot interpret '{name}' value {v!r}")
+        return out
+
+    def _parse_chi(self, value) -> list[list[int]]:
+        if isinstance(value, str):
+            try:
+                value = [[int(e) for e in value.split(",")]]
+            except ValueError:
+                pass  # left a string, so rejected below
+        if isinstance(value, list) and all(
+            isinstance(images, list) and all(type(e) is int for e in images) for images in value
+        ):
+            return value
+        raise ConfigError(f"job '{self.id}': 'chi' must be 'e1,e2' or a list of integer lists")
+
+    def axis(self, name: str) -> list[int]:
         value = self.params.get(name)
-        if value is None or value == []:
+        if not value:
             raise ConfigError(f"job '{self.id}': missing or empty axis '{name}'")
-        if not isinstance(value, (list, tuple)):
-            value = [value]
-        return list(value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -139,10 +201,6 @@ _CHAR_FAMILIES = {
 }
 
 
-def _rebadged(verdict: CongruenceVerdict, id_: str) -> CongruenceVerdict:
-    return dataclasses.replace(verdict, id=id_)
-
-
 def _run_sum_lift(chi, p, m, k, n, cache):
     if cg.sum_lift_excluded(chi, k):
         raise DomainError("excluded case: p = 2, m = 1, odd k")
@@ -152,7 +210,7 @@ def _run_sum_lift(chi, p, m, k, n, cache):
 def _run_sum_lift_excluded(chi, p, m, k, n, cache):
     if not cg.sum_lift_excluded(chi, k):
         raise DomainError("not in the excluded region")
-    return _rebadged(cg.verify_sum_lift(chi, k, n), "2.1x")
+    return dataclasses.replace(cg.verify_sum_lift(chi, k, n), id="2.1x")
 
 
 def _run_vanishing_two(chi, p, m, k, n, cache):
@@ -164,7 +222,7 @@ def _run_vanishing_two(chi, p, m, k, n, cache):
 def _run_vanishing_two_excluded(chi, p, m, k, n, cache):
     if cg.strengthened_vanishing_applies(chi, k):
         raise DomainError("not in the excluded region")
-    return _rebadged(cg.verify_sum_vanishing_two(chi, k, n), "2.5x")
+    return dataclasses.replace(cg.verify_sum_vanishing_two(chi, k, n), id="2.5x")
 
 
 REGISTRY: dict[str, CongruenceSpec] = {}
@@ -352,18 +410,14 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[tuple[int, i
     p_axis, m_axis = spec.char_axes
     out = []
     parity = job.params.get("parity")
-    if parity not in (None, "even", "odd"):
-        raise ConfigError(f"job '{job.id}': parity must be 'even' or 'odd'")
     restrict = job.params.get("chi")
-    if restrict is not None:
-        restrict = [tuple(int(e) for e in images) for images in restrict]
     p_values = [spec.char_fixed_p] if spec.char_fixed_p else job.axis(p_axis)
     for p in p_values:
         for m in job.axis(m_axis):
             for chi in _CHAR_FAMILIES[spec.char_mode](p, m):
                 if parity and chi.parity() != parity:
                     continue
-                if restrict is not None and chi.images not in restrict:
+                if restrict is not None and list(chi.images) not in restrict:
                     continue
                 out.append((p, m, chi))
     return out
@@ -376,14 +430,9 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     axis_values = [job.axis(a) for a in numeric_axes]
 
     def numeric_grid() -> Iterator[dict]:
-        def rec(i: int, acc: dict) -> Iterator[dict]:
-            if i == len(numeric_axes):
-                yield dict(acc)
-                return
-            for value in axis_values[i]:
-                acc[numeric_axes[i]] = value
-                yield from rec(i + 1, acc)
-        yield from rec(0, {})
+        # the last axis varies fastest
+        for values in product(*axis_values):
+            yield dict(zip(numeric_axes, values))
 
     if spec.char_mode is None:
         for inst in numeric_grid():

@@ -157,6 +157,27 @@ class TestSweepCommand:
             f"configuration error: '{key}' must be a path string, not 1"
         ]
 
+    @pytest.mark.parametrize("shape", [
+        {"chi": 5},
+        {"chi": [[0, "x"]]},
+        {"k": [1.5]},
+        {"k": [True]},
+        {"k": [{"a": 1}]},
+        {"parity": 5},
+    ], ids=["chi-int", "chi-string-image", "k-float", "k-bool", "k-object", "parity-int"])
+    def test_malformed_job_shape_is_a_config_error(self, tmp_path, shape):
+        cfg = self.write_config(tmp_path, {
+            "jobs": [{"id": "1.4", "m": [3], "k": [1], "n": [1], "q": [1], **shape}],
+        })
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "sweep", "--config", cfg],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("configuration error: job '1.4': ")
+
     def test_cache_integration(self, tmp_path, capsys):
         cache_path = tmp_path / "values.jsonl"
         cfg = self.write_config(tmp_path, {

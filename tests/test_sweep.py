@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from itertools import groupby
@@ -20,6 +21,7 @@ from lcong.sweep import (
     write_csv,
 )
 from lcong import sweep, valuecache
+from lcong.cli import EXIT_FAILURES, main
 
 
 def stern_config(**kwargs):
@@ -55,6 +57,22 @@ class TestConfigValidation:
             run_sweep(SweepConfig(jobs=(
                 SweepJob("1.4", {"m": [3], "k": [1], "n": [1], "q": [1], "parity": "left"}),
             )))
+
+    def test_params_are_parsed_on_construction(self):
+        job = SweepJob("1.4", {"m": 3, "k": "0..4:2", "n": [1, "2..3"], "q": (1,),
+                               "chi": "0,1", "parity": None})
+        assert job.params == {"m": [3], "k": [0, 2, 4], "n": [1, 2, 3], "q": [1],
+                              "chi": [[0, 1]], "parity": None}
+        assert SweepJob("1.4", {"chi": [[0, 1], [1, 1]]}).params == {"chi": [[0, 1], [1, 1]]}
+
+    @pytest.mark.parametrize("params", [
+        {"chi": ["0,1"]}, {"chi": "0..1"}, {"chi": [0, 1]}, {"chi": None}, {"chi": [[False, 1]]},
+        {"k": None}, {"k": 2.0}, {"k": "1.5"}, {"k": "0..4:0"}, {"k": [[1]]},
+        {"parity": "left"}, {"parity": True},
+    ])
+    def test_malformed_params_raise_on_construction(self, params):
+        with pytest.raises(ConfigError, match="job '1.4'|parameter value"):
+            SweepJob("1.4", params)
 
     def test_aliases_resolve(self):
         assert lookup("1.3").id == "stern"
@@ -295,3 +313,41 @@ class TestBatchedPool:
         assert report.all_hold
         assert len(seen) == (2 + 4 + 8) + (2 + 4)  # primitive characters per job
         assert all(len(threads) == 1 for threads in seen.values())
+
+
+#: Every verdict shape: plain congruences (stern, 1.4), the three iff
+#: checks (stern-iff, 1.5 and 1.8 with expected_aligned), nondiv, 2.3,
+#: lerch at prime-power and composite n, and skips (parity, witness,
+#: p = 2 with m = 2, a not coprime to n); the axes use every accepted
+#: form (int, list, string range, string inside a list), chi both as a
+#: string and as lists, and a parity filter.
+GOLDEN_JOBS = [
+    {"id": "stern", "k": "0..4:2", "n": [1, 2], "q": 1},
+    {"id": "stern-iff", "k": [0, 2, 4], "l": [0, 4], "n": "1..2"},
+    {"id": "1.5", "m": [3], "k": "0..3", "l": [1, 5], "n": [1, 2], "parity": "even"},
+    {"id": "1.8", "p": [3], "m": [2], "k": [0, 1], "h": [0, 1, 3], "n": [1, 2]},
+    {"id": "nondiv", "p": [3, 5], "m": [2], "d": [0, 1]},
+    {"id": "2.3", "p": [2, 3], "m": ["2..3"], "chi": [[1, 1], [1], [2], [1, 2]]},
+    {"id": "lerch", "a": [1, 2, 5], "n": [6, 8, 9]},
+    {"id": "1.4", "m": 3, "k": [1, 2], "n": [1], "q": [1], "chi": "0,1"},
+]
+
+
+def test_golden_report_bytes(tmp_path, capsys):
+    """The CSV and the JSONL body (every line after the timestamped header)
+    of a small sweep are pinned by SHA-256; any change to a verdict, a
+    margin, a params key or its order shows here."""
+    csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "jobs": GOLDEN_JOBS, "csv": str(csv_path), "records": str(records_path),
+    }))
+    assert main(["sweep", "--config", str(config)]) == EXIT_FAILURES  # the 1.8 finding
+    assert "total=83 holds=75 fails=8 skips=56" in capsys.readouterr().out
+    body = records_path.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "225eef4301b0d2551a16c0abbe647b944e493def0d6eae845f85ab3b23a5f489"
+    )
+    assert hashlib.sha256(body).hexdigest() == (
+        "188ce7327bd1ae1a00891fdcba58384d1214b88b80582a57d59ada58b8e5bbef"
+    )
