@@ -61,14 +61,6 @@ class UnitGroup:
         """Exponent vector of a over the generators, or None if p | a."""
         return self.dlog.get(a % self.modulus)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitGroup):
-            return NotImplemented
-        return (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m))
-
 
 def build_unit_group(p: int, m: int, *, max_modulus: int = MAX_TABLE_MODULUS) -> UnitGroup:
     """Generators and discrete logs for (Z/p^m)*.
@@ -211,9 +203,6 @@ class DirichletCharacter:
 
     def is_odd(self) -> bool:
         return self._odd
-
-    def is_even(self) -> bool:
-        return not self.is_odd()
 
     def parity(self) -> str:
         return "odd" if self.is_odd() else "even"

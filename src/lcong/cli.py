@@ -90,17 +90,9 @@ def _report_and_exit(config: SweepConfig) -> int:
     # process happens to have memoized: the file is the reuse layer.
     cache = BernoulliCache()
     cache_path = config.cache_path
-    loaded = 0
-    if cache_path:
-        try:
-            loaded = valuecache.load_into(cache_path, cache)
-        except valuecache.CacheError as exc:
-            print(f"cache error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+    loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
     try:
         report = run_sweep(config, cache=cache)
-    except ConfigError:
-        raise
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -153,28 +145,13 @@ def cmd_sweep(args) -> int:
     return _report_and_exit(dataclasses.replace(config, **overrides))
 
 
-def _table_rows_classical(kind: str, max_k: int):
-    fn = bernoulli_number if kind == "bernoulli" else euler_number
-    for k in range(max_k + 1):
-        yield k, str(fn(k))
-
-
-def _table_rows_character(kind: str, chi, max_k: int):
-    for k in range(max_k + 1):
-        if kind == "generalized-bernoulli":
-            yield k, str(generalized_bernoulli(k, chi))
-            continue
-        try:
-            value = l_value(k, chi) if kind == "l-values" else script_l(k, chi)
-            yield k, str(value)
-        except (ParityError, UndefinedCaseError) as exc:
-            yield k, f"undefined ({exc})"
-
-
 def cmd_table(args) -> int:
     kind = args.kind
+    if args.max_k < 0:
+        raise ConfigError("--max-k must be >= 0")
     if kind in ("bernoulli", "euler"):
-        rows = list(_table_rows_classical(kind, args.max_k))
+        fn = bernoulli_number if kind == "bernoulli" else euler_number
+        rows = [(k, str(fn(k))) for k in range(args.max_k + 1)]
     else:
         if args.p is None or args.m is None:
             raise ConfigError(f"table '{kind}' needs --p and --m (and usually --chi)")
@@ -184,12 +161,16 @@ def cmd_table(args) -> int:
             chis = enumerate_primitive(args.p, args.m)
             if args.parity:
                 chis = [c for c in chis if c.parity() == args.parity]
+        fn = {"generalized-bernoulli": generalized_bernoulli, "l-values": l_value,
+              "script-l": script_l}[kind]
         rows = []
         for chi in chis:
-            rows.extend(
-                ((f"chi={chi.label()} k={k}"), v)
-                for k, v in _table_rows_character(kind, chi, args.max_k)
-            )
+            for k in range(args.max_k + 1):
+                try:
+                    value = str(fn(k, chi))
+                except (ParityError, UndefinedCaseError) as exc:
+                    value = f"undefined ({exc})"
+                rows.append((f"chi={chi.label()} k={k}", value))
     width = max(len(str(label)) for label, _ in rows)
     for label, value in rows:
         print(f"{str(label).ljust(width)}  {value}")
@@ -198,22 +179,18 @@ def cmd_table(args) -> int:
 
 def cmd_cache(args) -> int:
     path = Path(args.path) if args.path else valuecache.default_cache_path()
-    try:
-        if args.action == "stat":
-            print(f"{valuecache.entry_count(path)} entries in {path}")
-        elif args.action == "clear":
-            valuecache.clear(path)
-            print(f"cleared {path}")
-        elif args.action == "verify":
-            mismatches = valuecache.verify(path, limit=args.limit)
-            print(f"{len(mismatches)} mismatches in {path}")
-            for key in mismatches:
-                print(f"  MISMATCH {key}")
-            if mismatches:
-                return EXIT_INTERNAL
-    except valuecache.CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    if args.action == "stat":
+        print(f"{valuecache.entry_count(path)} entries in {path}")
+    elif args.action == "clear":
+        valuecache.clear(path)
+        print(f"cleared {path}")
+    elif args.action == "verify":
+        mismatches = valuecache.verify(path, limit=args.limit)
+        print(f"{len(mismatches)} mismatches in {path}")
+        for key in mismatches:
+            print(f"  MISMATCH {key}")
+        if mismatches:
+            return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -277,7 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParityError, UndefinedCaseError, ResourceLimitError, ValueError) as exc:
+    except valuecache.CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

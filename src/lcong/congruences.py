@@ -586,7 +586,7 @@ def verify_character_orders(chi: DirichletCharacter) -> CongruenceVerdict:
     )
 
 
-def _vanishing_character_ok(chi: DirichletCharacter) -> bool:
+def vanishing_character_ok(chi: DirichletCharacter) -> bool:
     # The power-sum vanishing lemmas are about primitive characters; the
     # m = 1 statement at p = 2 is carried by the parity-free character
     # mod 2 (the only character there, of conductor 1).
@@ -600,7 +600,7 @@ def verify_sum_vanishing(
 ) -> CongruenceVerdict:
     """S_k(p^n, chi) == 0  (mod p^(n-1)) for primitive chi mod p^m, n >= m."""
     p, m = chi.p, chi.m
-    _require(_vanishing_character_ok(chi), "requires a primitive character")
+    _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= m and n >= 1, "requires n >= max(m, 1)")
     _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, p**n, chi)
@@ -620,7 +620,7 @@ def verify_sum_vanishing_two(
     """
     p, m = chi.p, chi.m
     _require(p == 2, "only defined for p = 2")
-    _require(_vanishing_character_ok(chi), "requires a primitive character")
+    _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= max(m, 2), "requires n >= max(m, 2)")
     _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, 2**n, chi)

@@ -183,15 +183,10 @@ class CongruenceSpec:
     char_mode: Optional[str] = None  # None | "primitive" | "all" | "vanishing"
     char_axes: tuple[str, str] = ("p", "m")
     char_fixed_p: Optional[int] = None  # conductor prime fixed by the congruence
-    description: str = ""
 
 
 def _vanishing_family(p: int, m: int) -> list[DirichletCharacter]:
-    # Primitive characters, plus the parity-free character mod 2 standing
-    # in for the m = 1 statements at p = 2.
-    if p == 2 and m == 1:
-        return enumerate_characters(2, 1)
-    return enumerate_primitive(p, m)
+    return [chi for chi in enumerate_characters(p, m) if cg.vanishing_character_ok(chi)]
 
 
 _CHAR_FAMILIES = {
@@ -238,119 +233,97 @@ def _register(spec: CongruenceSpec) -> None:
 _register(CongruenceSpec(
     id="kummer", aliases=(), axes=("p", "k", "l", "n"),
     runner=lambda p, k, l, n, cache: cg.verify_kummer_classical(p, k, l, n, cache),
-    description="Bernoulli-quotient congruence (1 - p^(k-1)) B_k/k == ... (mod p^n)",
 ))
 _register(CongruenceSpec(
     id="ernvall", aliases=("1.1",), axes=("p", "k", "l", "n"),
     char_mode="primitive", char_axes=("chi_p", "chi_m"),
     runner=lambda chi, chi_p, chi_m, p, k, l, n, cache: cg.verify_ernvall(chi, p, k, l, n, cache),
-    description="twisted Bernoulli Kummer congruence, conductor coprime to p",
 ))
 _register(CongruenceSpec(
     id="euler-kummer", aliases=("1.2",), axes=("p", "k", "l"),
     runner=lambda p, k, l, cache: cg.verify_euler_kummer(p, k, l, cache),
-    description="E_k == E_l (mod p) for even k == l (mod p-1)",
 ))
 _register(CongruenceSpec(
     id="stern", aliases=("1.3",), axes=("k", "n", "q"),
     runner=lambda k, n, q, cache: cg.verify_stern(k, n, q, cache),
-    description="E_(k + 2^n q) == E_k + 2^n (mod 2^(n+1))",
 ))
 _register(CongruenceSpec(
     id="stern-iff", aliases=(), axes=("k", "l", "n"),
     runner=lambda k, l, n, cache: cg.verify_stern_iff(k, l, n, cache),
-    description="E_k == E_l (mod 2^n) iff k == l (mod 2^n), both directions",
 ))
 _register(CongruenceSpec(
     id="1.4", aliases=("lshift-two",), axes=("m", "k", "n", "q"), char_mode="primitive",
     char_fixed_p=2,
     runner=lambda chi, p, m, k, n, q, cache: cg.verify_lvalue_shift_two(chi, k, n, q, cache),
-    description="normalized L-value shift congruence, conductor 2^m (m >= 3)",
 ))
 _register(CongruenceSpec(
     id="1.5", aliases=("lshift-two-iff",), axes=("m", "k", "l", "n"), char_mode="primitive",
     char_fixed_p=2,
     runner=lambda chi, p, m, k, l, n, cache: cg.verify_lvalue_shift_two_iff(chi, k, l, n, cache),
-    description="L*_k == L*_l (mod 2^(n+2)) iff k == l (mod 2^n)",
 ))
 _register(CongruenceSpec(
     id="1.6", aliases=("1.7", "lshift-odd"), axes=("p", "m", "k", "n", "q"),
     char_mode="primitive",
     runner=lambda chi, p, m, k, n, q, cache: cg.verify_lvalue_shift_odd(chi, k, n, q, cache),
-    description="L-value shift congruence, odd prime-power conductor (branches i/ii)",
 ))
 _register(CongruenceSpec(
     id="1.8", aliases=("lshift-odd-iff",), axes=("p", "m", "k", "h", "n"),
     char_mode="primitive",
     runner=lambda chi, p, m, k, h, n, cache: cg.verify_lvalue_shift_odd_iff(chi, k, h, n, cache),
-    description="L*_(k+(p-1)h) == L*_k (mod p^n) iff h == 0 (mod p^(n-1))",
 ))
 _register(CongruenceSpec(
     id="2.1", aliases=("sum-lift",), axes=("p", "m", "k", "n"), char_mode="all",
     runner=_run_sum_lift,
-    description="S_k(p^n) == p^(n-m) S_k(p^m) (mod p^n)",
 ))
 _register(CongruenceSpec(
     id="2.1x", aliases=("sum-lift-excluded",), axes=("p", "m", "k", "n"), char_mode="all",
     runner=_run_sum_lift_excluded,
-    description="probe of the excluded region of the power-sum lift congruence",
 ))
 _register(CongruenceSpec(
     id="2.2", aliases=("sum-twist",), axes=("p", "m", "k", "a"), char_mode="primitive",
     runner=lambda chi, p, m, k, a, cache: cg.verify_sum_twist(chi, k, a),
-    description="(1 - chi(a) a^k) S_k(p^m, chi) == 0 (mod p^m)",
 ))
 _register(CongruenceSpec(
     id="2.3", aliases=("char-orders",), axes=("p", "m"), char_mode="primitive",
     runner=lambda chi, p, m, cache: cg.verify_character_orders(chi),
-    description="exact orders of chi(1 + p^j) for primitive chi",
 ))
 _register(CongruenceSpec(
     id="2.4", aliases=("sum-vanishing",), axes=("p", "m", "k", "n"), char_mode="vanishing",
     runner=lambda chi, p, m, k, n, cache: cg.verify_sum_vanishing(chi, k, n),
-    description="S_k(p^n, chi) == 0 (mod p^(n-1))",
 ))
 _register(CongruenceSpec(
     id="2.5", aliases=("sum-vanishing-two",), axes=("m", "k", "n"), char_mode="vanishing",
     char_fixed_p=2,
     runner=_run_vanishing_two,
-    description="S_k(2^n, chi) == 0 (mod 2^n) in the strengthened cases",
 ))
 _register(CongruenceSpec(
     id="2.5x", aliases=("sum-vanishing-two-excluded",), axes=("m", "k", "n"),
     char_mode="vanishing", char_fixed_p=2,
     runner=_run_vanishing_two_excluded,
-    description="probe of the excluded cases of the strengthened vanishing",
 ))
 _register(CongruenceSpec(
     id="sun", aliases=("3.1",), axes=("k", "n"),
     runner=lambda k, n, cache: cg.verify_sun(k, n, cache),
-    description="Euler-number floor-sum congruence mod 2^n",
 ))
 _register(CongruenceSpec(
     id="3.2", aliases=("twisted-voronoi",), axes=("p", "m", "a", "k", "n"), char_mode="all",
     runner=lambda chi, p, m, a, k, n, cache: cg.verify_twisted_voronoi(chi, a, k, n, cache),
-    description="(1 - chi(a) a^(k+1)) L(-k, chi) == chi(a) a^k floor-sum (mod p^n)",
 ))
 _register(CongruenceSpec(
     id="voronoi", aliases=(), axes=("a", "p", "k"),
     runner=lambda a, p, k, cache: cg.verify_voronoi(a, p, k, cache),
-    description="classical Bernoulli floor-sum congruence mod p",
 ))
 _register(CongruenceSpec(
     id="lerch", aliases=(), axes=("a", "n"),
     runner=lambda a, n, cache: cg.verify_lerch(a, n),
-    description="Fermat-quotient floor-sum congruence mod n",
 ))
 _register(CongruenceSpec(
     id="nondiv", aliases=(), axes=("p", "m", "d"), char_mode="primitive",
     runner=lambda chi, p, m, d, cache: cg.check_nondivisibility(chi, d, cache),
-    description="sharpness: normalized L*_d has p-valuation exactly at its bound",
 ))
 _register(CongruenceSpec(
     id="floor-parity", aliases=(), axes=("m",),
     runner=lambda m, cache: cg.verify_floor_count(m),
-    description="parity of the two-interval floor count, 3 <= m <= 6",
 ))
 
 
@@ -382,17 +355,14 @@ def check_lemma_sweep(
         raise ConfigError(
             f"unknown lemma id '{lemma_id}' (known: {', '.join(sorted(_LEMMA_JOBS))})"
         )
-    verdicts: list[CongruenceVerdict] = []
+    jobs = []
     for id_ in ids:
         spec = lookup(id_)
         if spec.char_fixed_p is not None and 2 not in grid.get("p", [2]):
             continue
-        params = {a: grid[a] for a in grid if a != "p" or spec.char_fixed_p is None}
-        for spec_, inst in expand_job(SweepJob(id_, params)):
-            result = run_instance(spec_, inst, cache)
-            if isinstance(result, CongruenceVerdict):
-                verdicts.append(result)
-    return verdicts
+        taken = (*spec.axes, "chi", "parity")
+        jobs.append(SweepJob(id_, {a: grid[a] for a in grid if a in taken}))
+    return run_sweep(SweepConfig(jobs=tuple(jobs)), cache).verdicts
 
 
 def lookup(id_: str) -> CongruenceSpec:
@@ -407,6 +377,10 @@ def lookup(id_: str) -> CongruenceSpec:
 
 
 def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[tuple[int, int, DirichletCharacter]]:
+    """The family's characters at each (p, m), filtered by ``parity`` and by
+    ``chi``.  A ``chi`` entry is read as a character mod p^m, its exponents
+    reduced by the constructor, when its length is the generator count;
+    other entries are left to the job's other moduli."""
     p_axis, m_axis = spec.char_axes
     out = []
     parity = job.params.get("parity")
@@ -414,18 +388,29 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[tuple[int, i
     p_values = [spec.char_fixed_p] if spec.char_fixed_p else job.axis(p_axis)
     for p in p_values:
         for m in job.axis(m_axis):
-            for chi in _CHAR_FAMILIES[spec.char_mode](p, m):
-                if parity and chi.parity() != parity:
-                    continue
-                if restrict is not None and list(chi.images) not in restrict:
-                    continue
-                out.append((p, m, chi))
+            family = _CHAR_FAMILIES[spec.char_mode](p, m)
+            if restrict is not None and family:
+                group = family[0].group
+                keys = {DirichletCharacter(group, tuple(images)).key()
+                        for images in restrict if len(images) == len(group.generators)}
+                family = [chi for chi in family if chi.key() in keys]
+            out.extend((p, m, chi) for chi in family if not parity or chi.parity() == parity)
+    if not out:
+        raise ConfigError(f"job '{job.id}': selects no character")
     return out
 
 
 def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     """Instances of a job in deterministic grid order."""
     spec = lookup(job.id)
+    taken = set(spec.axes)
+    if spec.char_mode is not None:
+        taken |= {"chi", "parity", *spec.char_axes}
+    if spec.char_fixed_p is not None:
+        taken.discard("p")  # the congruence fixes the conductor prime
+    for key in job.params:
+        if key not in taken:
+            raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
     numeric_axes = [a for a in spec.axes if spec.char_mode is None or a not in spec.char_axes]
     axis_values = [job.axis(a) for a in numeric_axes]
 

@@ -68,6 +68,33 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK and "total=1" in out
 
+    def test_chi_exponents_are_reduced_like_the_constructor(self, capsys):
+        # 5 has order 2 mod 8, so the exponents 0,9 name the character 8:0,1
+        args = ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--chi"]
+        assert main([*args, "0,1"]) == EXIT_OK
+        reduced = capsys.readouterr().out.splitlines()
+        assert main([*args, "0,9"]) == EXIT_OK
+        unreduced = capsys.readouterr().out.splitlines()
+        assert "chi=8:0,1" in reduced[2] and unreduced[:-1] == reduced[:-1]
+
+    def test_chi_that_selects_no_character_exits_two(self, capsys):
+        code = main(["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--chi", "7"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: job '1.4': selects no character"
+        ]
+
+    @pytest.mark.parametrize("args, key", [
+        (["kummer", "--p", "5", "--k", "2", "--l", "6", "--n", "1", "--chi", "0,1"], "chi"),
+        (["kummer", "--p", "5", "--k", "2", "--l", "6", "--n", "1", "--q", "7"], "q"),
+        (["1.4", "--p", "3", "--m", "3", "--k", "1", "--n", "1", "--q", "1"], "p"),
+    ], ids=["kummer-chi", "kummer-q", "fixed-prime-p"])
+    def test_parameter_the_id_does_not_take_exits_two(self, capsys, args, key):
+        assert main(["verify", *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: job '{args[0]}': '{key}' is not a parameter of {args[0]}"
+        ]
+
     def test_separate_character_modulus_flags(self, capsys):
         # the twisted Kummer congruence takes the character's modulus
         # through --chi-p/--chi-m, distinct from the congruence prime --p
@@ -178,6 +205,15 @@ class TestSweepCommand:
         [line] = result.stderr.splitlines()
         assert line.startswith("configuration error: job '1.4': ")
 
+    def test_job_key_the_id_does_not_take_is_a_config_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {
+            "jobs": [{"id": "1.6", "p": [3], "m": [1], "k": [0], "n": [1], "q": [1], "h": [1]}],
+        })
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: job '1.6': 'h' is not a parameter of 1.6"
+        ]
+
     def test_cache_integration(self, tmp_path, capsys):
         cache_path = tmp_path / "values.jsonl"
         cfg = self.write_config(tmp_path, {
@@ -219,6 +255,10 @@ class TestTableCommand:
 
     def test_character_table_needs_modulus(self, capsys):
         assert main(["table", "l-values", "--max-k", "4"]) == EXIT_CONFIG
+
+    def test_negative_max_k_is_a_config_error(self, capsys):
+        assert main(["table", "bernoulli", "--max-k", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["configuration error: --max-k must be >= 0"]
 
 
 class TestCacheCommand:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import threading
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,18 @@ class TestReports:
         assert csv_path.read_text().startswith("id,branch,chi")
         first = json.loads(rec_path.read_text().splitlines()[0])
         assert first["type"] == "header" and "timestamp" in first
+
+
+def test_readme_catalog_states_every_registered_id():
+    """README's catalog table is the one prose statement of each id: the
+    backticked names in a row's first two columns are one spec's id and
+    aliases, and every registered id has a row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    catalog = readme.split("## Congruence catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in catalog.splitlines() if line.startswith("| `")]
+    named = sorted(sorted(re.findall(r"`([^`]+)`", "".join(cells))) for cells in rows)
+    specs = [lookup(id_) for id_ in registered_ids()]
+    assert named == sorted(sorted({spec.id, *spec.aliases}) for spec in specs)
 
 
 class TestLemmaSweep:
