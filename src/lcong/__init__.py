@@ -4,6 +4,7 @@ integers, and batch verification of the congruences relating them."""
 
 from .bernoulli import (
     BernoulliCache,
+    DomainError,
     ParityError,
     UndefinedCaseError,
     bernoulli_number,
@@ -38,7 +39,6 @@ from .cyclotomic import (
     zeta,
 )
 from .power_sums import (
-    DomainError,
     floor_weighted_sum,
     power_sum,
     power_sum_via_bernoulli,

@@ -27,12 +27,17 @@ from .cyclotomic import CyclotomicElement
 CharKey = tuple[int, int, tuple[int, ...]]
 
 
-class ParityError(ValueError):
+class DomainError(ValueError):
+    """A stated hypothesis of the requested operation is violated; a sweep
+    records such a grid point as a skip."""
+
+
+class ParityError(DomainError):
     """k and chi have the same parity, so L(-k, chi) = 0 trivially and the
     Bernoulli formula's hypothesis fails."""
 
 
-class UndefinedCaseError(ValueError):
+class UndefinedCaseError(DomainError):
     """The unit-normalized L-value is only defined for conductor 2^m with
     m >= 3 or p^m with odd p and m >= 2."""
 

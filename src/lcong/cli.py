@@ -20,8 +20,7 @@ from pathlib import Path
 
 from .bernoulli import (
     BernoulliCache,
-    ParityError,
-    UndefinedCaseError,
+    DomainError,
     bernoulli_number,
     euler_number,
     generalized_bernoulli,
@@ -161,6 +160,9 @@ def cmd_table(args) -> int:
             chis = enumerate_primitive(args.p, args.m)
             if args.parity:
                 chis = [c for c in chis if c.parity() == args.parity]
+            if not chis:
+                which = f"primitive {args.parity}" if args.parity else "primitive"
+                raise ConfigError(f"table '{kind}': no {which} character mod {args.p}^{args.m}")
         fn = {"generalized-bernoulli": generalized_bernoulli, "l-values": l_value,
               "script-l": script_l}[kind]
         rows = []
@@ -168,7 +170,7 @@ def cmd_table(args) -> int:
             for k in range(args.max_k + 1):
                 try:
                     value = str(fn(k, chi))
-                except (ParityError, UndefinedCaseError) as exc:
+                except DomainError as exc:
                     value = f"undefined ({exc})"
                 rows.append((f"chi={chi.label()} k={k}", value))
     width = max(len(str(label)) for label, _ in rows)

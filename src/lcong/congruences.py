@@ -496,8 +496,7 @@ def squared_normalizer_divides_p(chi: DirichletCharacter) -> bool:
 def floor_count_parity(m: int) -> bool:
     """True iff |{j : 2^m <= 20j+5 < 2^(m+1)}| + |{j : 3*2^m <= 20j+5 < 2^(m+2)}|
     is odd; defined for 3 <= m <= 6."""
-    _require(3 <= m <= 6, "m must be in 3..6")
-    return _floor_count(m) % 2 == 1
+    return verify_floor_count(m).holds
 
 
 def _floor_count(m: int) -> int:

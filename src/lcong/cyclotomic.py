@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -55,35 +56,32 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+    """Coefficients of the n-th cyclotomic polynomial, constant term first;
+    monic of degree phi(n).
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n; monic of degree phi(n).
+    For n > 1, Moebius inversion of x^n - 1 = prod_(d | n) Phi_d(x) gives
+    Phi_n = prod_S (1 - x^(n / prod S))^((-1)^|S|) over the sets S of
+    primes dividing n, expanded as a power series cut at degree phi(n):
+    multiplying by 1 - x^d is one backward pass, dividing by it one
+    forward prefix pass.
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _int_poly_quotient(poly, cyclotomic_polynomial(d))
+    if n == 1:
+        return (-1, 1)
+    deg = euler_phi(n)
+    poly = [1] + [0] * deg
+    primes = prime_factors(n)
+    for size in range(len(primes) + 1):
+        for subset in combinations(primes, size):
+            d = n // math.prod(subset)
+            if size % 2 == 0:
+                for i in range(deg, d - 1, -1):
+                    poly[i] -= poly[i - d]
+            else:
+                for i in range(d, deg + 1):
+                    poly[i] += poly[i - d]
     return tuple(poly)
-
-
-def _int_poly_quotient(num: list[int], den: Iterable[int]) -> list[int]:
-    # Exact division of integer polynomials, divisor monic.
-    den = list(den)
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
 
 
 @lru_cache(maxsize=None)

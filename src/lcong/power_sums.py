@@ -13,13 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .bernoulli import BernoulliCache, DEFAULT_CACHE, generalized_bernoulli
+from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError, generalized_bernoulli
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicElement
-
-
-class DomainError(ValueError):
-    """A stated hypothesis of the requested operation is violated."""
 
 
 def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:

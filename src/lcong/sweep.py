@@ -26,10 +26,9 @@ from itertools import groupby, product
 from typing import Callable, Iterator, Optional
 
 from . import congruences as cg
-from .bernoulli import DEFAULT_CACHE, BernoulliCache, ParityError, UndefinedCaseError
+from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError
 from .characters import DirichletCharacter, enumerate_characters, enumerate_primitive
 from .congruences import CongruenceVerdict
-from .power_sums import DomainError
 
 
 class ConfigError(ValueError):
@@ -144,25 +143,19 @@ class SweepReport:
 
     def finalize(self) -> "SweepReport":
         per_id: dict[str, dict] = {}
-        for v in self.verdicts:
+        for r in (*self.verdicts, *self.skips):
             row = per_id.setdefault(
-                v.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf}
+                r.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf}
             )
-            row["total"] += 1
-            row["holds" if v.holds else "fails"] += 1
-            row["min_margin"] = min(row["min_margin"], v.observed_margin)
-        for s in self.skips:
-            row = per_id.setdefault(
-                s.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf}
-            )
-            row["skips"] += 1
-        self.summary = {
-            "total": len(self.verdicts),
-            "holds": sum(1 for v in self.verdicts if v.holds),
-            "fails": sum(1 for v in self.verdicts if not v.holds),
-            "skips": len(self.skips),
-            "per_id": per_id,
-        }
+            if isinstance(r, SkipRecord):
+                row["skips"] += 1
+            else:
+                row["total"] += 1
+                row["holds" if r.holds else "fails"] += 1
+                row["min_margin"] = min(row["min_margin"], r.observed_margin)
+        counts = ("total", "holds", "fails", "skips")
+        self.summary = {c: sum(row[c] for row in per_id.values()) for c in counts}
+        self.summary["per_id"] = per_id
         return self
 
     @property
@@ -360,7 +353,7 @@ def check_lemma_sweep(
         spec = lookup(id_)
         if spec.char_fixed_p is not None and 2 not in grid.get("p", [2]):
             continue
-        taken = (*spec.axes, "chi", "parity")
+        taken = _parameters(spec)
         jobs.append(SweepJob(id_, {a: grid[a] for a in grid if a in taken}))
     return run_sweep(SweepConfig(jobs=tuple(jobs)), cache).verdicts
 
@@ -376,7 +369,18 @@ def lookup(id_: str) -> CongruenceSpec:
 # Grid expansion and execution
 
 
-def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[tuple[int, int, DirichletCharacter]]:
+def _parameters(spec: CongruenceSpec) -> set[str]:
+    """The job keys a spec takes: its axes and, with a character family,
+    ``chi``, ``parity`` and the character axes, less a fixed conductor prime."""
+    taken = set(spec.axes)
+    if spec.char_mode is not None:
+        taken |= {"chi", "parity", *spec.char_axes}
+    if spec.char_fixed_p is not None:
+        taken.discard("p")
+    return taken
+
+
+def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCharacter]:
     """The family's characters at each (p, m), filtered by ``parity`` and by
     ``chi``.  A ``chi`` entry is read as a character mod p^m, its exponents
     reduced by the constructor, when its length is the generator count;
@@ -394,54 +398,39 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[tuple[int, i
                 keys = {DirichletCharacter(group, tuple(images)).key()
                         for images in restrict if len(images) == len(group.generators)}
                 family = [chi for chi in family if chi.key() in keys]
-            out.extend((p, m, chi) for chi in family if not parity or chi.parity() == parity)
+            out.extend(chi for chi in family if not parity or chi.parity() == parity)
     if not out:
         raise ConfigError(f"job '{job.id}': selects no character")
     return out
 
 
 def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
-    """Instances of a job in deterministic grid order."""
+    """Instances of a job in deterministic grid order: per character, the
+    numeric grid with the last axis varying fastest.  An instance is the
+    runner's keyword arguments, ``chi`` and the character axes first."""
     spec = lookup(job.id)
-    taken = set(spec.axes)
-    if spec.char_mode is not None:
-        taken |= {"chi", "parity", *spec.char_axes}
-    if spec.char_fixed_p is not None:
-        taken.discard("p")  # the congruence fixes the conductor prime
+    taken = _parameters(spec)
     for key in job.params:
         if key not in taken:
             raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
     numeric_axes = [a for a in spec.axes if spec.char_mode is None or a not in spec.char_axes]
-    axis_values = [job.axis(a) for a in numeric_axes]
-
-    def numeric_grid() -> Iterator[dict]:
-        # the last axis varies fastest
-        for values in product(*axis_values):
-            yield dict(zip(numeric_axes, values))
-
-    if spec.char_mode is None:
-        for inst in numeric_grid():
-            yield spec, inst
-    else:
-        for p, m, chi in _select_characters(spec, job):
-            for inst in numeric_grid():
-                full = {spec.char_axes[0]: p, spec.char_axes[1]: m, "chi": chi, **inst}
-                yield spec, full
+    grid = [dict(zip(numeric_axes, values))
+            for values in product(*(job.axis(a) for a in numeric_axes))]
+    p_axis, m_axis = spec.char_axes
+    chars = [None] if spec.char_mode is None else _select_characters(spec, job)
+    for chi in chars:
+        head = {} if chi is None else {"chi": chi, p_axis: chi.p, m_axis: chi.m}
+        for inst in grid:
+            yield spec, {**head, **inst}
 
 
 def run_instance(
     spec: CongruenceSpec, inst: dict, cache: BernoulliCache
 ) -> CongruenceVerdict | SkipRecord:
-    kwargs = dict(inst)
-    chi = kwargs.pop("chi", None)
     try:
-        if chi is not None:
-            return spec.runner(chi, **kwargs, cache=cache)
-        return spec.runner(**kwargs, cache=cache)
-    except (DomainError, ParityError, UndefinedCaseError) as exc:
-        params = {k: v for k, v in inst.items() if k != "chi"}
-        if chi is not None:
-            params = {"chi": chi.label(), **params}
+        return spec.runner(**inst, cache=cache)
+    except DomainError as exc:
+        params = {k: v.label() if k == "chi" else v for k, v in inst.items()}
         return SkipRecord(id=spec.id, params=params, reason=str(exc))
 
 

@@ -260,6 +260,16 @@ class TestTableCommand:
         assert main(["table", "bernoulli", "--max-k", "-1"]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == ["configuration error: --max-k must be >= 0"]
 
+    @pytest.mark.parametrize("flags, selection", [
+        (["--m", "1"], "primitive character mod 2^1"),
+        (["--m", "2", "--parity", "even"], "primitive even character mod 2^2"),
+    ], ids=["no-character", "no-even-character"])
+    def test_modulus_without_a_character_is_a_config_error(self, capsys, flags, selection):
+        assert main(["table", "l-values", "--p", "2", *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: table 'l-values': no {selection}"
+        ]
+
 
 class TestCacheCommand:
     def test_stat_clear_roundtrip(self, tmp_path, capsys):

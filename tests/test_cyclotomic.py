@@ -54,6 +54,23 @@ class TestCyclotomicPolynomial:
         assert poly[-1] == 1
         assert len(poly) - 1 == euler_phi(n)
 
+    @pytest.mark.parametrize("n", [1024, 2310, 720])
+    def test_divisor_product_is_x_to_the_n_minus_one(self, n):
+        # x^n - 1 = prod_(d | n) Phi_d(x), checked past the sympy oracle's
+        # reach: 2^10 is the field of the characters mod 2^11, 2310 has
+        # five prime factors and 720 repeated ones.
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                factor = cyclotomic_polynomial(d)
+                out = [0] * (len(product) + len(factor) - 1)
+                for j, c in enumerate(factor):
+                    if c:
+                        for i, a in enumerate(product):
+                            out[i + j] += c * a
+                product = out
+        assert product == [-1] + [0] * (n - 1) + [1]
+
 
 class TestZeta:
     def test_fourth_root_squares_to_minus_one(self):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from lcong import DomainError, ParityError, UndefinedCaseError
 from lcong.bernoulli import BernoulliCache
+from lcong.characters import character
 from lcong.sweep import (
     ConfigError,
     SweepConfig,
@@ -22,7 +24,7 @@ from lcong.sweep import (
     table_text,
     write_csv,
 )
-from lcong import sweep, valuecache
+from lcong import bernoulli, congruences, power_sums, sweep, valuecache
 from lcong.cli import EXIT_FAILURES, main
 
 
@@ -134,6 +136,68 @@ class TestRunSweep:
         )
         assert report.all_hold
         assert (chi8.key(), 2) in cache._twisted  # B_(2,chi8) entered the memo
+
+
+class TestSkipContract:
+    """Every failed hypothesis is a DomainError, which a sweep records as a
+    skip: the instance's parameters, ``chi`` as its label, and the reason."""
+
+    def test_one_exception_family(self):
+        assert issubclass(ParityError, DomainError)
+        assert issubclass(UndefinedCaseError, DomainError)
+        assert DomainError is power_sums.DomainError is bernoulli.DomainError
+        with pytest.raises(DomainError, match="same parity"):
+            congruences.verify_lvalue_shift_two(character(2, 3, (0, 1)), k=2, n=1, q=1)
+        with pytest.raises(DomainError, match="undefined for conductor 3"):
+            congruences.check_nondivisibility(character(3, 1, (1,)), 0)
+
+    def test_parity_undefined_and_coprimality_failures_are_skips(self):
+        report = run_sweep(SweepConfig(jobs=(
+            SweepJob("1.5", {"m": [3], "k": [1], "l": [0], "n": [1]}),
+            SweepJob("nondiv", {"p": [3], "m": [1], "d": [0]}),
+            SweepJob("lerch", {"a": [2], "n": [6]}),
+        )))
+        parity = "k and l must both have parity opposite to chi"
+        assert [(s.id, list(s.params.items()), s.reason) for s in report.skips] == [
+            ("1.5", [("chi", "8:0,1"), ("p", 2), ("m", 3), ("k", 1), ("l", 0), ("n", 1)], parity),
+            ("1.5", [("chi", "8:1,1"), ("p", 2), ("m", 3), ("k", 1), ("l", 0), ("n", 1)], parity),
+            ("nondiv", [("chi", "3:1"), ("p", 3), ("m", 1), ("d", 0)],
+             "normalized L-value undefined for conductor 3^1"),
+            ("lerch", [("a", 2), ("n", 6)], "a=2 must be coprime to n=6"),
+        ]
+        assert report.verdicts == []
+        assert {id_: row["skips"] for id_, row in report.summary["per_id"].items()} == {
+            "1.5": 2, "nondiv": 1, "lerch": 1,
+        }
+
+
+def test_tracer_hooks_see_every_call(monkeypatch):
+    # The benchmark tracer wraps module attributes: the registry's runners
+    # must reach congruences.verify_* through the module, and the sweep
+    # must enumerate characters through _CHAR_FAMILIES, or its per-layer
+    # metrics silently read 0.
+    verified = []
+    verify = congruences.verify_lvalue_shift_two
+
+    def counting(*args, **kwargs):
+        verified.append(args)
+        return verify(*args, **kwargs)
+
+    moduli = []
+    family = sweep._CHAR_FAMILIES["primitive"]
+
+    def recording(p, m):
+        moduli.append((p, m))
+        return family(p, m)
+
+    monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
+    monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
+    report = run_sweep(SweepConfig(jobs=(
+        SweepJob("1.4", {"m": "3..4", "k": "0..3", "n": [1], "q": [1]}),
+    )), cache=BernoulliCache())
+    assert moduli == [(2, 3), (2, 4)]
+    assert report.verdicts and report.skips
+    assert len(verified) == len(report.verdicts) + len(report.skips)
 
 
 class TestReports:
