@@ -11,7 +11,6 @@ from fractions import Fraction
 from lcong import (
     congruent_mod,
     cyclotomic_polynomial,
-    divides_p_locally,
     p_content_valuation,
     root_of_unity_order,
     zeta,
@@ -46,7 +45,8 @@ holds, margin = congruent_mod(-60, 0, 2, 3)
 print("-60 == 0 mod 2^3:", holds, "(margin", str(margin) + ")")
 
 # 2 = -i (1 - i)^2, so (1 - i) divides 2 without leaving Z_(2)[i]:
-print("(1 - i) | 2 at p=2:", divides_p_locally(1 - i, 2, 2))
+q = 2 / (1 - i)
+print("2 / (1 - i) =", q, "with val_2", p_content_valuation(q, 2))  # 1 + i, 0
 
 # Orders of roots of unity are computed exactly:
 print("order of zeta_18^6:", root_of_unity_order(zeta(18, 6)))  # 3

@@ -15,7 +15,6 @@ from lcong import (
     generalized_bernoulli,
     l_value,
     power_sum,
-    power_sum_via_bernoulli,
     script_l,
 )
 
@@ -38,11 +37,10 @@ print("L(-3, chi_8) =", l_value(3, chi8))
 # verifier catalog is about:
 print("normalized L*: ", [str(script_l(k, chi8)) for k in (1, 3, 5, 7)])
 
-# Twisted power sums have two independent evaluation routes; they agree
-# exactly (this is the library's built-in cross-check oracle):
-s_direct = power_sum(2, 8, chi8)
-s_bernoulli = power_sum_via_bernoulli(2, 8, chi8)
-print("\nS_2(8, chi_8):", s_direct, "==", s_bernoulli, ":", s_direct == s_bernoulli)
+# A twisted power sum over one period is a Bernoulli quantity:
+# f B_(1,chi) = S_1(f, chi) for a nontrivial chi of modulus f.
+s_1 = power_sum(1, 4, chi4)
+print("\nS_1(4, chi_4) =", s_1, "== 4 B_(1, chi_4):", s_1 == 4 * generalized_bernoulli(1, chi4))
 
 # A character with honest cyclotomic values (order 6 mod 9):
 chi9 = character(3, 2, (1,))

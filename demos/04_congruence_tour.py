@@ -8,10 +8,10 @@ often strictly larger than required: that excess is data).
 from lcong.characters import character, chi_minus4
 from lcong.congruences import (
     check_nondivisibility,
-    floor_count_parity,
     verify_character_orders,
     verify_ernvall,
     verify_euler_kummer,
+    verify_floor_count,
     verify_kummer_classical,
     verify_lerch,
     verify_lvalue_shift_odd,
@@ -79,4 +79,4 @@ show(check_nondivisibility(chi8, 1))
 show(check_nondivisibility(chi9, 0))
 
 # And the four-case floor-count parity check:
-print("floor-count parity for m=3..6:", [floor_count_parity(m) for m in (3, 4, 5, 6)])
+print("floor-count parity for m=3..6:", [verify_floor_count(m).holds for m in (3, 4, 5, 6)])

@@ -8,7 +8,6 @@ from .bernoulli import (
     ParityError,
     UndefinedCaseError,
     bernoulli_number,
-    bernoulli_polynomial,
     euler_number,
     generalized_bernoulli,
     l_value,
@@ -23,7 +22,6 @@ from .characters import (
     chi_minus4,
     enumerate_characters,
     enumerate_primitive,
-    make_character,
     opposite_parity,
 )
 from .congruences import CongruenceVerdict
@@ -32,18 +30,13 @@ from .cyclotomic import (
     CyclotomicElement,
     congruent_mod,
     cyclotomic_polynomial,
-    divides_p_locally,
     euler_phi,
     p_content_valuation,
     root_of_unity_order,
     zeta,
 )
-from .power_sums import (
-    floor_weighted_sum,
-    power_sum,
-    power_sum_via_bernoulli,
-)
-from .sweep import SweepConfig, SweepJob, SweepReport, check_lemma_sweep, run_sweep
+from .power_sums import floor_weighted_sum, power_sum
+from .sweep import SweepConfig, SweepJob, SweepReport, run_sweep
 
 __version__ = "0.1.0"
 
@@ -62,14 +55,11 @@ __all__ = [
     "UndefinedCaseError",
     "UnitGroup",
     "bernoulli_number",
-    "bernoulli_polynomial",
     "build_unit_group",
     "character",
-    "check_lemma_sweep",
     "chi_minus4",
     "congruent_mod",
     "cyclotomic_polynomial",
-    "divides_p_locally",
     "enumerate_characters",
     "enumerate_primitive",
     "euler_number",
@@ -77,11 +67,9 @@ __all__ = [
     "floor_weighted_sum",
     "generalized_bernoulli",
     "l_value",
-    "make_character",
     "opposite_parity",
     "p_content_valuation",
     "power_sum",
-    "power_sum_via_bernoulli",
     "root_of_unity_order",
     "run_sweep",
     "script_l",

@@ -150,21 +150,6 @@ def bernoulli_number(k: int, cache: BernoulliCache = DEFAULT_CACHE) -> Fraction:
     return cache.bernoulli(k)
 
 
-def bernoulli_polynomial(k: int, x: Fraction | int, cache: BernoulliCache = DEFAULT_CACHE) -> Fraction:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j), exact."""
-    if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
-    total = Fraction(0)
-    power = Fraction(1)  # x^(k-j), built from the top down
-    for j in range(k, -1, -1):
-        b = cache.bernoulli(j)
-        if b:
-            total += comb(k, j) * b * power
-        power *= x
-    return total
-
-
 def euler_number(k: int, cache: BernoulliCache = DEFAULT_CACHE) -> int:
     """E_k with E_0 = 1, E_odd = 0 (secant numbers)."""
     return cache.euler(k)

@@ -226,12 +226,8 @@ class DirichletCharacter:
         return self.conductor() == self.modulus
 
 
-def make_character(group: UnitGroup, images: tuple[int, ...] | list[int]) -> DirichletCharacter:
-    return DirichletCharacter(group, tuple(images))
-
-
 def character(p: int, m: int, images: tuple[int, ...] | list[int]) -> DirichletCharacter:
-    return make_character(build_unit_group(p, m), images)
+    return DirichletCharacter(build_unit_group(p, m), tuple(images))
 
 
 def opposite_parity(chi: DirichletCharacter, k: int) -> bool:

@@ -187,6 +187,8 @@ def cmd_cache(args) -> int:
         valuecache.clear(path)
         print(f"cleared {path}")
     elif args.action == "verify":
+        if args.limit is not None and args.limit < 1:
+            raise ConfigError("--limit must be >= 1")
         mismatches = valuecache.verify(path, limit=args.limit)
         print(f"{len(mismatches)} mismatches in {path}")
         for key in mismatches:

@@ -33,7 +33,6 @@ from .cyclotomic import (
     Valuation,
     as_element,
     congruent_mod,
-    divides_p_locally,
     euler_phi,
     p_content_valuation,
     prime_factors,
@@ -482,23 +481,6 @@ def check_nondivisibility(
     )
 
 
-def squared_normalizer_divides_p(chi: DirichletCharacter) -> bool:
-    """Reported observation: does (1 - chi(p+1))^2 divide p in Z_(p)[zeta]?
-
-    Recorded as data, not asserted; for m = 2 over p >= 5 the square
-    does divide p because (p) is totally ramified in Q(zeta_p).
-    """
-    p, m = chi.p, chi.m
-    _require(p % 2 == 1 and m >= 2 and chi.is_primitive(), "needs primitive chi, odd p, m >= 2")
-    return divides_p_locally((1 - chi(p + 1)) ** 2, p, p)
-
-
-def floor_count_parity(m: int) -> bool:
-    """True iff |{j : 2^m <= 20j+5 < 2^(m+1)}| + |{j : 3*2^m <= 20j+5 < 2^(m+2)}|
-    is odd; defined for 3 <= m <= 6."""
-    return verify_floor_count(m).holds
-
-
 def _floor_count(m: int) -> int:
     count = 0
     for j in range(0, 2 ** (m + 2) // 20 + 2):
@@ -511,8 +493,8 @@ def _floor_count(m: int) -> int:
 
 
 def verify_floor_count(m: int) -> CongruenceVerdict:
-    """Verdict form of floor_count_parity: the count must be odd,
-    i.e. congruent to 1 mod 2."""
+    """|{j : 2^m <= 20j+5 < 2^(m+1)}| + |{j : 3*2^m <= 20j+5 < 2^(m+2)}|
+    must be odd, i.e. congruent to 1 mod 2; defined for 3 <= m <= 6."""
     _require(3 <= m <= 6, "m must be in 3..6")
     return _congruence_verdict("floor-parity", {"m": m}, _floor_count(m), 1, 2, 1)
 

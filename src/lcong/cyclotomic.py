@@ -172,10 +172,15 @@ class CyclotomicElement:
 
     # -- structure ----------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Power-basis coordinates as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
+    def record(self) -> dict:
+        """{"order": N, "coeffs": [...]} with each power-basis coordinate
+        written as str(Fraction) writes it ("n" or "n/d" in lowest terms):
+        the one coefficient text of reports, the value cache and repr."""
+        coeffs = []
+        for c in self.num:
+            g = math.gcd(c, self.den)
+            coeffs.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
+        return {"order": self.order, "coeffs": coeffs}
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -296,21 +301,21 @@ class CyclotomicElement:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
+        coeffs = self.record()["coeffs"]
         if self.is_rational():
-            return str(coeffs[0])
+            return coeffs[0]
         sym = f"z{self.order}"
         parts = []
         for i, c in enumerate(coeffs):
-            if not c:
+            if c == "0":
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
                 continue
             mono = sym if i == 1 else f"{sym}^{i}"
-            if c == 1:
+            if c == "1":
                 term = mono
-            elif c == -1:
+            elif c == "-1":
                 term = f"-{mono}"
             else:
                 term = f"{c}*{mono}"
@@ -321,7 +326,7 @@ class CyclotomicElement:
         return out
 
     def __repr__(self) -> str:
-        return f"CyclotomicElement({self.order}, {[str(c) for c in self.coeffs]})"
+        return f"CyclotomicElement({self.order}, {self.record()['coeffs']})"
 
 
 def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[list[int], int]:
@@ -423,15 +428,6 @@ def congruent_mod(
     diff = as_element(x) - y
     margin = p_content_valuation(diff, p)
     return margin >= n, margin
-
-
-def divides_p_locally(d: ElementLike, x: ElementLike, p: int) -> bool:
-    """True iff x/d lies in Z_(p)[zeta] (exact field division, then valuation)."""
-    d = as_element(d)
-    if d.is_zero():
-        raise ZeroDivisionError("divisor is zero")
-    quotient = as_element(x, d.order) / d
-    return p_content_valuation(quotient, p) >= 0
 
 
 def root_of_unity_order(x: CyclotomicElement) -> int:

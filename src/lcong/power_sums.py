@@ -10,10 +10,7 @@ summation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
-
-from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError, generalized_bernoulli
+from .bernoulli import DomainError
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicElement
 
@@ -29,29 +26,6 @@ def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:
     for j in range(1, n + 1):
         per_class[j % f] += j**k
     return chi.weighted_sum(per_class)
-
-
-def power_sum_via_bernoulli(
-    k: int, n: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
-) -> CyclotomicElement:
-    """S_k(n, chi) through twisted Bernoulli polynomials:
-
-        S_k(n, chi) = (B_(k+1,chi)(n) - B_(k+1,chi)) / (k+1),
-        B_(k,chi)(x) = sum_j C(k,j) B_(j,chi) x^(k-j).
-
-    Requires n to be a positive multiple of the modulus of chi; serves as
-    the independent oracle for power_sum.
-    """
-    if k < 0:
-        raise ValueError("exponent k must be >= 0")
-    f = chi.modulus
-    if n < 1 or n % f != 0:
-        raise DomainError(f"n={n} is not a positive multiple of the modulus {f}")
-    shifted = CyclotomicElement.zero(chi.zeta_order)
-    for j in range(k + 1):  # the j = k+1 term cancels against -B_(k+1,chi)
-        coeff = comb(k + 1, j) * Fraction(n) ** (k + 1 - j)
-        shifted = shifted + generalized_bernoulli(j, chi, cache) * coeff
-    return shifted * Fraction(1, k + 1)
 
 
 def floor_weighted_sum(

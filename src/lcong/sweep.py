@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 def parse_values(text: str) -> list[int]:
-    """Parse '3', '1,3,5', '0..20', or '0..20:2' into a list of ints."""
+    """Parse '3', '1,3,5', '0..20', or '0..20:2' (step >= 1) into a list of ints."""
     out: list[int] = []
     try:
         for chunk in str(text).split(","):
@@ -44,7 +44,10 @@ def parse_values(text: str) -> list[int]:
             if ".." in chunk:
                 span, _, step = chunk.partition(":")
                 lo, _, hi = span.partition("..")
-                out.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
+                step = int(step) if step else 1
+                if step < 1:  # 'hi + 1' stops only an ascending range
+                    raise ValueError(step)
+                out.extend(range(int(lo), int(hi) + 1, step))
             elif chunk:
                 out.append(int(chunk))
     except ValueError:
@@ -324,40 +327,6 @@ def registered_ids() -> list[str]:
     return sorted({spec.id for spec in REGISTRY.values()})
 
 
-#: Lemma id -> jobs it expands to; "2.4" covers both the p^(n-1)
-#: divisibility and, where the grid includes p = 2, the full 2^n form.
-_LEMMA_JOBS = {
-    "2.1": ("2.1",),
-    "2.2": ("2.2",),
-    "2.3": ("2.3",),
-    "2.4": ("2.4", "2.5"),
-}
-
-
-def check_lemma_sweep(
-    lemma_id: str, grid: dict, cache: BernoulliCache = DEFAULT_CACHE
-) -> list[CongruenceVerdict]:
-    """Run one power-sum lemma over a parameter grid, returning verdicts.
-
-    ``grid`` maps axis names (p, m, k, n, a as applicable) to value
-    lists; out-of-hypothesis points are silently skipped, matching the
-    sweep runner.
-    """
-    ids = _LEMMA_JOBS.get(lemma_id)
-    if ids is None:
-        raise ConfigError(
-            f"unknown lemma id '{lemma_id}' (known: {', '.join(sorted(_LEMMA_JOBS))})"
-        )
-    jobs = []
-    for id_ in ids:
-        spec = lookup(id_)
-        if spec.char_fixed_p is not None and 2 not in grid.get("p", [2]):
-            continue
-        taken = _parameters(spec)
-        jobs.append(SweepJob(id_, {a: grid[a] for a in grid if a in taken}))
-    return run_sweep(SweepConfig(jobs=tuple(jobs)), cache).verdicts
-
-
 def lookup(id_: str) -> CongruenceSpec:
     spec = REGISTRY.get(id_)
     if spec is None:
@@ -367,17 +336,6 @@ def lookup(id_: str) -> CongruenceSpec:
 
 # ---------------------------------------------------------------------
 # Grid expansion and execution
-
-
-def _parameters(spec: CongruenceSpec) -> set[str]:
-    """The job keys a spec takes: its axes and, with a character family,
-    ``chi``, ``parity`` and the character axes, less a fixed conductor prime."""
-    taken = set(spec.axes)
-    if spec.char_mode is not None:
-        taken |= {"chi", "parity", *spec.char_axes}
-    if spec.char_fixed_p is not None:
-        taken.discard("p")
-    return taken
 
 
 def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCharacter]:
@@ -407,9 +365,15 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCha
 def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     """Instances of a job in deterministic grid order: per character, the
     numeric grid with the last axis varying fastest.  An instance is the
-    runner's keyword arguments, ``chi`` and the character axes first."""
+    runner's keyword arguments, ``chi`` and the character axes first.
+    A job key must be one of the spec's axes or, with a character family,
+    ``chi``, ``parity`` or a character axis, less a fixed conductor prime."""
     spec = lookup(job.id)
-    taken = _parameters(spec)
+    taken = set(spec.axes)
+    if spec.char_mode is not None:
+        taken |= {"chi", "parity", *spec.char_axes}
+    if spec.char_fixed_p is not None:
+        taken.discard("p")
     for key in job.params:
         if key not in taken:
             raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
@@ -513,10 +477,6 @@ def write_csv(report: SweepReport, path) -> None:
         fh.write(csv_text(report))
 
 
-def _element_record(el) -> dict:
-    return {"order": el.order, "coeffs": [str(c) for c in el.coeffs]}
-
-
 def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str]:
     """Line-delimited records; the timestamp appears only in the header."""
     header = {
@@ -534,8 +494,8 @@ def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str
             "holds": v.holds,
             "required_exponent": v.required_modulus_exponent,
             "observed_margin": _margin_str(v.observed_margin),
-            "lhs": _element_record(v.lhs),
-            "rhs": _element_record(v.rhs),
+            "lhs": v.lhs.record(),
+            "rhs": v.rhs.record(),
         }, sort_keys=True))
     for s in report.skips:
         lines.append(json.dumps(

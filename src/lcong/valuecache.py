@@ -40,8 +40,7 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
         "m": m,
         "chi": list(images),
         "k": k,
-        "order": value.order,
-        "coeffs": [str(c) for c in value.coeffs],
+        **value.record(),
     }
     return json.dumps(record, sort_keys=True)
 

@@ -14,6 +14,11 @@ from fractions import Fraction
 from lcong.cyclotomic import cyclotomic_polynomial, rational_valuation
 
 
+def coordinates(x):
+    """The power-basis coordinates of a CyclotomicElement as Fractions."""
+    return tuple(Fraction(c, x.den) for c in x.num)
+
+
 def reduce(order, coeffs):
     """(N, coordinates) of sum_i coeffs[i] z^i, reduced modulo Phi_N."""
     phi_n = cyclotomic_polynomial(order)

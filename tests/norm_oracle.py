@@ -19,6 +19,7 @@ from lcong.cyclotomic import (
     rational_valuation,
     zeta,
 )
+from fraction_oracle import coordinates
 
 
 def rational_norm(x: CyclotomicElement) -> Fraction:
@@ -30,7 +31,7 @@ def rational_norm(x: CyclotomicElement) -> Fraction:
     for t in range(1, n):
         if math.gcd(t, n) == 1:
             conj = sum(
-                (zeta(n, i * t) * c for i, c in enumerate(x.coeffs) if c),
+                (zeta(n, i * t) * c for i, c in enumerate(coordinates(x)) if c),
                 CyclotomicElement.zero(n),
             )
             product = product * conj
@@ -45,10 +46,10 @@ def is_unit_at_p(x: CyclotomicElement, p: int) -> bool:
     p-content valuation zero (e.g. 1 - zeta_p has content valuation 0
     but divides p).
     """
-    if all(c.denominator == 1 for c in x.coeffs):
+    if x.den == 1:
         # Integral coordinates: the norm is a rational integer, so only
         # its residue mod p matters; work over GF(p) throughout.
-        return _integral_norm_mod_p(tuple(int(c) % p for c in x.coeffs), x.order, p) != 0
+        return _integral_norm_mod_p(tuple(c % p for c in x.num), x.order, p) != 0
     return rational_valuation(rational_norm(x), p) == 0
 
 

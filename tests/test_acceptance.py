@@ -24,10 +24,9 @@ from lcong.characters import (
 )
 from lcong.congruences import (
     check_nondivisibility,
-    floor_count_parity,
-    squared_normalizer_divides_p,
     unit_branch_witness,
     verify_character_orders,
+    verify_floor_count,
     verify_lerch,
     verify_lvalue_shift_odd,
     verify_lvalue_shift_odd_iff,
@@ -44,10 +43,13 @@ from lcong.congruences import (
     verify_voronoi,
 )
 from lcong.cyclotomic import p_content_valuation, rational_valuation
-from lcong.power_sums import DomainError, power_sum, power_sum_via_bernoulli
+from lcong.power_sums import DomainError, power_sum
 from lcong.sweep import SweepConfig, SweepJob, csv_text, records_lines, run_sweep
 from lcong import valuecache
 
+from bernoulli_oracle import power_sum_via_bernoulli
+from divisibility_oracle import squared_normalizer_divides_p
+from fraction_oracle import coordinates
 from moment_oracle import moment_twisted_bernoulli
 from test_bernoulli import bernoulli_series_oracle, euler_series_oracle
 
@@ -355,7 +357,7 @@ def test_criterion7_shift_iff_alignment_as_stated():
                     v = verify_lvalue_shift_odd_iff(chi, k0, h, n)
                     points += 1
                     diff = v.lhs - v.rhs
-                    integral = all(c.denominator % p for c in (diff / p**n).coeffs)
+                    integral = all(c.denominator % p for c in coordinates(diff / p**n))
                     assert v.params["congruent"] == integral == v.params["expected_aligned"], point
                     vh = rational_valuation(h, p)  # INFINITE at h = 0, as is the margin
                     assert v.observed_margin == vh, point
@@ -403,7 +405,7 @@ def test_criterion8_classical_checks():
         for n in range(1, 6):
             assert verify_sun(k, n).holds, ("sun", k, n)
     for m in (3, 4, 5, 6):
-        assert floor_count_parity(m)
+        assert verify_floor_count(m).holds
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"classical checks took {elapsed:.1f}s (budget 30s)"
     report(8, "floor-sum congruences and floor-count parity all hold", t0)

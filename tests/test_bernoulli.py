@@ -13,7 +13,6 @@ from lcong.bernoulli import (
     ParityError,
     UndefinedCaseError,
     bernoulli_number,
-    bernoulli_polynomial,
     euler_number,
     generalized_bernoulli,
     l_value,
@@ -26,6 +25,8 @@ from lcong.characters import (
     opposite_parity,
 )
 from lcong.cyclotomic import CyclotomicElement, p_content_valuation
+from bernoulli_oracle import bernoulli_polynomial
+from fraction_oracle import coordinates
 from moment_oracle import moment_twisted_bernoulli
 
 
@@ -285,7 +286,7 @@ class TestDenominatorStructure:
             f = chi.modulus
             for k in range(9):
                 element = generalized_bernoulli(k + 1, chi) * (k + 1) * f
-                for c in element.coeffs:
+                for c in coordinates(element):
                     d = c.denominator
                     while d % p == 0:
                         d //= p

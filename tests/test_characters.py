@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcong.characters import (
+    DirichletCharacter,
     ResourceLimitError,
     build_unit_group,
     character,
     enumerate_characters,
     enumerate_primitive,
-    make_character,
     opposite_parity,
     smallest_primitive_root,
 )
@@ -75,7 +75,7 @@ class TestCharacterConstruction:
 
     def test_image_length_checked(self):
         with pytest.raises(ValueError):
-            make_character(build_unit_group(2, 3), (1,))
+            DirichletCharacter(build_unit_group(2, 3), (1,))
 
     def test_one_maps_to_one(self):
         for p, m in ((2, 3), (3, 2), (5, 1)):

@@ -55,6 +55,14 @@ class TestVerifyCommand:
     def test_missing_axis_exits_two(self, capsys):
         assert main(["verify", "1.3", "--k", "0"]) == EXIT_CONFIG
 
+    def test_descending_range_exits_two(self, capsys):
+        # 'hi + 1' would stop a step of -1 at 3, silently dropping 2 and 1
+        args = ["verify", "1.4", "--m", "3", "--k", "5..1:-1", "--n", "1", "--q", "1"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: cannot parse parameter value '5..1:-1'"
+        ]
+
     def test_lerch_flags(self, capsys):
         code = main(["verify", "lerch", "--a", "1..4", "--n", "5"])
         assert code == EXIT_OK
@@ -339,6 +347,17 @@ class TestCacheCommand:
         assert "0 mismatches" in capsys.readouterr().out
         assert main(args) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_verify_limit_below_one_is_a_config_error(self, tmp_path, capsys, limit):
+        path = tmp_path / "values.jsonl"
+        assert main(["verify", "1.4", "--m", "3", "--chi", "0,1", "--k", "1", "--n", "1",
+                     "--q", "1", "--cache", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["cache", "verify", "--path", str(path), "--limit", limit]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["configuration error: --limit must be >= 1"]
 
     def test_default_path_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LCONG_CACHE_DIR", str(tmp_path))

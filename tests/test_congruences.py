@@ -7,8 +7,6 @@ from lcong.bernoulli import ParityError, UndefinedCaseError
 from lcong.characters import character, enumerate_primitive
 from lcong.congruences import (
     check_nondivisibility,
-    floor_count_parity,
-    squared_normalizer_divides_p,
     sum_lift_excluded,
     unit_branch_witness,
     verify_character_orders,
@@ -32,6 +30,7 @@ from lcong.congruences import (
     verify_voronoi,
 )
 from lcong.power_sums import DomainError
+from divisibility_oracle import squared_normalizer_divides_p
 from norm_oracle import least_unit_witness
 
 
@@ -338,14 +337,13 @@ class TestNondivisibility:
 class TestFloorCountParity:
     def test_all_four(self):
         for m in (3, 4, 5, 6):
-            assert floor_count_parity(m)
             assert verify_floor_count(m).holds
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            floor_count_parity(2)
+            verify_floor_count(2)
         with pytest.raises(DomainError):
-            floor_count_parity(7)
+            verify_floor_count(7)
 
 
 class TestSumLemmas:

@@ -24,3 +24,13 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_library_quick_start_runs():
+    """README's library quick start states the documented API: its first
+    python block runs as written, so trimming a public name it uses
+    shows here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

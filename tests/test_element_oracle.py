@@ -53,7 +53,7 @@ def operands(draw):
 
 
 def as_oracle(x):
-    return x.order, x.coeffs
+    return x.order, oracle.coordinates(x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,6 +120,26 @@ def test_scalar_operations(pair, c):
 def test_content_valuation(pair, p):
     x, ox = pair
     assert p_content_valuation(x, p) == oracle.valuation(ox, p)
+
+
+@st.composite
+def power_basis_coordinates(draw):
+    """(N, phi(N) coordinates): zero, negative, integral and non-integral
+    alike, and each one the element's own, since none needs reducing."""
+    order = draw(st.sampled_from((1, 3, 4, 8, 9, 12, 25)))
+    return order, draw(st.lists(scalars, min_size=euler_phi(order), max_size=euler_phi(order)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_basis_coordinates())
+def test_record_writes_each_coordinate_as_its_fraction(drawn):
+    order, coords = drawn
+    x = CyclotomicElement(order, coords)
+    record = x.record()
+    assert record["order"] == order
+    assert record["coeffs"] == [str(Fraction(c, x.den)) for c in x.num]
+    assert record["coeffs"] == [str(Fraction(c)) for c in coords]
+    assert CyclotomicElement(record["order"], record["coeffs"]) == x
 
 
 def test_non_integral_example():

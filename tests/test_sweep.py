@@ -14,7 +14,6 @@ from lcong.sweep import (
     ConfigError,
     SweepConfig,
     SweepJob,
-    check_lemma_sweep,
     csv_text,
     expand_job,
     lookup,
@@ -72,7 +71,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("params", [
         {"chi": ["0,1"]}, {"chi": "0..1"}, {"chi": [0, 1]}, {"chi": None}, {"chi": [[False, 1]]},
         {"k": None}, {"k": 2.0}, {"k": "1.5"}, {"k": "0..4:0"}, {"k": [[1]]},
-        {"parity": "left"}, {"parity": True},
+        {"parity": "left"}, {"parity": True}, {"k": "5..1:-1"},
     ])
     def test_malformed_params_raise_on_construction(self, params):
         with pytest.raises(ConfigError, match="job '1.4'|parameter value"):
@@ -257,29 +256,25 @@ def test_readme_catalog_states_every_registered_id():
 
 
 class TestLemmaSweep:
+    """The power-sum lemmas run as sweeps of their catalog ids."""
+
     def test_scaling_lemma_grid(self):
-        verdicts = check_lemma_sweep(
-            "2.1", {"p": [2, 3], "m": [1, 2], "k": [0, 1, 2], "n": [2, 3]}
-        )
+        grid = {"p": [2, 3], "m": [1, 2], "k": [0, 1, 2], "n": [2, 3]}
+        verdicts = run_sweep(SweepConfig(jobs=(SweepJob("2.1", grid),))).verdicts
         assert verdicts and all(v.holds for v in verdicts)
 
     def test_vanishing_covers_both_forms(self):
-        verdicts = check_lemma_sweep(
-            "2.4", {"p": [2, 3], "m": [2], "k": [0, 2], "n": [2, 3]}
-        )
+        # 2.4's p^(n-1) divisibility, and over p = 2 the full 2^n form 2.5
+        grid = {"m": [2], "k": [0, 2], "n": [2, 3]}
+        jobs = (SweepJob("2.4", {"p": [2, 3], **grid}), SweepJob("2.5", grid))
+        verdicts = run_sweep(SweepConfig(jobs=jobs)).verdicts
         assert {v.id for v in verdicts} == {"2.4", "2.5"}
-
-    def test_odd_only_grid_has_no_two_power_form(self):
-        verdicts = check_lemma_sweep("2.4", {"p": [3], "m": [2], "k": [0, 1], "n": [2]})
-        assert {v.id for v in verdicts} == {"2.4"}
+        assert all(v.holds for v in verdicts)
 
     def test_order_lemma(self):
-        verdicts = check_lemma_sweep("2.3", {"p": [2, 3], "m": [3, 2]})
+        job = SweepJob("2.3", {"p": [2, 3], "m": [3, 2]})
+        verdicts = run_sweep(SweepConfig(jobs=(job,))).verdicts
         assert verdicts and all(v.holds for v in verdicts)
-
-    def test_unknown_lemma(self):
-        with pytest.raises(ConfigError):
-            check_lemma_sweep("9.9", {})
 
 
 class TestValueCache:
@@ -412,13 +407,15 @@ GOLDEN_JOBS = [
 
 
 def test_golden_report_bytes(tmp_path, capsys):
-    """The CSV and the JSONL body (every line after the timestamped header)
-    of a small sweep are pinned by SHA-256; any change to a verdict, a
-    margin, a params key or its order shows here."""
+    """The CSV, the JSONL body (every line after the timestamped header)
+    and the value-cache file of a small sweep are pinned by SHA-256; any
+    change to a verdict, a margin, a params key or its order, or to the
+    text of a coefficient shows here."""
     csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
-    config = tmp_path / "config.json"
+    cache_path, config = tmp_path / "values.jsonl", tmp_path / "config.json"
     config.write_text(json.dumps({
         "jobs": GOLDEN_JOBS, "csv": str(csv_path), "records": str(records_path),
+        "cache": str(cache_path),
     }))
     assert main(["sweep", "--config", str(config)]) == EXIT_FAILURES  # the 1.8 finding
     assert "total=83 holds=75 fails=8 skips=56" in capsys.readouterr().out
@@ -428,4 +425,7 @@ def test_golden_report_bytes(tmp_path, capsys):
     )
     assert hashlib.sha256(body).hexdigest() == (
         "188ce7327bd1ae1a00891fdcba58384d1214b88b80582a57d59ada58b8e5bbef"
+    )
+    assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == (
+        "b2867cd1c8ca4c8cbccc6152b7546cde1e98239159859453332251887a8147ae"
     )
