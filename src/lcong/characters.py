@@ -89,6 +89,7 @@ def build_unit_group(p: int, m: int, *, max_modulus: int = MAX_TABLE_MODULUS) ->
         g = smallest_primitive_root(p, m)
         generators = ((g, euler_phi(modulus)),)
 
+    # Insertion order is generator-product order: weighted_sum walks it.
     dlog: dict[int, tuple[int, ...]] = {}
     ranges = [range(order) for _, order in generators]
     for exps in product(*ranges):
@@ -175,18 +176,21 @@ class DirichletCharacter:
         return sum(w * x for w, x in zip(self._weights, exps)) % self.zeta_order
 
     def weighted_sum(self, weights: list[int]) -> CyclotomicElement:
-        """sum_r chi(r) * weights[r] over residues r, the weights integers.
+        """sum_r chi(r) * weights[r], one integer weight per residue r = 0..f-1.
 
-        The weights are bucketed by the exponent t of chi(r) = zeta_N^t
-        into one integer vector of length N, which is reduced once.
+        The units are walked in the dlog table's order, which is generator
+        product order, so the exponent t of chi(r) = zeta_N^t steps by the
+        generator weights; each weight is added into bucket t of one integer
+        vector of length N, which is reduced once.
         """
-        vec = [0] * self.zeta_order
-        for r, w in enumerate(weights):
-            if w:
-                t = self.value_exponent(r)
-                if t is not None:
-                    vec[t] += w
-        return CyclotomicElement(self.zeta_order, vec)
+        n = self.zeta_order
+        exps = [0]
+        for w, (_, order) in zip(self._weights, self.group.generators):
+            exps = [t + w * x for t in exps for x in range(order)]
+        vec = [0] * n
+        for r, t in zip(self.group.dlog, exps):
+            vec[t % n] += weights[r]
+        return CyclotomicElement(n, vec)
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.images))

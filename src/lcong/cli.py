@@ -97,6 +97,9 @@ def _report_and_exit(config: SweepConfig) -> int:
         return EXIT_INTERNAL
     if cache_path:
         valuecache.append_new(cache_path, cache)
+    if report.skips and not report.verdicts:
+        first = report.skips[0]
+        raise ConfigError(f"every instance was skipped, first {first.id}: {first.reason}")
     if loaded and not report.all_hold:
         report = _recheck_fresh(config, report, cache)
     print(table_text(report, max_rows=200))

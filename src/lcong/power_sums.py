@@ -1,20 +1,25 @@
 """Character-twisted power sums and floor-weighted variants.
 
 S_k(n, chi) = sum_(j=1..n) chi(j) j^k is computed by grouping the terms
-by residue class mod the character's modulus, so the inner accumulation
-is plain integer arithmetic; the per-class sums are then bucketed by the
-exponent of chi and reduced once (DirichletCharacter.weighted_sum).
-Exactness makes the regrouping indistinguishable from ascending-j
-summation.
+by residue class mod the character's modulus f, so the inner accumulation
+is plain integer arithmetic; the f per-class sums are then bucketed by the
+exponent of chi, walking the units in generator order, and reduced once
+(DirichletCharacter.weighted_sum).  Exactness makes the regrouping
+indistinguishable from ascending-j summation.  S_k(n, chi) is a pure
+function of (k, n, chi) and elements are immutable, so power_sum is
+memoised.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .bernoulli import DomainError
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicElement
 
 
+@lru_cache(maxsize=65536)
 def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:
     """S_k(n, chi) = sum_(j=1..n) chi(j) j^k, exact."""
     if k < 0:

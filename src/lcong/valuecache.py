@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bernoulli import BernoulliCache, CharKey
-from .characters import character
+from .characters import MAX_TABLE_MODULUS, character
 from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
@@ -48,12 +48,18 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
 def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
     try:
         record = json.loads(line)
-        key = (
-            (int(record["p"]), int(record["m"]), tuple(int(e) for e in record["chi"])),
-            int(record["k"]),
-        )
-        value = CyclotomicElement(int(record["order"]), record["coeffs"])
-    except (ValueError, KeyError, TypeError) as exc:
+        p, m = int(record["p"]), int(record["m"])
+        key = ((p, m, tuple(int(e) for e in record["chi"])), int(record["k"]))
+        # m is bounded before p**m is formed; a value mod p^m lives in
+        # Q(zeta_N) with N = phi(p^m).
+        bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
+        if not (bounded and 2 <= p and p**m <= MAX_TABLE_MODULUS):
+            raise ValueError(f"modulus {p}^{m} out of range")
+        order = int(record["order"])
+        if order != (p - 1) * p ** (m - 1):
+            raise ValueError(f"order {order} is not phi({p}^{m})")
+        value = CyclotomicElement(order, record["coeffs"])
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CacheError(f"corrupt cache record at line {lineno}: {exc}") from exc
     return key, value
 

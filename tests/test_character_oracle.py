@@ -14,7 +14,12 @@ from lcong.characters import enumerate_characters
 from lcong.cyclotomic import CyclotomicElement, zeta
 from lcong.power_sums import floor_weighted_sum, power_sum
 
-MODULI = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (7, 1), (11, 1)]
+#: 2^1 (one unit, generator (1, 1)) and 2^2 (one generator of order 2)
+#: are the degenerate presentations of the generator-order walk.
+MODULI = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+    (3, 2), (3, 3), (5, 2), (7, 2), (7, 1), (11, 1),
+]
 
 
 def exponent_table(chi):

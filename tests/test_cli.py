@@ -92,6 +92,19 @@ class TestVerifyCommand:
             "configuration error: job '1.4': selects no character"
         ]
 
+    @pytest.mark.parametrize("args, reason", [
+        (["kummer", "--p", "4", "--k", "2", "--l", "6", "--n", "1"], "requires a prime p >= 5"),
+        (["1.4", "--m", "3", "--k", "1", "--n", "0", "--q", "1"], "n must be >= 1"),
+        (["1.4", "--m", "3", "--k", "2", "--n", "1", "--q", "1", "--chi", "0,1"],
+         "k=2 has the same parity as chi=8:0,1"),
+    ], ids=["non-prime-p", "n-zero", "parity"])
+    def test_run_of_nothing_but_skips_exits_two(self, capsys, args, reason):
+        # A run with no verdict checked nothing; it must not pass vacuously.
+        assert main(["verify", *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: every instance was skipped, first {args[0]}: {reason}"
+        ]
+
     @pytest.mark.parametrize("args, key", [
         (["kummer", "--p", "5", "--k", "2", "--l", "6", "--n", "1", "--chi", "0,1"], "chi"),
         (["kummer", "--p", "5", "--k", "2", "--l", "6", "--n", "1", "--q", "7"], "q"),
@@ -299,6 +312,24 @@ class TestCacheCommand:
         path = tmp_path / "values.jsonl"
         path.write_text("not json at all\n")
         assert main(["cache", "verify", "--path", str(path)]) == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("coeffs", ["1/0", "0"], "Fraction(1, 0)"),
+        ("order", 3, "order 3 is not phi(2^3)"),
+        ("m", 10**9, "modulus 2^1000000000 out of range"),
+    ], ids=["zero-denominator", "wrong-order", "huge-modulus"])
+    def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
+        # A record for B_(2,chi), chi = 8:0,1, with one field broken.
+        record = {"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}
+        path = tmp_path / "values.jsonl"
+        path.write_text(json.dumps({**record, field: value}) + "\n")
+        sweep = ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1",
+                 "--cache", str(path)]
+        for argv in (sweep, ["cache", "verify", "--path", str(path)]):
+            assert main(argv) == EXIT_INTERNAL
+            assert capsys.readouterr().err.splitlines() == [
+                f"cache error: corrupt cache record at line 1: {message}"
+            ]
 
     def test_torn_last_line_is_recomputed(self, tmp_path, capsys):
         # A crash during an append leaves the last record without its

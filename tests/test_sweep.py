@@ -406,7 +406,35 @@ GOLDEN_JOBS = [
 ]
 
 
-def test_golden_report_bytes(tmp_path, capsys):
+#: The power-sum lemmas and the twisted Voronoi congruence over small
+#: grids that include the two-generator moduli 8 and 16: 2.1 and 2.1x
+#: (with skips either side of the excluded region), 2.2 with a = 4
+#: skipped at p = 2, 2.4, 2.5 and 2.5x (whose verdicts fail), and 3.2.
+GOLDEN_SUM_JOBS = [
+    {"id": "2.1", "p": [2, 3], "m": [1, 2, 3], "k": "0..3", "n": "1..4"},
+    {"id": "2.1x", "p": [2], "m": [1], "k": "0..3", "n": "2..3"},
+    {"id": "2.2", "p": [2], "m": [3, 4], "k": "0..2", "a": [3, 4]},
+    {"id": "2.2", "p": [5], "m": [1, 2], "k": [1, 2], "a": [2]},
+    {"id": "2.4", "p": [2, 3], "m": [2, 3], "k": "0..2", "n": "1..4"},
+    {"id": "2.5", "m": [1, 2, 3], "k": "0..3", "n": "2..4"},
+    {"id": "2.5x", "m": [1, 2], "k": "0..3", "n": [2, 3]},
+    {"id": "3.2", "p": [2, 3], "m": [2, 3], "a": [1, 5], "k": "0..3", "n": [2, 3]},
+]
+
+
+@pytest.mark.parametrize("jobs, summary, digests", [
+    (GOLDEN_JOBS, "total=83 holds=75 fails=8 skips=56", (  # fails: the 1.8 finding
+        "225eef4301b0d2551a16c0abbe647b944e493def0d6eae845f85ab3b23a5f489",
+        "188ce7327bd1ae1a00891fdcba58384d1214b88b80582a57d59ada58b8e5bbef",
+        "b2867cd1c8ca4c8cbccc6152b7546cde1e98239159859453332251887a8147ae",
+    )),
+    (GOLDEN_SUM_JOBS, "total=689 holds=677 fails=12 skips=693", (  # fails: 2.1x, 2.5x
+        "373bd7bf566360bbb677bbfdbc4f81bf47109e99f986550724dfe146aec7284a",
+        "c9bf4643fac1453a62524bb85c49fc0004d8f0e703fa80add9bcc5203295423e",
+        "3ec9ed48d51ab1f92ce6b2048d548990b1312fee825b261c895d03d629ba171a",
+    )),
+], ids=["catalog", "character-sums"])
+def test_golden_report_bytes(tmp_path, capsys, jobs, summary, digests):
     """The CSV, the JSONL body (every line after the timestamped header)
     and the value-cache file of a small sweep are pinned by SHA-256; any
     change to a verdict, a margin, a params key or its order, or to the
@@ -414,18 +442,13 @@ def test_golden_report_bytes(tmp_path, capsys):
     csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
     cache_path, config = tmp_path / "values.jsonl", tmp_path / "config.json"
     config.write_text(json.dumps({
-        "jobs": GOLDEN_JOBS, "csv": str(csv_path), "records": str(records_path),
+        "jobs": jobs, "csv": str(csv_path), "records": str(records_path),
         "cache": str(cache_path),
     }))
-    assert main(["sweep", "--config", str(config)]) == EXIT_FAILURES  # the 1.8 finding
-    assert "total=83 holds=75 fails=8 skips=56" in capsys.readouterr().out
+    assert main(["sweep", "--config", str(config)]) == EXIT_FAILURES
+    assert summary in capsys.readouterr().out
     body = records_path.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "225eef4301b0d2551a16c0abbe647b944e493def0d6eae845f85ab3b23a5f489"
-    )
-    assert hashlib.sha256(body).hexdigest() == (
-        "188ce7327bd1ae1a00891fdcba58384d1214b88b80582a57d59ada58b8e5bbef"
-    )
-    assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == (
-        "b2867cd1c8ca4c8cbccc6152b7546cde1e98239159859453332251887a8147ae"
-    )
+    assert tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (csv_path.read_bytes(), body, cache_path.read_bytes())
+    ) == digests
