@@ -28,7 +28,6 @@ config = SweepConfig(
     ),
     csv_path=str(workdir / "report.csv"),
     records_path=str(workdir / "report.jsonl"),
-    parallelism=2,
 )
 
 cache = BernoulliCache()

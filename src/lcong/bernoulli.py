@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from threading import Lock
 
 from .characters import DirichletCharacter, opposite_parity
 from .cyclotomic import CyclotomicElement
@@ -47,13 +46,9 @@ class BernoulliCache:
     the twisted values are built from, and the unit-normalized values
     L*_k of ``script_l`` keyed by (chi.key(), k).
 
-    Values are immutable once written and recomputation is deterministic,
-    so concurrent last-writer-wins dict updates are safe; a lock guards
-    only the growth of the index-addressed B_k and E_k sequences, where an
-    interleaved append would shift later entries.  The L* memo is one of
-    those unlocked last-writer-wins dicts; it is derived from the twisted
-    values, never persisted (the file cache holds B_(k,chi) only), and
-    seeding a twisted value drops the L* entry built on it.
+    The L* memo is derived from the twisted values, never persisted (the
+    file cache holds B_(k,chi) only), and seeding a twisted value drops
+    the L* entry built on it.
     """
 
     def __init__(self):
@@ -62,7 +57,6 @@ class BernoulliCache:
         self._twisted: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        self._lock = Lock()
         #: keys written since the last persistence sync (see lcong.valuecache)
         self.dirty_keys: set[tuple[CharKey, int]] = set()
 
@@ -71,34 +65,30 @@ class BernoulliCache:
     def bernoulli(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        if k >= len(self._bernoulli):
-            with self._lock:
-                while len(self._bernoulli) <= k:
-                    j = len(self._bernoulli)
-                    # sum_(i<=j) C(j+1, i) B_i = 0  for j >= 1
-                    acc = sum(
-                        comb(j + 1, i) * b for i, b in enumerate(self._bernoulli)
-                    )
-                    self._bernoulli.append(Fraction(-acc, j + 1))
+        while len(self._bernoulli) <= k:
+            j = len(self._bernoulli)
+            # sum_(i<=j) C(j+1, i) B_i = 0  for j >= 1
+            acc = sum(
+                comb(j + 1, i) * b for i, b in enumerate(self._bernoulli)
+            )
+            self._bernoulli.append(Fraction(-acc, j + 1))
         return self._bernoulli[k]
 
     def euler(self, k: int) -> int:
         if k < 0:
             raise ValueError("Euler index must be >= 0")
-        if k >= len(self._euler):
-            with self._lock:
-                while len(self._euler) <= k:
-                    j = len(self._euler)
-                    if j % 2:
-                        self._euler.append(0)
-                        continue
-                    # sum over even i <= j of C(j, i) E_i = 0  for even j >= 2
-                    acc = sum(
-                        comb(j, i) * e
-                        for i, e in enumerate(self._euler)
-                        if i % 2 == 0
-                    )
-                    self._euler.append(-acc)
+        while len(self._euler) <= k:
+            j = len(self._euler)
+            if j % 2:
+                self._euler.append(0)
+                continue
+            # sum over even i <= j of C(j, i) E_i = 0  for even j >= 2
+            acc = sum(
+                comb(j, i) * e
+                for i, e in enumerate(self._euler)
+                if i % 2 == 0
+            )
+            self._euler.append(-acc)
         return self._euler[k]
 
     # -- twisted values ------------------------------------------------

@@ -72,15 +72,11 @@ def load_config(path: str | Path) -> SweepConfig:
     for key in ("csv", "records", "cache"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ConfigError(f"'{key}' must be a path string, not {raw[key]!r}")
-    parallelism = raw.get("parallelism", 1)
-    if not isinstance(parallelism, int) or isinstance(parallelism, bool):
-        raise ConfigError(f"'parallelism' must be an integer, not {parallelism!r}")
     return SweepConfig(
         jobs=tuple(_job_from_mapping(j) for j in jobs),
         csv_path=raw.get("csv"),
         records_path=raw.get("records"),
         cache_path=raw.get("cache"),
-        parallelism=parallelism,
     )
 
 
@@ -141,7 +137,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     # (SweepConfig field, flag) pairs: a given flag overrides the file
     fields = (("csv_path", "csv"), ("records_path", "records"),
-              ("cache_path", "cache"), ("parallelism", "jobs"))
+              ("cache_path", "cache"))
     overrides = {field: getattr(args, flag) for field, flag in fields
                  if getattr(args, flag) is not None}
     return _report_and_exit(dataclasses.replace(config, **overrides))
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv")
     p_sweep.add_argument("--records")
     p_sweep.add_argument("--cache")
-    p_sweep.add_argument("--jobs", type=int, help="parallel worker count")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_table = sub.add_parser("table", help="print exact value tables")

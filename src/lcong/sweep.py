@@ -4,12 +4,8 @@ reports and an aligned human-readable table.
 Grid points whose hypotheses fail are recorded as skips, never as
 failed verdicts.  Identical configs produce byte-identical
 machine-readable reports (the only timestamp lives in the JSONL header
-record), and parallel execution yields the same verdict sequence as
-serial execution.  The thread pool takes the work in batches: each
-contiguous run of instances that share a congruence id and a character
-(or just an id, for jobs without characters) is one task, so one thread
-computes all of a character's values, and the batches' results are
-collected in submission order.
+record).  Instances run one after another in grid order, on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -20,9 +16,8 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 from typing import Callable, Iterator, Optional
 
 from . import congruences as cg
@@ -120,13 +115,9 @@ class SweepConfig:
     csv_path: Optional[str] = None
     records_path: Optional[str] = None
     cache_path: Optional[str] = None
-    parallelism: int = 1
 
     def echo(self) -> dict:
-        return {
-            "jobs": [{"id": job.id, **job.params} for job in self.jobs],
-            "parallelism": self.parallelism,
-        }
+        return {"jobs": [{"id": job.id, **job.params} for job in self.jobs]}
 
 
 @dataclass(frozen=True)
@@ -398,33 +389,16 @@ def run_instance(
         return SkipRecord(id=spec.id, params=params, reason=str(exc))
 
 
-def _run_key(item: tuple[CongruenceSpec, dict]) -> tuple:
-    spec, inst = item
-    return spec.id, inst["chi"].key() if "chi" in inst else None
-
-
-def _run_batch(batch: list, cache: BernoulliCache) -> list[CongruenceVerdict | SkipRecord]:
-    return [run_instance(spec, inst, cache) for spec, inst in batch]
-
-
 def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> SweepReport:
     """Evaluate every grid point of every job; write configured reports."""
     if not config.jobs:
         raise ConfigError("no jobs configured")
-    if config.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
     work: list[tuple[CongruenceSpec, dict]] = []
     for job in config.jobs:
         work.extend(expand_job(job))
 
     t0 = time.perf_counter()
-    if config.parallelism == 1:
-        results = _run_batch(work, cache)
-    else:
-        batches = [list(run) for _, run in groupby(work, key=_run_key)]
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            done = pool.map(lambda batch: _run_batch(batch, cache), batches)
-            results = [result for batch_results in done for result in batch_results]
+    results = [run_instance(spec, inst, cache) for spec, inst in work]
     duration = time.perf_counter() - t0
 
     verdicts = [r for r in results if isinstance(r, CongruenceVerdict)]

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bernoulli import BernoulliCache, CharKey
-from .characters import MAX_TABLE_MODULUS, character
+from .characters import MAX_TABLE_MODULUS, character, is_prime
 from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
@@ -49,12 +49,18 @@ def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
     try:
         record = json.loads(line)
         p, m = int(record["p"]), int(record["m"])
-        key = ((p, m, tuple(int(e) for e in record["chi"])), int(record["k"]))
+        chi = tuple(int(e) for e in record["chi"])
+        key = ((p, m, chi), int(record["k"]))
         # m is bounded before p**m is formed; a value mod p^m lives in
         # Q(zeta_N) with N = phi(p^m).
         bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
         if not (bounded and 2 <= p and p**m <= MAX_TABLE_MODULUS):
             raise ValueError(f"modulus {p}^{m} out of range")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        generators = 2 if p == 2 and m >= 3 else 1
+        if len(chi) != generators:
+            raise ValueError(f"chi mod {p}^{m} needs {generators} image exponent(s)")
         order = int(record["order"])
         if order != (p - 1) * p ** (m - 1):
             raise ValueError(f"order {order} is not phi({p}^{m})")

@@ -424,12 +424,6 @@ def test_criterion9_infrastructure(tmp_path):
     assert csv_text(first) == csv_text(second)
     assert records_lines(first, timestamp="T") == records_lines(second, timestamp="T")
 
-    # parallel evaluation produces the same verdict sequence
-    parallel = run_sweep(
-        SweepConfig(jobs=config.jobs, parallelism=4), cache=BernoulliCache()
-    )
-    assert csv_text(parallel) == csv_text(first)
-
     # cache soundness: after a sweep, every persisted value recomputes identically
     cache_file = tmp_path / "values.jsonl"
     cache = BernoulliCache()
@@ -438,4 +432,4 @@ def test_criterion9_infrastructure(tmp_path):
     valuecache.append_new(cache_file, cache)
     assert valuecache.entry_count(cache_file) > 0
     assert valuecache.verify(cache_file) == []
-    report(9, "deterministic reports, parallel == serial, cache verifies clean", t0)
+    report(9, "deterministic reports, cache verifies clean", t0)

@@ -141,7 +141,6 @@ class TestSweepCommand:
             ],
             "csv": str(tmp_path / "report.csv"),
             "records": str(tmp_path / "report.jsonl"),
-            "parallelism": 2,
         })
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert (tmp_path / "report.csv").exists()
@@ -153,8 +152,23 @@ class TestSweepCommand:
             "jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}],
         })
         out_csv = tmp_path / "override.csv"
-        assert main(["sweep", "--config", cfg, "--csv", str(out_csv), "--jobs", "3"]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--csv", str(out_csv)]) == EXIT_OK
         assert out_csv.exists()
+
+    def test_parallelism_key_is_ignored_and_jobs_flag_is_gone(self, tmp_path, capsys):
+        # Configs written for the removed thread pool still set
+        # "parallelism"; the key is ignored like any unknown top-level key.
+        jobs = [{"id": "1.4", "m": [3, 4], "k": "0..4", "n": [1, 2], "q": [1]}]
+        outputs = []
+        for extra in ({}, {"parallelism": 2}):
+            out_csv = tmp_path / f"report-{len(extra)}.csv"
+            cfg = self.write_config(tmp_path, {"jobs": jobs, "csv": str(out_csv), **extra})
+            assert main(["sweep", "--config", cfg]) == EXIT_OK
+            outputs.append(out_csv.read_bytes())
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
@@ -163,20 +177,6 @@ class TestSweepCommand:
         path = tmp_path / "bad.json"
         path.write_text("{jobs: [")
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
-
-    def test_jobs_zero_is_a_usage_error(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, {"jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}]})
-        assert main(["sweep", "--config", cfg, "--jobs", "0"]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: parallelism")
-
-    @pytest.mark.parametrize("parallelism", [1.7, "two", True, None, [2]])
-    def test_non_integer_parallelism_is_a_config_error(self, tmp_path, capsys, parallelism):
-        cfg = self.write_config(tmp_path, {
-            "jobs": [{"id": "1.3", "k": [0], "n": [1], "q": [1]}],
-            "parallelism": parallelism,
-        })
-        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: 'parallelism'")
 
     @pytest.mark.parametrize("body", [[{"id": "1.3"}], "jobs", 3, None])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, body):
@@ -317,7 +317,9 @@ class TestCacheCommand:
         ("coeffs", ["1/0", "0"], "Fraction(1, 0)"),
         ("order", 3, "order 3 is not phi(2^3)"),
         ("m", 10**9, "modulus 2^1000000000 out of range"),
-    ], ids=["zero-denominator", "wrong-order", "huge-modulus"])
+        ("p", 4, "4 is not prime"),
+        ("chi", [0, 1, 5], "chi mod 2^3 needs 2 image exponent(s)"),
+    ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent"])
     def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
         # A record for B_(2,chi), chi = 8:0,1, with one field broken.
         record = {"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}

@@ -1,8 +1,6 @@
 import hashlib
 import json
 import re
-import threading
-from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -50,10 +48,6 @@ class TestConfigValidation:
     def test_no_jobs(self):
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(jobs=()))
-
-    def test_bad_parallelism(self):
-        with pytest.raises(ConfigError):
-            run_sweep(stern_config(parallelism=0))
 
     def test_bad_parity(self):
         with pytest.raises(ConfigError):
@@ -120,12 +114,6 @@ class TestRunSweep:
         assert s["total"] == len(report.verdicts)
         assert s["skips"] == len(report.skips)
         assert s["holds"] + s["fails"] == s["total"]
-
-    def test_parallel_equals_serial(self):
-        serial = run_sweep(stern_config())
-        parallel = run_sweep(stern_config(parallelism=4))
-        assert [v.sort_key() for v in serial.verdicts] == [v.sort_key() for v in parallel.verdicts]
-        assert csv_text(serial) == csv_text(parallel)
 
     def test_isolated_cache(self, chi8):
         cache = BernoulliCache()
@@ -326,66 +314,6 @@ class TestValueCache:
         self._sweep_with_cache(path, BernoulliCache())
         valuecache.clear(path)
         assert valuecache.entry_count(path) == 0
-
-
-#: 1.4, 1.5 and 3.2 over 2-power and 3-power moduli; the 1.5 job gives
-#: every character a run of 13 * 13 * 2 = 338 instances.
-POOL_GRID = (
-    SweepJob("1.4", {"m": [3, 4, 5], "k": list(range(9)), "n": [1, 2], "q": [1, 3]}),
-    SweepJob("1.5", {"m": [3, 4], "k": list(range(13)), "l": list(range(13)), "n": [1, 2]}),
-    SweepJob("3.2", {"p": [2, 3], "m": [1, 2, 3], "a": [1, 2, 4, 5], "k": list(range(7)),
-                     "n": [2, 3]}),
-)
-
-
-class TestBatchedPool:
-    """The pool runs contiguous per-character batches; its reports and
-    value-cache bytes must equal the serial run's."""
-
-    def _outputs(self, tmp_path, jobs, parallelism):
-        path = tmp_path / f"values-{len(jobs)}-{parallelism}.jsonl"
-        cache = BernoulliCache()
-        report = run_sweep(SweepConfig(jobs=jobs, parallelism=parallelism), cache=cache)
-        valuecache.append_new(path, cache)
-        cache_bytes = path.read_bytes() if path.exists() else None
-        return csv_text(report), records_lines(report, timestamp="T")[1:], cache_bytes
-
-    def test_grid_runs_are_long_and_many(self):
-        work = [item for job in POOL_GRID for item in expand_job(job)]
-        runs = [len(list(run)) for _, run in groupby(work, key=sweep._run_key)]
-        assert max(runs) > 256
-        assert len(runs) == len({sweep._run_key(item) for item in work})
-
-    @pytest.mark.parametrize("parallelism", [2, 4])
-    def test_pool_matches_serial(self, tmp_path, parallelism):
-        serial = self._outputs(tmp_path, POOL_GRID, 1)
-        assert serial[2]  # values were computed and appended
-        assert self._outputs(tmp_path, POOL_GRID, parallelism) == serial
-
-    def test_more_workers_than_runs(self, tmp_path):
-        jobs = (SweepJob("1.4", {"m": [3], "k": list(range(9)), "n": [1, 2], "q": [1]}),)
-        assert self._outputs(tmp_path, jobs, 4) == self._outputs(tmp_path, jobs, 1)
-
-    def test_jobs_without_characters(self, tmp_path):
-        jobs = stern_config().jobs + (SweepJob("euler-kummer", {"p": [3, 5], "k": [2, 4],
-                                                                 "l": [2, 4]}),)
-        assert self._outputs(tmp_path, jobs, 2) == self._outputs(tmp_path, jobs, 1)
-
-    def test_each_character_runs_on_one_thread(self, monkeypatch):
-        # run_instance is looked up by name for every instance, so a
-        # wrapper installed on the module sees all of them.
-        seen: dict[tuple, set] = {}
-        original = sweep.run_instance
-
-        def recording(spec, inst, cache):
-            seen.setdefault(sweep._run_key((spec, inst)), set()).add(threading.get_ident())
-            return original(spec, inst, cache)
-
-        monkeypatch.setattr(sweep, "run_instance", recording)
-        report = run_sweep(SweepConfig(jobs=POOL_GRID[:2], parallelism=2), cache=BernoulliCache())
-        assert report.all_hold
-        assert len(seen) == (2 + 4 + 8) + (2 + 4)  # primitive characters per job
-        assert all(len(threads) == 1 for threads in seen.values())
 
 
 #: Every verdict shape: plain congruences (stern, 1.4), the three iff
