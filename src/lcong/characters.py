@@ -149,8 +149,12 @@ class DirichletCharacter:
         """Stable serialization key (p, m, exponent vector)."""
         return (self.p, self.m, self.images)
 
-    def label(self) -> str:
+    @cached_property
+    def _label(self) -> str:
         return f"{self.modulus}:" + ",".join(str(e) for e in self.images)
+
+    def label(self) -> str:
+        return self._label
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):

@@ -4,8 +4,9 @@ reports and an aligned human-readable table.
 Grid points whose hypotheses fail are recorded as skips, never as
 failed verdicts.  Identical configs produce byte-identical
 machine-readable reports (the only timestamp lives in the JSONL header
-record).  Instances run one after another in grid order, on the
-calling thread.
+record).  Every job is checked before any instance runs; instances are
+then expanded lazily and run in grid order on the calling thread, and
+the reports are written line by line.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, Optional
 
 from . import congruences as cg
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError
 from .characters import DirichletCharacter, enumerate_characters, enumerate_primitive
 from .congruences import CongruenceVerdict
+from .valuecache import json_text
 
 
 class ConfigError(ValueError):
@@ -358,7 +359,9 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     numeric grid with the last axis varying fastest.  An instance is the
     runner's keyword arguments, ``chi`` and the character axes first.
     A job key must be one of the spec's axes or, with a character family,
-    ``chi``, ``parity`` or a character axis, less a fixed conductor prime."""
+    ``chi``, ``parity`` or a character axis, less a fixed conductor prime.
+    The job is checked on the call, raising ConfigError; the instances
+    come lazily."""
     spec = lookup(job.id)
     taken = set(spec.axes)
     if spec.char_mode is not None:
@@ -369,14 +372,13 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
         if key not in taken:
             raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
     numeric_axes = [a for a in spec.axes if spec.char_mode is None or a not in spec.char_axes]
-    grid = [dict(zip(numeric_axes, values))
-            for values in product(*(job.axis(a) for a in numeric_axes))]
+    values = [job.axis(a) for a in numeric_axes]
     p_axis, m_axis = spec.char_axes
-    chars = [None] if spec.char_mode is None else _select_characters(spec, job)
-    for chi in chars:
-        head = {} if chi is None else {"chi": chi, p_axis: chi.p, m_axis: chi.m}
-        for inst in grid:
-            yield spec, {**head, **inst}
+    heads = [{}] if spec.char_mode is None else [
+        {"chi": chi, p_axis: chi.p, m_axis: chi.m} for chi in _select_characters(spec, job)
+    ]
+    return ((spec, {**head, **dict(zip(numeric_axes, point))})
+            for head in heads for point in product(*values))
 
 
 def run_instance(
@@ -390,19 +392,17 @@ def run_instance(
 
 
 def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> SweepReport:
-    """Evaluate every grid point of every job; write configured reports."""
+    """Check every job, then evaluate its grid points one by one; write
+    the configured reports line by line."""
     if not config.jobs:
         raise ConfigError("no jobs configured")
-    work: list[tuple[CongruenceSpec, dict]] = []
-    for job in config.jobs:
-        work.extend(expand_job(job))
-
+    instances = chain(*[expand_job(job) for job in config.jobs])
+    verdicts, skips = [], []
     t0 = time.perf_counter()
-    results = [run_instance(spec, inst, cache) for spec, inst in work]
+    for spec, inst in instances:
+        result = run_instance(spec, inst, cache)
+        (skips if isinstance(result, SkipRecord) else verdicts).append(result)
     duration = time.perf_counter() - t0
-
-    verdicts = [r for r in results if isinstance(r, CongruenceVerdict)]
-    skips = [r for r in results if isinstance(r, SkipRecord)]
     report = SweepReport(
         config=config.echo(), verdicts=verdicts, skips=skips, duration=duration
     ).finalize()
@@ -433,34 +433,36 @@ def _csv_row(v: CongruenceVerdict) -> list[str]:
         "true" if v.holds else "false",
         str(v.required_modulus_exponent),
         _margin_str(v.observed_margin),
-        json.dumps(extra, sort_keys=True) if extra else "",
+        json_text(extra) if extra else "",
     ]
+
+
+def _write_csv_rows(report: SweepReport, fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(map(_csv_row, report.verdicts))
 
 
 def csv_text(report: SweepReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for v in report.verdicts:
-        writer.writerow(_csv_row(v))
+    _write_csv_rows(report, buf)
     return buf.getvalue()
 
 
 def write_csv(report: SweepReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(report))
+        _write_csv_rows(report, fh)
 
 
-def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str]:
-    """Line-delimited records; the timestamp appears only in the header."""
+def _record_lines(report: SweepReport, timestamp: str | None) -> Iterator[str]:
     header = {
         "type": "header",
         "timestamp": timestamp if timestamp is not None else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": report.config,
     }
-    lines = [json.dumps(header, sort_keys=True)]
+    yield json_text(header)
     for v in report.verdicts:
-        lines.append(json.dumps({
+        yield json_text({
             "type": "verdict",
             "id": v.id,
             "branch": v.branch,
@@ -470,24 +472,25 @@ def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str
             "observed_margin": _margin_str(v.observed_margin),
             "lhs": v.lhs.record(),
             "rhs": v.rhs.record(),
-        }, sort_keys=True))
+        })
     for s in report.skips:
-        lines.append(json.dumps(
-            {"type": "skip", "id": s.id, "params": s.params, "reason": s.reason},
-            sort_keys=True,
-        ))
+        yield json_text({"type": "skip", "id": s.id, "params": s.params, "reason": s.reason})
     summary = dict(report.summary)
     summary["per_id"] = {
         id_: {**row, "min_margin": _margin_str(row["min_margin"])}
         for id_, row in report.summary["per_id"].items()
     }
-    lines.append(json.dumps({"type": "summary", **summary}, sort_keys=True))
-    return lines
+    yield json_text({"type": "summary", **summary})
+
+
+def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str]:
+    """Line-delimited records; the timestamp appears only in the header."""
+    return list(_record_lines(report, timestamp))
 
 
 def write_records(report: SweepReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(records_lines(report)) + "\n")
+        fh.writelines(line + "\n" for line in _record_lines(report, None))
 
 
 def table_text(report: SweepReport, max_rows: int | None = None) -> str:

@@ -22,6 +22,9 @@ from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
 
+# The one JSON text of cache records and of the sweep's reports.
+json_text = json.JSONEncoder(sort_keys=True).encode
+
 
 class CacheError(RuntimeError):
     """Unreadable or internally inconsistent cache file."""
@@ -42,7 +45,7 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
         "k": k,
         **value.record(),
     }
-    return json.dumps(record, sort_keys=True)
+    return json_text(record)
 
 
 def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,10 @@ from lcong.sweep import (
     run_sweep,
     table_text,
     write_csv,
+    write_records,
 )
 from lcong import bernoulli, congruences, power_sums, sweep, valuecache
-from lcong.cli import EXIT_FAILURES, main
+from lcong.cli import EXIT_CONFIG, EXIT_FAILURES, load_config, main
 
 
 def stern_config(**kwargs):
@@ -70,6 +72,33 @@ class TestConfigValidation:
     def test_malformed_params_raise_on_construction(self, params):
         with pytest.raises(ConfigError, match="job '1.4'|parameter value"):
             SweepJob("1.4", params)
+
+    @pytest.mark.parametrize("bad", [
+        {"id": "1.4", "p": [2], "m": [3], "k": [1], "n": [1], "q": [1]},
+        {"id": "1.4", "m": [3], "k": [1], "n": [1], "q": [1], "chi": "1,0"},
+    ], ids=["foreign-key", "chi-selects-nothing"])
+    def test_every_job_is_checked_before_any_instance_runs(self, tmp_path, monkeypatch, bad):
+        # The instances are expanded lazily, but a bad second job must
+        # still stop the sweep before the first job's instances run.
+        calls = []
+        run = sweep.run_instance
+
+        def counting(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(sweep, "run_instance", counting)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "jobs": [{"id": "stern", "k": [0, 2], "n": [1], "q": [1]}, bad],
+            "csv": str(tmp_path / "out.csv"), "records": str(tmp_path / "out.jsonl"),
+            "cache": str(tmp_path / "values.jsonl"),
+        }))
+        with pytest.raises(ConfigError, match="job '1.4'"):
+            run_sweep(load_config(config))
+        assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_aliases_resolve(self):
         assert lookup("1.3").id == "stern"
@@ -158,7 +187,7 @@ class TestSkipContract:
         }
 
 
-def test_tracer_hooks_see_every_call(monkeypatch):
+def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     # The benchmark tracer wraps module attributes: the registry's runners
     # must reach congruences.verify_* through the module, and the sweep
     # must enumerate characters through _CHAR_FAMILIES, or its per-layer
@@ -177,14 +206,31 @@ def test_tracer_hooks_see_every_call(monkeypatch):
         moduli.append((p, m))
         return family(p, m)
 
+    # The sweep must also expand jobs and write records through the module
+    # attributes, or `sweep.expand_s` and `sweep.report_s` read 0.
+    expanded, written = [], []
+    expand, write = sweep.expand_job, sweep.write_records
+
+    def expanding(job):
+        expanded.append(job.id)
+        return expand(job)
+
+    def writing(report, path):
+        written.append(path)
+        write(report, path)
+
     monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
     monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
+    monkeypatch.setattr(sweep, "expand_job", expanding)
+    monkeypatch.setattr(sweep, "write_records", writing)
+    records = str(tmp_path / "out.jsonl")
     report = run_sweep(SweepConfig(jobs=(
         SweepJob("1.4", {"m": "3..4", "k": "0..3", "n": [1], "q": [1]}),
-    )), cache=BernoulliCache())
+    ), records_path=records), cache=BernoulliCache())
     assert moduli == [(2, 3), (2, 4)]
     assert report.verdicts and report.skips
     assert len(verified) == len(report.verdicts) + len(report.skips)
+    assert expanded == ["1.4"] and written == [records]
 
 
 class TestReports:
@@ -229,6 +275,27 @@ class TestReports:
         assert csv_path.read_text().startswith("id,branch,chi")
         first = json.loads(rec_path.read_text().splitlines()[0])
         assert first["type"] == "header" and "timestamp" in first
+
+
+def test_file_writers_stream_what_the_views_collect(tmp_path):
+    """`write_records` and `write_csv` write the very lines `records_lines`
+    and `csv_text` collect, one at a time: the memory traced while the
+    records are written stays below half of the bytes written."""
+    report = run_sweep(SweepConfig(jobs=(SweepJob("lerch", {"a": "1..100", "n": "1..60"}),)))
+    lines = records_lines(report, timestamp="T")
+    assert len(lines) >= 5000
+    csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        write_records(report, records_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = records_path.read_bytes().split(b"\n", 1)[1]
+    assert body == ("\n".join(lines[1:]) + "\n").encode()
+    assert peak < records_path.stat().st_size / 2
+    write_csv(report, csv_path)
+    assert csv_path.read_bytes() == csv_text(report).encode()
 
 
 def test_readme_catalog_states_every_registered_id():
