@@ -29,6 +29,7 @@ from .bernoulli import (
 )
 from .characters import ResourceLimitError, character, enumerate_primitive
 from .sweep import (
+    REGISTRY,
     ConfigError,
     SweepConfig,
     SweepJob,
@@ -45,7 +46,9 @@ EXIT_FAILURES = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-PARAM_FLAGS = ("p", "m", "k", "l", "n", "q", "a", "h", "d", "chi_p", "chi_m")
+#: Every registered axis and character axis, in first-seen order.
+PARAM_FLAGS = tuple(dict.fromkeys(
+    name for spec in REGISTRY.values() for name in (*spec.axes, *spec.char_axes)))
 
 
 def _job_from_mapping(mapping: dict) -> SweepJob:

@@ -139,6 +139,7 @@ def verify_ernvall(
 
     for chi of prime-power conductor coprime to p, k == l mod phi(p^n).
     """
+    _require(is_prime(p), "requires a prime p")
     conductor = chi.conductor()
     _require(conductor > 1 and conductor % p != 0, "conductor must be a prime power coprime to p")
     _require(k >= 1 and l >= 1, "k, l must be >= 1")

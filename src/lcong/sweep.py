@@ -11,14 +11,17 @@ the reports are written line by line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain, product
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import congruences as cg
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError
@@ -164,13 +167,27 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class CongruenceSpec:
+    """One catalog id.  ``verifier`` names the ``congruences`` function
+    that checks an instance; it is looked up on the module at call time
+    and given the instance values its signature names, plus ``cache``
+    when it takes one.  ``region``, when set, is ``(predicate, value,
+    reason)``: an instance where ``congruences.<predicate>(chi, k)`` is not
+    ``value`` is skipped with ``reason``, and the spec's id is stamped on
+    the verdicts, so a probe of an excluded region reports as itself."""
+
     id: str
     aliases: tuple[str, ...]
     axes: tuple[str, ...]
-    runner: Callable[..., CongruenceVerdict]
+    verifier: str
     char_mode: Optional[str] = None  # None | "primitive" | "all" | "vanishing"
     char_axes: tuple[str, str] = ("p", "m")
     char_fixed_p: Optional[int] = None  # conductor prime fixed by the congruence
+    region: Optional[tuple[str, bool, str]] = None
+    arguments: tuple[str, ...] = field(init=False, repr=False)  # the verifier's, in order
+
+    def __post_init__(self) -> None:
+        names = tuple(inspect.signature(getattr(cg, self.verifier)).parameters)
+        object.__setattr__(self, "arguments", names)
 
 
 def _vanishing_family(p: int, m: int) -> list[DirichletCharacter]:
@@ -183,136 +200,52 @@ _CHAR_FAMILIES = {
     "vanishing": _vanishing_family,
 }
 
-
-def _run_sum_lift(chi, p, m, k, n, cache):
-    if cg.sum_lift_excluded(chi, k):
-        raise DomainError("excluded case: p = 2, m = 1, odd k")
-    return cg.verify_sum_lift(chi, k, n)
-
-
-def _run_sum_lift_excluded(chi, p, m, k, n, cache):
-    if not cg.sum_lift_excluded(chi, k):
-        raise DomainError("not in the excluded region")
-    return dataclasses.replace(cg.verify_sum_lift(chi, k, n), id="2.1x")
-
-
-def _run_vanishing_two(chi, p, m, k, n, cache):
-    if not cg.strengthened_vanishing_applies(chi, k):
-        raise DomainError("outside the strengthened-vanishing cases")
-    return cg.verify_sum_vanishing_two(chi, k, n)
-
-
-def _run_vanishing_two_excluded(chi, p, m, k, n, cache):
-    if cg.strengthened_vanishing_applies(chi, k):
-        raise DomainError("not in the excluded region")
-    return dataclasses.replace(cg.verify_sum_vanishing_two(chi, k, n), id="2.5x")
-
-
 REGISTRY: dict[str, CongruenceSpec] = {}
 
 
-def _register(spec: CongruenceSpec) -> None:
-    for name in (spec.id, *spec.aliases):
+def _register(id_: str, aliases: tuple, axes: tuple, verifier: str, **options) -> None:
+    spec = CongruenceSpec(id_, aliases, axes, verifier, **options)
+    for name in (id_, *aliases):
         if name in REGISTRY:
             raise ValueError(f"duplicate congruence id {name}")
         REGISTRY[name] = spec
 
 
-_register(CongruenceSpec(
-    id="kummer", aliases=(), axes=("p", "k", "l", "n"),
-    runner=lambda p, k, l, n, cache: cg.verify_kummer_classical(p, k, l, n, cache),
-))
-_register(CongruenceSpec(
-    id="ernvall", aliases=("1.1",), axes=("p", "k", "l", "n"),
-    char_mode="primitive", char_axes=("chi_p", "chi_m"),
-    runner=lambda chi, chi_p, chi_m, p, k, l, n, cache: cg.verify_ernvall(chi, p, k, l, n, cache),
-))
-_register(CongruenceSpec(
-    id="euler-kummer", aliases=("1.2",), axes=("p", "k", "l"),
-    runner=lambda p, k, l, cache: cg.verify_euler_kummer(p, k, l, cache),
-))
-_register(CongruenceSpec(
-    id="stern", aliases=("1.3",), axes=("k", "n", "q"),
-    runner=lambda k, n, q, cache: cg.verify_stern(k, n, q, cache),
-))
-_register(CongruenceSpec(
-    id="stern-iff", aliases=(), axes=("k", "l", "n"),
-    runner=lambda k, l, n, cache: cg.verify_stern_iff(k, l, n, cache),
-))
-_register(CongruenceSpec(
-    id="1.4", aliases=("lshift-two",), axes=("m", "k", "n", "q"), char_mode="primitive",
-    char_fixed_p=2,
-    runner=lambda chi, p, m, k, n, q, cache: cg.verify_lvalue_shift_two(chi, k, n, q, cache),
-))
-_register(CongruenceSpec(
-    id="1.5", aliases=("lshift-two-iff",), axes=("m", "k", "l", "n"), char_mode="primitive",
-    char_fixed_p=2,
-    runner=lambda chi, p, m, k, l, n, cache: cg.verify_lvalue_shift_two_iff(chi, k, l, n, cache),
-))
-_register(CongruenceSpec(
-    id="1.6", aliases=("1.7", "lshift-odd"), axes=("p", "m", "k", "n", "q"),
-    char_mode="primitive",
-    runner=lambda chi, p, m, k, n, q, cache: cg.verify_lvalue_shift_odd(chi, k, n, q, cache),
-))
-_register(CongruenceSpec(
-    id="1.8", aliases=("lshift-odd-iff",), axes=("p", "m", "k", "h", "n"),
-    char_mode="primitive",
-    runner=lambda chi, p, m, k, h, n, cache: cg.verify_lvalue_shift_odd_iff(chi, k, h, n, cache),
-))
-_register(CongruenceSpec(
-    id="2.1", aliases=("sum-lift",), axes=("p", "m", "k", "n"), char_mode="all",
-    runner=_run_sum_lift,
-))
-_register(CongruenceSpec(
-    id="2.1x", aliases=("sum-lift-excluded",), axes=("p", "m", "k", "n"), char_mode="all",
-    runner=_run_sum_lift_excluded,
-))
-_register(CongruenceSpec(
-    id="2.2", aliases=("sum-twist",), axes=("p", "m", "k", "a"), char_mode="primitive",
-    runner=lambda chi, p, m, k, a, cache: cg.verify_sum_twist(chi, k, a),
-))
-_register(CongruenceSpec(
-    id="2.3", aliases=("char-orders",), axes=("p", "m"), char_mode="primitive",
-    runner=lambda chi, p, m, cache: cg.verify_character_orders(chi),
-))
-_register(CongruenceSpec(
-    id="2.4", aliases=("sum-vanishing",), axes=("p", "m", "k", "n"), char_mode="vanishing",
-    runner=lambda chi, p, m, k, n, cache: cg.verify_sum_vanishing(chi, k, n),
-))
-_register(CongruenceSpec(
-    id="2.5", aliases=("sum-vanishing-two",), axes=("m", "k", "n"), char_mode="vanishing",
-    char_fixed_p=2,
-    runner=_run_vanishing_two,
-))
-_register(CongruenceSpec(
-    id="2.5x", aliases=("sum-vanishing-two-excluded",), axes=("m", "k", "n"),
-    char_mode="vanishing", char_fixed_p=2,
-    runner=_run_vanishing_two_excluded,
-))
-_register(CongruenceSpec(
-    id="sun", aliases=("3.1",), axes=("k", "n"),
-    runner=lambda k, n, cache: cg.verify_sun(k, n, cache),
-))
-_register(CongruenceSpec(
-    id="3.2", aliases=("twisted-voronoi",), axes=("p", "m", "a", "k", "n"), char_mode="all",
-    runner=lambda chi, p, m, a, k, n, cache: cg.verify_twisted_voronoi(chi, a, k, n, cache),
-))
-_register(CongruenceSpec(
-    id="voronoi", aliases=(), axes=("a", "p", "k"),
-    runner=lambda a, p, k, cache: cg.verify_voronoi(a, p, k, cache),
-))
-_register(CongruenceSpec(
-    id="lerch", aliases=(), axes=("a", "n"),
-    runner=lambda a, n, cache: cg.verify_lerch(a, n),
-))
-_register(CongruenceSpec(
-    id="nondiv", aliases=(), axes=("p", "m", "d"), char_mode="primitive",
-    runner=lambda chi, p, m, d, cache: cg.check_nondivisibility(chi, d, cache),
-))
-_register(CongruenceSpec(
-    id="floor-parity", aliases=(), axes=("m",),
-    runner=lambda m, cache: cg.verify_floor_count(m),
-))
+_register("kummer", (), ("p", "k", "l", "n"), "verify_kummer_classical")
+_register("ernvall", ("1.1",), ("p", "k", "l", "n"), "verify_ernvall",
+          char_mode="primitive", char_axes=("chi_p", "chi_m"))
+_register("euler-kummer", ("1.2",), ("p", "k", "l"), "verify_euler_kummer")
+_register("stern", ("1.3",), ("k", "n", "q"), "verify_stern")
+_register("stern-iff", (), ("k", "l", "n"), "verify_stern_iff")
+_register("1.4", ("lshift-two",), ("m", "k", "n", "q"), "verify_lvalue_shift_two",
+          char_mode="primitive", char_fixed_p=2)
+_register("1.5", ("lshift-two-iff",), ("m", "k", "l", "n"), "verify_lvalue_shift_two_iff",
+          char_mode="primitive", char_fixed_p=2)
+_register("1.6", ("1.7", "lshift-odd"), ("p", "m", "k", "n", "q"), "verify_lvalue_shift_odd",
+          char_mode="primitive")
+_register("1.8", ("lshift-odd-iff",), ("p", "m", "k", "h", "n"), "verify_lvalue_shift_odd_iff",
+          char_mode="primitive")
+_register("2.1", ("sum-lift",), ("p", "m", "k", "n"), "verify_sum_lift",
+          char_mode="all", region=("sum_lift_excluded", False, "excluded case: p = 2, m = 1, odd k"))
+_register("2.1x", ("sum-lift-excluded",), ("p", "m", "k", "n"), "verify_sum_lift",
+          char_mode="all", region=("sum_lift_excluded", True, "not in the excluded region"))
+_register("2.2", ("sum-twist",), ("p", "m", "k", "a"), "verify_sum_twist", char_mode="primitive")
+_register("2.3", ("char-orders",), ("p", "m"), "verify_character_orders", char_mode="primitive")
+_register("2.4", ("sum-vanishing",), ("p", "m", "k", "n"), "verify_sum_vanishing",
+          char_mode="vanishing")
+_register("2.5", ("sum-vanishing-two",), ("m", "k", "n"), "verify_sum_vanishing_two",
+          char_mode="vanishing", char_fixed_p=2,
+          region=("strengthened_vanishing_applies", True, "outside the strengthened-vanishing cases"))
+_register("2.5x", ("sum-vanishing-two-excluded",), ("m", "k", "n"), "verify_sum_vanishing_two",
+          char_mode="vanishing", char_fixed_p=2,
+          region=("strengthened_vanishing_applies", False, "not in the excluded region"))
+_register("sun", ("3.1",), ("k", "n"), "verify_sun")
+_register("3.2", ("twisted-voronoi",), ("p", "m", "a", "k", "n"), "verify_twisted_voronoi",
+          char_mode="all")
+_register("voronoi", (), ("a", "p", "k"), "verify_voronoi")
+_register("lerch", (), ("a", "n"), "verify_lerch")
+_register("nondiv", (), ("p", "m", "d"), "check_nondivisibility", char_mode="primitive")
+_register("floor-parity", (), ("m",), "verify_floor_count")
 
 
 def registered_ids() -> list[str]:
@@ -356,8 +289,9 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCha
 
 def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     """Instances of a job in deterministic grid order: per character, the
-    numeric grid with the last axis varying fastest.  An instance is the
-    runner's keyword arguments, ``chi`` and the character axes first.
+    numeric grid with the last axis varying fastest.  An instance maps
+    ``chi`` and the character axes, then each numeric axis, to its value;
+    the verifier takes the names its signature lists.
     A job key must be one of the spec's axes or, with a character family,
     ``chi``, ``parity`` or a character axis, less a fixed conductor prime.
     The job is checked on the call, raising ConfigError; the instances
@@ -385,10 +319,18 @@ def run_instance(
     spec: CongruenceSpec, inst: dict, cache: BernoulliCache
 ) -> CongruenceVerdict | SkipRecord:
     try:
-        return spec.runner(**inst, cache=cache)
+        if spec.region is not None:
+            predicate, value, reason = spec.region
+            if getattr(cg, predicate)(inst["chi"], inst["k"]) != value:
+                raise DomainError(reason)
+        args = [cache if name == "cache" else inst[name] for name in spec.arguments]
+        verdict = getattr(cg, spec.verifier)(*args)
     except DomainError as exc:
         params = {k: v.label() if k == "chi" else v for k, v in inst.items()}
         return SkipRecord(id=spec.id, params=params, reason=str(exc))
+    if spec.region is not None and verdict.id != spec.id:
+        verdict = dataclasses.replace(verdict, id=spec.id)
+    return verdict
 
 
 def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> SweepReport:
@@ -449,8 +391,22 @@ def csv_text(report: SweepReport) -> str:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _replacing(path) -> Iterator:
+    """A new file beside ``path`` that replaces it only once fully written."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    fh = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_csv(report: SweepReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         _write_csv_rows(report, fh)
 
 
@@ -489,7 +445,7 @@ def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str
 
 
 def write_records(report: SweepReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.writelines(line + "\n" for line in _record_lines(report, None))
 
 

@@ -389,6 +389,33 @@ def test_criterion7_shift_iff_alignment_as_stated():
            f"{oracle_checks} L* values match the moment-formula oracle", t0)
 
 
+#: 1.8 sweeps at conductors 27, 81 and 125 (m = 3 and 4), with the number
+#: of verdicts each gives.
+_SHIFT_IFF_BEYOND_M2 = [
+    ({"p": [3], "m": [3], "k": "0..4", "h": "1..9", "n": "1..3"}, 810),
+    ({"p": [3], "m": [4], "k": "0..3", "h": "1..9", "n": "1..3"}, 1944),
+    ({"p": [5], "m": [3], "k": "0..3", "h": "1..10", "n": "1..2"}, 2400),
+]
+
+
+def test_criterion7_shift_iff_valuation_beyond_m2():
+    """The 1.8 finding at m = 3 and 4: at every verdict the difference
+    L*_(k+(p-1)h) - L*_k has p-content valuation exactly val_p(h), so the
+    congruence mod p^n holds iff p^n | h."""
+    t0 = time.perf_counter()
+    for params, count in _SHIFT_IFF_BEYOND_M2:
+        report_ = run_sweep(SweepConfig(jobs=(SweepJob("1.8", params),)), cache=BernoulliCache())
+        assert len(report_.verdicts) == count, params
+        p = params["p"][0]
+        for v in report_.verdicts:
+            h, n = v.params["h"], v.params["n"]
+            assert v.observed_margin == rational_valuation(h, p), v.params
+            assert v.params["congruent"] == (h % p**n == 0), v.params
+    report("7 (1.8 beyond m = 2)",
+           "margin = val_p(h) and congruent iff p^n | h at all 5154 verdicts "
+           "for conductors 27, 81, 125", t0)
+
+
 def test_criterion8_classical_checks():
     t0 = time.perf_counter()
     for p in (5, 7, 11):

@@ -97,7 +97,11 @@ class TestVerifyCommand:
         (["1.4", "--m", "3", "--k", "1", "--n", "0", "--q", "1"], "n must be >= 1"),
         (["1.4", "--m", "3", "--k", "2", "--n", "1", "--q", "1", "--chi", "0,1"],
          "k=2 has the same parity as chi=8:0,1"),
-    ], ids=["non-prime-p", "n-zero", "parity"])
+        (["ernvall", "--chi-p", "3", "--chi-m", "1", "--p", "4", "--k", "1", "--l", "3", "--n", "1"],
+         "requires a prime p"),
+        (["ernvall", "--chi-p", "3", "--chi-m", "1", "--p", "0", "--k", "1", "--l", "3", "--n", "1"],
+         "requires a prime p"),
+    ], ids=["non-prime-p", "n-zero", "parity", "ernvall-composite-p", "ernvall-zero-p"])
     def test_run_of_nothing_but_skips_exits_two(self, capsys, args, reason):
         # A run with no verdict checked nothing; it must not pass vacuously.
         assert main(["verify", *args]) == EXIT_CONFIG

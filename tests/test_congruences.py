@@ -62,6 +62,11 @@ class TestErnvall:
         with pytest.raises(DomainError):
             verify_ernvall(character(3, 2, (0,)), 5, 1, 5, 1)
 
+    @pytest.mark.parametrize("p", [-5, 0, 1, 4, 6, 9])
+    def test_non_prime_p_rejected(self, chi4, p):
+        with pytest.raises(DomainError, match="requires a prime p"):
+            verify_ernvall(chi4, p, 1, 3, 1)
+
     def test_small_sweep(self, chi4, chi8):
         for chi in (chi4, chi8):
             for p in (3, 5, 7):

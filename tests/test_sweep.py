@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import tracemalloc
@@ -24,7 +25,7 @@ from lcong.sweep import (
     write_records,
 )
 from lcong import bernoulli, congruences, power_sums, sweep, valuecache
-from lcong.cli import EXIT_CONFIG, EXIT_FAILURES, load_config, main
+from lcong.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, build_parser, load_config, main
 
 
 def stern_config(**kwargs):
@@ -188,8 +189,8 @@ class TestSkipContract:
 
 
 def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
-    # The benchmark tracer wraps module attributes: the registry's runners
-    # must reach congruences.verify_* through the module, and the sweep
+    # The benchmark tracer wraps module attributes: the sweep must look each
+    # registry entry's verifier up on the congruences module, and it
     # must enumerate characters through _CHAR_FAMILIES, or its per-layer
     # metrics silently read 0.
     verified = []
@@ -296,6 +297,61 @@ def test_file_writers_stream_what_the_views_collect(tmp_path):
     assert peak < records_path.stat().st_size / 2
     write_csv(report, csv_path)
     assert csv_path.read_bytes() == csv_text(report).encode()
+
+
+@pytest.mark.parametrize("id_", registered_ids())
+def test_registry_entry_fits_its_verifier(id_):
+    """An entry names a congruences function whose arguments other than
+    ``cache`` are all instance keys (an axis, ``chi`` or a character axis),
+    since run_instance passes each of them; its region predicate exists,
+    and every axis is a `lcong verify` flag."""
+    spec = lookup(id_)
+    parameters = inspect.signature(getattr(congruences, spec.verifier)).parameters
+    keys = {*spec.axes, *(("chi", *spec.char_axes) if spec.char_mode else ())}
+    required = {name for name, param in parameters.items()
+                if param.default is param.empty and name != "cache"}
+    assert spec.arguments == tuple(parameters)
+    assert required <= set(spec.arguments) - {"cache"} <= keys
+    if spec.region is not None:
+        assert callable(getattr(congruences, spec.region[0]))
+    axes = [*spec.axes, *spec.char_axes]
+    args = build_parser().parse_args(
+        ["verify", id_, *(f"--{axis.replace('_', '-')}=1" for axis in axes)]
+    )
+    assert all(getattr(args, axis) == "1" for axis in axes)
+
+
+@pytest.mark.parametrize("option, writer", [("csv", "_csv_row"), ("records", "_record_lines")])
+def test_failed_report_write_leaves_the_old_report(tmp_path, capsys, monkeypatch, option, writer):
+    """A report is written beside its target and renamed onto it: an
+    exception partway through keeps the old report byte for byte, leaves
+    no temporary file and exits 3."""
+    report = tmp_path / "report"
+    report.write_bytes(b"old report\n")
+    original = getattr(sweep, writer)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("write failed")
+        return original(*args)
+
+    def failing_lines(*args):
+        for i, line in enumerate(original(*args)):
+            if i == 3:
+                raise RuntimeError("write failed")
+            yield line
+
+    monkeypatch.setattr(sweep, writer, failing_lines if writer == "_record_lines" else failing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "jobs": [{"id": "1.3", "k": [0, 2, 4], "n": [1, 2], "q": [1, 3]}], option: str(report),
+    }))
+    assert main(["sweep", "--config", str(config)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == ["internal error: RuntimeError: write failed"]
+    assert report.read_bytes() == b"old report\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "report"]
 
 
 def test_readme_catalog_states_every_registered_id():
@@ -417,6 +473,23 @@ GOLDEN_SUM_JOBS = [
 ]
 
 
+#: The classical and Euler-number ids the other two cases leave out:
+#: kummer, ernvall (by its alias 1.1, prime p only), euler-kummer (whose
+#: k = 0 verdicts fail), 1.6 with both branches (the second job is named
+#: by the alias 1.7), sun (by its alias 3.1), voronoi and floor-parity,
+#: each with skips.
+GOLDEN_CLASSICAL_JOBS = [
+    {"id": "kummer", "p": [5, 7], "k": [2, 4, 8], "l": [6, 10, 14], "n": [1, 2]},
+    {"id": "1.1", "chi_p": [3], "chi_m": [1, 2], "p": [2, 5], "k": [1, 2], "l": [5, 9], "n": [1, 2]},
+    {"id": "euler-kummer", "p": [3, 5], "k": [0, 1, 2, 4], "l": [2, 6]},
+    {"id": "1.6", "p": [3, 5], "m": [1], "k": "0..3", "n": [1, 2], "q": [1, 5]},
+    {"id": "1.7", "p": [3], "m": [2], "k": "0..3", "n": [1, 2], "q": [1, 3]},
+    {"id": "3.1", "k": "0..4", "n": [1, 3]},
+    {"id": "voronoi", "a": [2, 5], "p": [5, 7], "k": [1, 2, 4]},
+    {"id": "floor-parity", "m": "2..7"},
+]
+
+
 @pytest.mark.parametrize("jobs, summary, digests", [
     (GOLDEN_JOBS, "total=83 holds=75 fails=8 skips=56", (  # fails: the 1.8 finding
         "225eef4301b0d2551a16c0abbe647b944e493def0d6eae845f85ab3b23a5f489",
@@ -428,7 +501,12 @@ GOLDEN_SUM_JOBS = [
         "c9bf4643fac1453a62524bb85c49fc0004d8f0e703fa80add9bcc5203295423e",
         "3ec9ed48d51ab1f92ce6b2048d548990b1312fee825b261c895d03d629ba171a",
     )),
-], ids=["catalog", "character-sums"])
+    (GOLDEN_CLASSICAL_JOBS, "total=88 holds=86 fails=2 skips=200", (  # fails: E_0 vs E_2
+        "bfbe80e6b8e28c1ba46ba437fd6b89369dcde524a12e1c1ad13df972f18d1665",
+        "e1f3407489b2f88d8ef3647ca5e3a4d0e18ef5b67a63b69d0b82cf3904b2ecd0",
+        "adb9d0ce8ffbd53779ddde989ec2208cb71938f80fd01ff59b8cd4bc1e14a078",
+    )),
+], ids=["catalog", "character-sums", "classical"])
 def test_golden_report_bytes(tmp_path, capsys, jobs, summary, digests):
     """The CSV, the JSONL body (every line after the timestamped header)
     and the value-cache file of a small sweep are pinned by SHA-256; any
