@@ -16,6 +16,7 @@ equivalent to p-local integrality.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -28,6 +29,9 @@ ElementLike = Union[int, Fraction, "CyclotomicElement"]
 INFINITE = math.inf
 
 Valuation = Union[int, float]
+
+# record()'s coordinate text; [0-9] is ASCII only, unlike str.isdigit and int().
+_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/0*([1-9][0-9]*))?")
 
 
 def prime_factors(n: int) -> list[int]:
@@ -181,6 +185,22 @@ class CyclotomicElement:
             g = math.gcd(c, self.den)
             coeffs.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
         return {"order": self.order, "coeffs": coeffs}
+
+    @classmethod
+    def from_record(cls, order: int, coeffs: list[str]) -> "CyclotomicElement":
+        """The reader of record()'s text: exactly phi(N) strings, each "n" or
+        "n/d" in ASCII digits with d > 0, read into integers; else ValueError."""
+        deg = _modulus(order)[0]
+        if not isinstance(coeffs, list) or len(coeffs) != deg:
+            raise ValueError(f"coeffs is not a list of {deg} coefficient strings")
+        fractions = []
+        for text in coeffs:
+            match = _COEFFICIENT.fullmatch(text) if isinstance(text, str) else None
+            if match is None:
+                raise ValueError(f"coefficient {text!r} is not n or n/d with d > 0")
+            fractions.append((int(match[1]), int(match[2] or 1)))
+        den = math.lcm(*(d for _, d in fractions))
+        return _new(order, [n * (den // d) for n, d in fractions], den)
 
     def is_zero(self) -> bool:
         return not any(self.num)

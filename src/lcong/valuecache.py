@@ -1,7 +1,8 @@
 """Append-only file cache for twisted Bernoulli numbers.
 
 One JSON record per line, keyed by (p, m, exponent vector, k), holding
-the exact power-basis coefficients as "num/den" strings.  Append-only
+the exact power-basis coefficients as "n" or "n/d" strings (written by
+CyclotomicElement.record, read by CyclotomicElement.from_record).  Append-only
 with last-entry-wins on duplicate keys, so a single writer needs no
 coordination beyond O_APPEND.  A final line without its newline is what
 a crash during an append leaves: it is never trusted, only skipped with
@@ -51,9 +52,10 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
 def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
     try:
         record = json.loads(line)
-        p, m = int(record["p"]), int(record["m"])
-        chi = tuple(int(e) for e in record["chi"])
-        key = ((p, m, chi), int(record["k"]))
+        fields = (record["p"], record["m"], record["k"], record["order"], *record["chi"])
+        if not all(type(x) is int for x in fields):  # JSON ints: no bool, no float
+            raise ValueError(f"p, m, k, order and chi {list(fields)} are not all integers")
+        p, m, k, order, *chi = fields
         # m is bounded before p**m is formed; a value mod p^m lives in
         # Q(zeta_N) with N = phi(p^m).
         bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
@@ -61,16 +63,20 @@ def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
             raise ValueError(f"modulus {p}^{m} out of range")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        generators = 2 if p == 2 and m >= 3 else 1
-        if len(chi) != generators:
-            raise ValueError(f"chi mod {p}^{m} needs {generators} image exponent(s)")
-        order = int(record["order"])
+        # The generator orders: -1 and 5 for p = 2, m >= 3, else one of order N.
+        orders = (2, order // 2) if p == 2 and m >= 3 else (order,)
+        if len(chi) != len(orders):
+            raise ValueError(f"chi mod {p}^{m} needs {len(orders)} image exponent(s)")
         if order != (p - 1) * p ** (m - 1):
             raise ValueError(f"order {order} is not phi({p}^{m})")
-        value = CyclotomicElement(order, record["coeffs"])
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        if not all(0 <= e < n for e, n in zip(chi, orders)):
+            raise ValueError(f"chi {chi} is not reduced mod the generator orders {list(orders)}")
+        if k < 0:
+            raise ValueError(f"k {k} is negative")
+        value = CyclotomicElement.from_record(order, record["coeffs"])
+    except (ValueError, KeyError, TypeError) as exc:
         raise CacheError(f"corrupt cache record at line {lineno}: {exc}") from exc
-    return key, value
+    return ((p, m, tuple(chi)), k), value
 
 
 def read_entries(path: Path | str) -> dict[CacheKey, CyclotomicElement]:

@@ -318,12 +318,26 @@ class TestCacheCommand:
         assert main(["cache", "verify", "--path", str(path)]) == EXIT_INTERNAL
 
     @pytest.mark.parametrize("field, value, message", [
-        ("coeffs", ["1/0", "0"], "Fraction(1, 0)"),
+        ("coeffs", ["1/0", "0"], "coefficient '1/0' is not n or n/d with d > 0"),
         ("order", 3, "order 3 is not phi(2^3)"),
         ("m", 10**9, "modulus 2^1000000000 out of range"),
         ("p", 4, "4 is not prime"),
         ("chi", [0, 1, 5], "chi mod 2^3 needs 2 image exponent(s)"),
-    ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent"])
+        # Records the writer never writes.
+        ("coeffs", ["2"], "coeffs is not a list of 2 coefficient strings"),
+        ("coeffs", "20", "coeffs is not a list of 2 coefficient strings"),
+        ("coeffs", [True, 0.5], "coefficient True is not n or n/d with d > 0"),
+        ("coeffs", ["2", "\u0661"], "coefficient '\u0661' is not n or n/d with d > 0"),
+        ("k", 2.7, "p, m, k, order and chi [2, 3, 2.7, 4, 0, 1] are not all integers"),
+        ("k", -3, "k -3 is negative"),
+        ("p", True, "p, m, k, order and chi [True, 3, 2, 4, 0, 1] are not all integers"),
+        ("chi", [0, 1.0], "p, m, k, order and chi [2, 3, 2, 4, 0, 1.0] are not all integers"),
+        ("chi", "01", "p, m, k, order and chi [2, 3, 2, 4, '0', '1'] are not all integers"),
+        ("chi", [0, 9], "chi [0, 9] is not reduced mod the generator orders [2, 2]"),
+    ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent",
+            "short-coeffs", "string-coeffs", "non-string-coeffs", "non-ascii-digit",
+            "float-k", "negative-k", "bool-p", "float-exponent", "string-chi",
+            "unreduced-exponent"])
     def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
         # A record for B_(2,chi), chi = 8:0,1, with one field broken.
         record = {"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}
@@ -336,6 +350,17 @@ class TestCacheCommand:
             assert capsys.readouterr().err.splitlines() == [
                 f"cache error: corrupt cache record at line 1: {message}"
             ]
+
+    def test_stat_of_a_corrupt_cache_is_a_cache_error(self, tmp_path, capsys):
+        path = tmp_path / "values.jsonl"
+        path.write_text('{"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2"]}\n')
+        assert main(["cache", "stat", "--path", str(path)]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cache error: corrupt cache record at line 1: "
+            "coeffs is not a list of 2 coefficient strings"
+        ]
 
     def test_torn_last_line_is_recomputed(self, tmp_path, capsys):
         # A crash during an append leaves the last record without its

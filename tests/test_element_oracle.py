@@ -7,12 +7,15 @@ same canonical coordinates for every operation, at orders that cover
 prime powers, composites, order 1 and mixed-order operands.
 """
 
+import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle as oracle
+from lcong.cli import EXIT_OK, main
 from lcong.cyclotomic import CyclotomicElement, euler_phi, p_content_valuation
 
 ORDERS = (1, 3, 4, 5, 8, 9, 12, 20, 25, 42)
@@ -140,6 +143,52 @@ def test_record_writes_each_coordinate_as_its_fraction(drawn):
     assert record["coeffs"] == [str(Fraction(c, x.den)) for c in x.num]
     assert record["coeffs"] == [str(Fraction(c)) for c in coords]
     assert CyclotomicElement(record["order"], record["coeffs"]) == x
+
+
+def fields(x):
+    return x.order, x.num, x.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(pairs))
+def test_from_record_reads_what_record_writes(pair):
+    x, _ = pair
+    assert fields(CyclotomicElement.from_record(x.order, x.record()["coeffs"])) == fields(x)
+
+
+def test_from_record_matches_the_fraction_route_on_a_cache_file(tmp_path):
+    # Values for foreign moduli (ernvall's chi mod 8, 16 and 11) and 1.6's own.
+    path, config = tmp_path / "values.jsonl", tmp_path / "config.json"
+    config.write_text(json.dumps({"cache": str(path), "jobs": [
+        {"id": "ernvall", "chi_p": [2], "chi_m": [3, 4], "p": [3], "k": "1..6", "l": [1], "n": [1]},
+        {"id": "ernvall", "chi_p": [11], "chi_m": [1], "p": [3], "k": "1..6", "l": [1], "n": [1]},
+        {"id": "1.6", "p": [3, 5, 7], "m": [1, 2], "k": "0..2", "n": [1], "q": [1]},
+    ]}))
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) > 100
+    assert any("/" in c for record in records for c in record["coeffs"])
+    for record in records:
+        order, coeffs = record["order"], record["coeffs"]
+        assert fields(CyclotomicElement.from_record(order, coeffs)) == fields(
+            CyclotomicElement(order, coeffs))
+
+
+#: Fraction or int() spellings of a coordinate, and JSON values that are
+#: not strings: none is what record() writes, so each is refused.
+UNWRITTEN = [
+    "1.5", "1e3", "+3", " 3", "3 ", "3\n", "3/", "/3", "--3", "", "1/-2", "1/0", "1/00",
+    "1/2/3", "0x10", "1_0", "\u0661", "1/\u0662", 3, True, 0.5, None,
+]
+
+
+@pytest.mark.parametrize("coeffs", [
+    *(["1", coeff] for coeff in UNWRITTEN),
+    ["1"], ["1", "0", "0"], "10", ("1", "0"), None,  # not a list of phi(4) = 2 entries
+])
+def test_from_record_rejects_what_record_never_writes(coeffs):
+    with pytest.raises(ValueError):
+        CyclotomicElement.from_record(4, coeffs)
 
 
 def test_non_integral_example():

@@ -25,7 +25,9 @@ from lcong.sweep import (
     write_records,
 )
 from lcong import bernoulli, congruences, power_sums, sweep, valuecache
-from lcong.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, build_parser, load_config, main
+from lcong.cli import (
+    EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, build_parser, load_config, main,
+)
 
 
 def stern_config(**kwargs):
@@ -437,6 +439,30 @@ class TestValueCache:
         self._sweep_with_cache(path, BernoulliCache())
         valuecache.clear(path)
         assert valuecache.entry_count(path) == 0
+
+
+def test_warm_sweep_reports_what_an_uncached_sweep_reports(tmp_path, capsys):
+    # The cache holds foreign moduli (ernvall's chi mod 8 and 16) as well
+    # as every value the 1.6 sweep needs, so the warm run computes nothing.
+    cache = tmp_path / "values.jsonl"
+    job = {"id": "1.6", "p": [3, 5, 7], "m": [1, 2], "k": "0..2", "n": [1, 2], "q": [1, 2]}
+    history = {"id": "ernvall", "chi_p": [2], "chi_m": [3, 4], "p": [3], "k": "1..6",
+               "l": [1], "n": [1]}
+
+    def run(name, jobs, **cache_option):
+        config, csv, records = (tmp_path / f"{name}.{ext}" for ext in ("json", "csv", "jsonl"))
+        config.write_text(json.dumps({
+            "jobs": jobs, "csv": str(csv), "records": str(records), **cache_option,
+        }))
+        assert main(["sweep", "--config", str(config)]) == EXIT_OK
+        return csv.read_bytes(), records.read_bytes().split(b"\n", 1)[1]
+
+    run("history", [history], cache=str(cache))
+    run("cold", [job], cache=str(cache))
+    warm_file = cache.read_bytes()
+    assert {json.loads(line)["p"] for line in warm_file.splitlines()} == {2, 3, 5, 7}
+    assert run("warm", [job], cache=str(cache)) == run("uncached", [job])
+    assert cache.read_bytes() == warm_file
 
 
 #: Every verdict shape: plain congruences (stern, 1.4), the three iff
