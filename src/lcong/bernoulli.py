@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from typing import Callable
 
 from .characters import DirichletCharacter, opposite_parity
 from .cyclotomic import CyclotomicElement
 
 CharKey = tuple[int, int, tuple[int, ...]]
+#: A twisted value, or a builder of it that is called on first lookup.
+Twisted = CyclotomicElement | Callable[[], CyclotomicElement]
 
 
 class DomainError(ValueError):
@@ -54,7 +57,7 @@ class BernoulliCache:
     def __init__(self):
         self._bernoulli: list[Fraction] = [Fraction(1)]
         self._euler: list[int] = [1]
-        self._twisted: dict[tuple[CharKey, int], CyclotomicElement] = {}
+        self._twisted: dict[tuple[CharKey, int], Twisted] = {}
         self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         #: keys written since the last persistence sync (see lcong.valuecache)
@@ -116,7 +119,7 @@ class BernoulliCache:
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:
         key = (chi.key(), k)
-        cached = self._twisted.get(key)
+        cached = self.stored_twisted(key)
         if cached is not None:
             return cached
         scale, row = self._row(chi.modulus, k)  # chi(0) = chi(f) = 0 stands in for a = f
@@ -125,8 +128,16 @@ class BernoulliCache:
         self.dirty_keys.add(key)
         return total
 
-    def store_twisted(self, key: tuple[CharKey, int], value: CyclotomicElement) -> None:
-        """Seed a precomputed twisted Bernoulli number (e.g. from a file cache)."""
+    def stored_twisted(self, key: tuple[CharKey, int]) -> CyclotomicElement | None:
+        """The value held for key, built now if it was seeded as a builder."""
+        value = self._twisted.get(key)
+        if value is not None and type(value) is not CyclotomicElement:
+            value = self._twisted[key] = value()
+        return value
+
+    def store_twisted(self, key: tuple[CharKey, int], value: Twisted) -> None:
+        """Seed a precomputed twisted Bernoulli number, or a builder called
+        for it on first lookup (e.g. from a file cache)."""
         self._twisted[key] = value
         self._script_l.pop((key[0], key[1] - 1), None)  # L*_(k-1) is built on B_(k,chi)
 

@@ -32,6 +32,8 @@ Valuation = Union[int, float]
 
 # record()'s coordinate text; [0-9] is ASCII only, unlike str.isdigit and int().
 _COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/0*([1-9][0-9]*))?")
+# Those texts joined by commas, which none of them holds.
+_COEFFICIENTS = re.compile(rf"{_COEFFICIENT.pattern}(?:,{_COEFFICIENT.pattern})*")
 
 
 def prime_factors(n: int) -> list[int]:
@@ -186,19 +188,28 @@ class CyclotomicElement:
             coeffs.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
         return {"order": self.order, "coeffs": coeffs}
 
-    @classmethod
-    def from_record(cls, order: int, coeffs: list[str]) -> "CyclotomicElement":
-        """The reader of record()'s text: exactly phi(N) strings, each "n" or
-        "n/d" in ASCII digits with d > 0, read into integers; else ValueError."""
+    @staticmethod
+    def check_record(order: int, coeffs: list[str]) -> str:
+        """record()'s text checked without building the element: exactly
+        phi(N) strings, each "n" or "n/d" in ASCII digits with d > 0, else
+        ValueError.  Returns them joined by commas, which one regex matches."""
         deg = _modulus(order)[0]
         if not isinstance(coeffs, list) or len(coeffs) != deg:
             raise ValueError(f"coeffs is not a list of {deg} coefficient strings")
-        fractions = []
-        for text in coeffs:
-            match = _COEFFICIENT.fullmatch(text) if isinstance(text, str) else None
-            if match is None:
-                raise ValueError(f"coefficient {text!r} is not n or n/d with d > 0")
-            fractions.append((int(match[1]), int(match[2] or 1)))
+        try:
+            text = ",".join(coeffs)
+        except TypeError:  # a coefficient that is not a string
+            text = ""
+        if text.count(",") != deg - 1 or not _COEFFICIENTS.fullmatch(text):
+            bad = next(c for c in coeffs if not (isinstance(c, str) and _COEFFICIENT.fullmatch(c)))
+            raise ValueError(f"coefficient {bad!r} is not n or n/d with d > 0")
+        return text
+
+    @classmethod
+    def from_record(cls, order: int, coeffs: list[str]) -> "CyclotomicElement":
+        """The reader of record()'s text, checked by check_record, into integers."""
+        text = cls.check_record(order, coeffs)
+        fractions = [(int(n), int(d or 1)) for n, d in _COEFFICIENT.findall(text)]
         den = math.lcm(*(d for _, d in fractions))
         return _new(order, [n * (den // d) for n, d in fractions], den)
 
@@ -349,8 +360,10 @@ class CyclotomicElement:
         return f"CyclotomicElement({self.order}, {self.record()['coeffs']})"
 
 
-def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=4096)
+def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
     """(s, c) with s * f == c (mod Phi_N) and c a nonzero integer; f != 0.
+    Memoised: a sweep divides by the same few elements 1 - chi(u) many times.
 
     Euclid on pseudo-remainders: every remainder r carries its cofactor s
     with s * f == r (mod Phi_N), each elimination step scales both by
@@ -376,7 +389,7 @@ def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[list[int], int]:
         r, s = _trim(r[:d1]), _reduce(s, order)
         g = math.gcd(*r, *s)
         r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
-    return _reduce(s1, order), r1[0]
+    return tuple(_reduce(s1, order)), r1[0]
 
 
 def _trim(poly: list[int]) -> list[int]:

@@ -8,6 +8,11 @@ coordination beyond O_APPEND.  A final line without its newline is what
 a crash during an append leaves: it is never trusted, only skipped with
 a warning, and the next append cuts it off.  A bad line anywhere else
 is a CacheError.
+
+Loading checks every line (UTF-8, JSON, each field, and the coefficient
+text by CyclotomicElement.check_record) but builds no element: the memo
+gets a builder per key, which its first lookup replaces by the value.
+read_entries, behind ``lcong cache verify``, builds every entry.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import lru_cache, partial
 from pathlib import Path
+from typing import Callable
 
 from .bernoulli import BernoulliCache, CharKey
 from .characters import MAX_TABLE_MODULUS, character, is_prime
@@ -49,60 +56,85 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
     return json_text(record)
 
 
-def _decode(line: str, lineno: int) -> tuple[CacheKey, CyclotomicElement]:
+@lru_cache(maxsize=None)
+def _character_key(p: int, m: int, order: int, chi: tuple[int, ...]) -> CharKey:
+    """A record's character key once its modulus fields and exponents pass
+    every check; ValueError otherwise."""
+    # m is bounded before p**m is formed; a value mod p^m lives in
+    # Q(zeta_N) with N = phi(p^m).
+    bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
+    if not (bounded and 2 <= p and p**m <= MAX_TABLE_MODULUS):
+        raise ValueError(f"modulus {p}^{m} out of range")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    # The generator orders: -1 and 5 for p = 2, m >= 3, else one of order N.
+    orders = (2, order // 2) if p == 2 and m >= 3 else (order,)
+    if len(chi) != len(orders):
+        raise ValueError(f"chi mod {p}^{m} needs {len(orders)} image exponent(s)")
+    if order != (p - 1) * p ** (m - 1):
+        raise ValueError(f"order {order} is not phi({p}^{m})")
+    if not all(0 <= e < n for e, n in zip(chi, orders)):
+        raise ValueError(f"chi {list(chi)} is not reduced mod the generator orders {list(orders)}")
+    return p, m, chi
+
+
+def _build(lineno: int, order: int, coeffs: list[str]) -> CyclotomicElement:
     try:
-        record = json.loads(line)
+        return CyclotomicElement.from_record(order, coeffs)
+    except ValueError as exc:
+        raise CacheError(f"corrupt cache record at line {lineno}: {exc}") from exc
+
+
+def _check(line: bytes, lineno: int) -> tuple[CacheKey, Callable[[], CyclotomicElement]]:
+    """The key of a line that passes every record check, and a builder of
+    its value; CacheError otherwise."""
+    try:
+        record = json.loads(line.decode("utf-8"))
         fields = (record["p"], record["m"], record["k"], record["order"], *record["chi"])
         if not all(type(x) is int for x in fields):  # JSON ints: no bool, no float
             raise ValueError(f"p, m, k, order and chi {list(fields)} are not all integers")
         p, m, k, order, *chi = fields
-        # m is bounded before p**m is formed; a value mod p^m lives in
-        # Q(zeta_N) with N = phi(p^m).
-        bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
-        if not (bounded and 2 <= p and p**m <= MAX_TABLE_MODULUS):
-            raise ValueError(f"modulus {p}^{m} out of range")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        # The generator orders: -1 and 5 for p = 2, m >= 3, else one of order N.
-        orders = (2, order // 2) if p == 2 and m >= 3 else (order,)
-        if len(chi) != len(orders):
-            raise ValueError(f"chi mod {p}^{m} needs {len(orders)} image exponent(s)")
-        if order != (p - 1) * p ** (m - 1):
-            raise ValueError(f"order {order} is not phi({p}^{m})")
-        if not all(0 <= e < n for e, n in zip(chi, orders)):
-            raise ValueError(f"chi {chi} is not reduced mod the generator orders {list(orders)}")
+        # Memoised on ints only: True == 1 would share a key.
+        char = _character_key(p, m, order, tuple(chi))
         if k < 0:
             raise ValueError(f"k {k} is negative")
-        value = CyclotomicElement.from_record(order, record["coeffs"])
-    except (ValueError, KeyError, TypeError) as exc:
+        coeffs = record["coeffs"]
+        CyclotomicElement.check_record(order, coeffs)
+    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
         raise CacheError(f"corrupt cache record at line {lineno}: {exc}") from exc
-    return ((p, m, tuple(chi)), k), value
+    return (char, k), partial(_build, lineno, order, coeffs)
+
+
+def _builders(path: Path | str) -> dict[CacheKey, Callable[[], CyclotomicElement]]:
+    """Every line checked, later lines overriding earlier ones with the same
+    key; each value is left for its builder to read.  No file, no entries."""
+    entries = {}
+    if not Path(path).exists():
+        return entries
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if not line.endswith(b"\n"):
+                print(f"warning: skipping unterminated last line {lineno} of {path}",
+                      file=sys.stderr)
+                continue
+            key, build = _check(line, lineno)
+            entries[key] = build
+    return entries
 
 
 def read_entries(path: Path | str) -> dict[CacheKey, CyclotomicElement]:
     """All records, later lines overriding earlier ones with the same key."""
-    entries: dict[CacheKey, CyclotomicElement] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
-                print(f"warning: skipping unterminated last line {lineno} of {path}",
-                      file=sys.stderr)
-                continue
-            key, value = _decode(line, lineno)
-            entries[key] = value
-    return entries
+    return {key: build() for key, build in _builders(path).items()}
 
 
 def load_into(path: Path | str, cache: BernoulliCache) -> int:
-    """Seed a memo cache from the file; returns the number of entries."""
-    path = Path(path)
-    if not path.exists():
-        return 0
-    entries = read_entries(path)
-    for key, value in entries.items():
-        cache.store_twisted(key, value)
+    """Seed a memo cache from the file, every line checked but each value
+    built on its first lookup; returns the number of entries."""
+    entries = _builders(path)
+    for key, build in entries.items():
+        cache.store_twisted(key, build)
     return len(entries)
 
 
@@ -126,7 +158,7 @@ def append_corrections(path: Path | str, fresh: BernoulliCache, loaded: Bernoull
     """Append the values ``fresh`` computed that ``loaded`` lacks or holds
     differently; last-entry-wins then heals the file.  Returns the count."""
     fresh.dirty_keys = {
-        key for key in fresh.dirty_keys if loaded._twisted.get(key) != fresh._twisted[key]
+        key for key in fresh.dirty_keys if loaded.stored_twisted(key) != fresh._twisted[key]
     }
     return append_new(path, fresh)
 
@@ -143,10 +175,7 @@ def _truncate_torn_tail(path: Path) -> None:
 
 
 def entry_count(path: Path | str) -> int:
-    path = Path(path)
-    if not path.exists():
-        return 0
-    return len(read_entries(path))
+    return len(_builders(path))
 
 
 def clear(path: Path | str) -> None:
@@ -159,9 +188,6 @@ def verify(path: Path | str, limit: int | None = None) -> list[str]:
     Returns the serialized keys of any mismatches; raises CacheError if
     the file cannot be parsed.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
     entries = read_entries(path)
     fresh = BernoulliCache()
     mismatches = []

@@ -16,7 +16,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from lcong.bernoulli import BernoulliCache, euler_number, l_value
+from lcong.bernoulli import BernoulliCache, ParityError, euler_number, l_value
 from lcong.characters import (
     character,
     enumerate_characters,
@@ -414,6 +414,41 @@ def test_criterion7_shift_iff_valuation_beyond_m2():
     report("7 (1.8 beyond m = 2)",
            "margin = val_p(h) and congruent iff p^n | h at all 5154 verdicts "
            "for conductors 27, 81, 125", t0)
+
+
+#: Criterion 7's 1.6/1.7 grids beyond m = 2, every instance checked:
+#: (p, m, k range, n values) -> {(branch, holds, margin - n): verdicts}
+#: and the parity skips (q runs over 1 and 2 throughout).
+_BRANCH_MARGINS_BEYOND_M2 = [
+    ((3, 3, range(13), (1, 2, 3)), {("ii", True, 0): 468}, 468),
+    ((3, 4, range(5), (1, 2)), {("ii", True, 0): 360}, 360),
+    ((5, 3, range(5), (1, 2)), {("i", True, 0): 160, ("ii", True, 0): 640}, 800),
+]
+
+
+def test_criterion7_branch_margins_beyond_m2():
+    """The 1.6/1.7 shift congruence at conductors 27, 81 and 125: every
+    verdict holds with margin exactly n, in branch (ii) only at 27 and 81
+    and in both branches at 125."""
+    t0 = time.perf_counter()
+    for (p, m, ks, ns), expected, parity_skips in _BRANCH_MARGINS_BEYOND_M2:
+        cache, histogram, skips = BernoulliCache(), {}, 0
+        for chi in enumerate_primitive(p, m):
+            for k in ks:
+                for n in ns:
+                    for q in (1, 2):
+                        try:
+                            v = verify_lvalue_shift_odd(chi, k, n, q, cache=cache)
+                        except ParityError:
+                            skips += 1
+                            continue
+                        assert v.required_modulus_exponent == n, v.params
+                        key = (v.branch, v.holds, v.observed_margin - n)
+                        histogram[key] = histogram.get(key, 0) + 1
+        assert histogram == expected, p**m
+        assert skips == parity_skips, p**m
+    report("7 (1.6/1.7 beyond m = 2)",
+           "all 1628 verdicts hold with margin exactly n at conductors 27, 81, 125", t0)
 
 
 def test_criterion8_classical_checks():

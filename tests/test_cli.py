@@ -12,6 +12,9 @@ from lcong.cli import (
     main,
     parse_values,
 )
+from lcong import valuecache
+from lcong.bernoulli import BernoulliCache
+from lcong.characters import character
 from lcong.sweep import ConfigError
 
 
@@ -334,21 +337,51 @@ class TestCacheCommand:
         ("chi", [0, 1.0], "p, m, k, order and chi [2, 3, 2, 4, 0, 1.0] are not all integers"),
         ("chi", "01", "p, m, k, order and chi [2, 3, 2, 4, '0', '1'] are not all integers"),
         ("chi", [0, 9], "chi [0, 9] is not reduced mod the generator orders [2, 2]"),
+        ("coeffs", ["1,2"], "coeffs is not a list of 2 coefficient strings"),
+        ("coeffs", ["2", 0], "coefficient 0 is not n or n/d with d > 0"),
     ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent",
             "short-coeffs", "string-coeffs", "non-string-coeffs", "non-ascii-digit",
             "float-k", "negative-k", "bool-p", "float-exponent", "string-chi",
-            "unreduced-exponent"])
+            "unreduced-exponent", "comma-in-coeff", "int-coeff"])
     def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
         # A record for B_(2,chi), chi = 8:0,1, with one field broken.
         record = {"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}
         path = tmp_path / "values.jsonl"
-        path.write_text(json.dumps({**record, field: value}) + "\n")
         sweep = ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1",
                  "--cache", str(path)]
-        for argv in (sweep, ["cache", "verify", "--path", str(path)]):
+        # The broken record on line 1, keyed to a value the sweep looks up;
+        # then on line 2, after that record intact, keyed to chi = 8:1,1,
+        # which the sweep never looks up (1.4 skips it for its parity).
+        # Every line is checked on load, so both forms fail the same way.
+        unused = {**record, "chi": [1, 1], field: value}
+        for text, lineno, expected in (
+            (json.dumps({**record, field: value}) + "\n", 1, message),
+            (json.dumps(record) + "\n" + json.dumps(unused) + "\n", 2,
+             message.replace("4, 0, 1]", "4, 1, 1]")),
+        ):
+            path.write_text(text)
+            for argv in (sweep, ["cache", "verify", "--path", str(path)]):
+                assert main(argv) == EXIT_INTERNAL
+                assert capsys.readouterr().err.splitlines() == [
+                    f"cache error: corrupt cache record at line {lineno}: {expected}"
+                ]
+
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_undecodable_line_is_a_cache_error(self, tmp_path, capsys, lineno):
+        valid = '{"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}\n'
+        path = tmp_path / "values.jsonl"
+        path.write_bytes(valid.encode() * (lineno - 1) + b"\xff\xfe\n")
+        for argv in (
+            ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--cache", str(path)],
+            ["cache", "stat", "--path", str(path)],
+            ["cache", "verify", "--path", str(path)],
+        ):
             assert main(argv) == EXIT_INTERNAL
-            assert capsys.readouterr().err.splitlines() == [
-                f"cache error: corrupt cache record at line 1: {message}"
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"cache error: corrupt cache record at line {lineno}: 'utf-8' codec can't "
+                "decode byte 0xff in position 0: invalid start byte"
             ]
 
     def test_stat_of_a_corrupt_cache_is_a_cache_error(self, tmp_path, capsys):
@@ -409,6 +442,39 @@ class TestCacheCommand:
         assert "0 mismatches" in capsys.readouterr().out
         assert main(args) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_wrong_cached_value_among_foreign_entries_is_recomputed(self, tmp_path, capsys):
+        # As above, with values for chi mod 16 in the file, which no 1.4 run
+        # mod 8 builds: the recheck appends the one corrected line only.
+        path = tmp_path / "values.jsonl"
+        history = tmp_path / "history.json"
+        history.write_text(json.dumps({"cache": str(path), "jobs": [
+            {"id": "ernvall", "chi_p": [2], "chi_m": [4], "p": [3], "k": "1..6", "l": [1],
+             "n": [1]},
+        ]}))
+        assert main(["sweep", "--config", str(history)]) == EXIT_OK
+        args = ["verify", "1.4", "--m", "3", "--chi", "0,1", "--k", "1",
+                "--n", "1", "--q", "1", "--cache", str(path)]
+        assert main(args) == EXIT_OK
+        good = path.read_text()
+        assert good.count('["-44", "0"]') == 1
+        path.write_text(good.replace('["-44", "0"]', '["-45", "0"]'))
+        before = path.read_text().splitlines()
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        lines = path.read_text().splitlines()
+        assert lines[:-1] == before and '["-44", "0"]' in lines[-1]
+
+        # append_corrections builds what it compares: a loaded cache whose
+        # values are all still unbuilt agrees with a fresh computation.
+        loaded, fresh = BernoulliCache(), BernoulliCache()
+        assert valuecache.load_into(path, loaded) == len(lines) - 1
+        chi = character(2, 3, (0, 1))
+        for k in (2, 4):
+            fresh.twisted_bernoulli(chi, k)
+        assert valuecache.append_corrections(path, fresh, loaded) == 0
+        assert path.read_text().splitlines() == lines
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_verify_limit_below_one_is_a_config_error(self, tmp_path, capsys, limit):

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle as oracle
 from lcong.cli import EXIT_OK, main
-from lcong.cyclotomic import CyclotomicElement, euler_phi, p_content_valuation
+from lcong.cyclotomic import CyclotomicElement, _bezout_constant, euler_phi, p_content_valuation
 
 ORDERS = (1, 3, 4, 5, 8, 9, 12, 20, 25, 42)
 # Operand orders whose common field stays small enough for the oracle.
@@ -81,10 +81,26 @@ def test_ring_operations(ops):
 @settings(max_examples=100, deadline=None)
 @given(operands())
 def test_division_and_inverse(ops):
+    # Twice: first with the Bezout memo cold, then answered from it.
     (x, ox), (y, oy) = ops
     assume(not y.is_zero())
-    assert as_oracle(y.inverse()) == oracle.inverse(oy)
-    assert as_oracle(x / y) == oracle.mul(ox, oracle.inverse(oy))
+    _bezout_constant.cache_clear()
+    for memo in ("cold", "warm"):
+        assert as_oracle(y.inverse()) == oracle.inverse(oy), memo
+        assert as_oracle(x / y) == oracle.mul(ox, oracle.inverse(oy)), memo
+        if memo == "cold":
+            misses = _bezout_constant.cache_info().misses
+    assert _bezout_constant.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_bezout_constant_is_memoised_as_tuples(order):
+    # Callers share the memoised answer, so it must be immutable.
+    x = CyclotomicElement(order, [2, 1, 0, 3])
+    s, c = answer = _bezout_constant(x.num, order)
+    assert type(s) is tuple and all(type(v) is int for v in s) and type(c) is int and c != 0
+    assert _bezout_constant(x.num, order) is answer
+    assert CyclotomicElement(order, s) * CyclotomicElement(order, x.num) == c
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from lcong import DomainError, ParityError, UndefinedCaseError
 from lcong.bernoulli import BernoulliCache
 from lcong.characters import character
+from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import (
     ConfigError,
     SweepConfig,
@@ -434,6 +435,20 @@ class TestValueCache:
         bad = valuecache.verify(path)
         assert len(bad) == 1 and f"k={record['k']}" in bad[0]
 
+    def test_value_that_fails_to_build_on_lookup_names_its_line(self, tmp_path):
+        # Load runs every check from_record runs, so no line that loads can
+        # fail to build; should a builder's text stop reading, its lookup
+        # still raises CacheError naming the line, not a bare ValueError.
+        path = tmp_path / "values.jsonl"
+        self._sweep_with_cache(path, BernoulliCache())
+        cache = BernoulliCache()
+        valuecache.load_into(path, cache)
+        (char_key, k), build = next(iter(cache._twisted.items()))
+        build.args[2][0] = "1/0"  # the first coefficient of line 1
+        with pytest.raises(valuecache.CacheError,
+                           match=r"line 1: coefficient '1/0' is not n or n/d"):
+            cache.twisted_bernoulli(character(*char_key), k)
+
     def test_clear(self, tmp_path):
         path = tmp_path / "values.jsonl"
         self._sweep_with_cache(path, BernoulliCache())
@@ -463,6 +478,35 @@ def test_warm_sweep_reports_what_an_uncached_sweep_reports(tmp_path, capsys):
     assert {json.loads(line)["p"] for line in warm_file.splitlines()} == {2, 3, 5, 7}
     assert run("warm", [job], cache=str(cache)) == run("uncached", [job])
     assert cache.read_bytes() == warm_file
+
+
+def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
+    # Load checks every line of a file holding ernvall's foreign moduli and
+    # 1.6's own values, but builds a value only when the sweep looks it up:
+    # exactly the keys an uncached run computes, each equal field for field
+    # to what read_entries builds eagerly.  The others stay unbuilt.
+    path = tmp_path / "values.jsonl"
+    job = SweepJob("1.6", {"p": [3, 5, 7], "m": [1, 2], "k": "0..2", "n": [1, 2], "q": [1, 2]})
+    history = SweepJob("ernvall", {"chi_p": [2], "chi_m": [3, 4], "p": [3], "k": "1..6",
+                                   "l": [1], "n": [1]})
+    filled = BernoulliCache()
+    run_sweep(SweepConfig(jobs=(history, job)), cache=filled)
+    valuecache.append_new(path, filled)
+    uncached = BernoulliCache()
+    expected = csv_text(run_sweep(SweepConfig(jobs=(job,)), cache=uncached))
+    used = set(uncached._twisted)
+
+    warm = BernoulliCache()
+    eager = valuecache.read_entries(path)
+    assert valuecache.load_into(path, warm) == len(eager)
+    assert csv_text(run_sweep(SweepConfig(jobs=(job,)), cache=warm)) == expected
+    assert not warm.dirty_keys and set(warm._twisted) == set(eager)
+    built = {key for key, value in warm._twisted.items() if type(value) is CyclotomicElement}
+    assert built == used and len(used) < len(eager)
+    for key in used:
+        value = warm._twisted[key]
+        assert (value.order, value.num, value.den) == (eager[key].order, eager[key].num,
+                                                       eager[key].den)
 
 
 #: Every verdict shape: plain congruences (stern, 1.4), the three iff
