@@ -1,23 +1,27 @@
 """Bernoulli numbers, Euler (secant) numbers, character-twisted Bernoulli
 numbers, and Dirichlet L-values at non-positive integers.
 
-Everything is exact.  Twisted Bernoulli numbers B_(k,chi) come from
-Bernoulli polynomials (Washington, GTM 83, Prop. 4.1),
+Everything is exact.  B_k and E_k both read one integer triangle, Seidel's
+boustrophedon, whose row n ends in the zigzag number A_n; with the tangent
+numbers T_i = A_(2i-1) (Brent and Harvey, arXiv:1108.0286),
+
+    B_(2i) = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)),  B_1 = -1/2,  B_odd = 0,
+    E_(2i) = (-1)^i A_(2i),  E_odd = 0   (secant numbers: E_k = 2 L(-k, chi_-4)).
+
+Twisted Bernoulli numbers B_(k,chi) come from Bernoulli polynomials
+(Washington, GTM 83, Prop. 4.1),
 
     B_(k,chi) = f^(k-1) * sum_(a=1..f) chi(a) * B_k(a/f),   f = modulus of chi,
 
 whose weights depend on (f, k) only, so one integer row per modulus and
 index serves every character.  L(-k, chi) = -B_(k+1,chi)/(k+1)
 whenever k and chi have opposite parity.
-
-The Euler numbers use the secant generating function 2/(e^t + e^(-t)),
-i.e. E_0 = 1, E_odd = 0; this normalization is the one under which
-E_k = 2 L(-k, chi_-4) holds exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 from typing import Callable
 
@@ -45,9 +49,10 @@ class UndefinedCaseError(DomainError):
 
 
 class BernoulliCache:
-    """Memo store for B_k, E_k, B_(k,chi), the per-modulus integer rows
-    the twisted values are built from, and the unit-normalized values
-    L*_k of ``script_l`` keyed by (chi.key(), k).
+    """Memo store for Seidel's triangle (the zigzag numbers A_n and its last
+    row; B_(2i) from T_i = A_(2i-1), E_(2i) = (-1)^i A_(2i)), B_k, B_(k,chi),
+    the per-modulus integer rows the twisted values are built from, and
+    the unit-normalized values L*_k of ``script_l`` keyed by (chi.key(), k).
 
     The L* memo is derived from the twisted values, never persisted (the
     file cache holds B_(k,chi) only), and seeding a twisted value drops
@@ -55,8 +60,9 @@ class BernoulliCache:
     """
 
     def __init__(self):
+        self._seidel: list[int] = [1]
+        self._zigzag_numbers: list[int] = [1]
         self._bernoulli: list[Fraction] = [Fraction(1)]
-        self._euler: list[int] = [1]
         self._twisted: dict[tuple[CharKey, int], Twisted] = {}
         self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
@@ -65,34 +71,28 @@ class BernoulliCache:
 
     # -- classical sequences -------------------------------------------
 
+    def _zigzag(self, n: int) -> int:
+        while len(self._zigzag_numbers) <= n:
+            self._seidel = [0, *accumulate(reversed(self._seidel))]
+            self._zigzag_numbers.append(self._seidel[-1])
+        return self._zigzag_numbers[n]
+
     def bernoulli(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        while len(self._bernoulli) <= k:
-            j = len(self._bernoulli)
-            # sum_(i<=j) C(j+1, i) B_i = 0  for j >= 1
-            acc = sum(
-                comb(j + 1, i) * b for i, b in enumerate(self._bernoulli)
-            )
-            self._bernoulli.append(Fraction(-acc, j + 1))
+        while (j := len(self._bernoulli)) <= k:
+            if j % 2:
+                self._bernoulli.append(Fraction(-1 if j == 1 else 0, 2))
+            else:
+                q = 4 ** (j // 2)  # B_j = (-1)^(j/2-1) j T_(j/2) / (q (q-1))
+                t = self._zigzag(j - 1)
+                self._bernoulli.append(Fraction((-1) ** (j // 2 - 1) * j * t, q * (q - 1)))
         return self._bernoulli[k]
 
     def euler(self, k: int) -> int:
         if k < 0:
             raise ValueError("Euler index must be >= 0")
-        while len(self._euler) <= k:
-            j = len(self._euler)
-            if j % 2:
-                self._euler.append(0)
-                continue
-            # sum over even i <= j of C(j, i) E_i = 0  for even j >= 2
-            acc = sum(
-                comb(j, i) * e
-                for i, e in enumerate(self._euler)
-                if i % 2 == 0
-            )
-            self._euler.append(-acc)
-        return self._euler[k]
+        return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
     # -- twisted values ------------------------------------------------
 

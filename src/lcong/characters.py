@@ -62,22 +62,23 @@ class UnitGroup:
         return self.dlog.get(a % self.modulus)
 
 
-def build_unit_group(p: int, m: int, *, max_modulus: int = MAX_TABLE_MODULUS) -> UnitGroup:
+def build_unit_group(p: int, m: int) -> UnitGroup:
     """Generators and discrete logs for (Z/p^m)*.
 
     Odd p uses the smallest primitive root; p = 2, m >= 3 uses the pair
     (-1, 5).  The degenerate modulus 2 gets the trivial one-generator
     presentation so that the lone character mod 2 is still expressible.
     """
+    if m < 1 or p < 2:
+        raise ValueError(f"{p}^{m} is not a prime power p^m with m >= 1")
+    # m is bounded before p**m is formed, and p**m before p is trial-divided.
+    if m >= MAX_TABLE_MODULUS.bit_length():  # then p^m >= 2^m exceeds the bound
+        raise ResourceLimitError(f"modulus {p}^{m} exceeds dlog table bound {MAX_TABLE_MODULUS}")
+    modulus = p**m
+    if modulus > MAX_TABLE_MODULUS:
+        raise ResourceLimitError(f"modulus {modulus} exceeds dlog table bound {MAX_TABLE_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("exponent m must be >= 1")
-    modulus = p**m
-    if modulus > max_modulus:
-        raise ResourceLimitError(
-            f"modulus {modulus} exceeds dlog table bound {max_modulus}"
-        )
 
     if p == 2 and m == 1:
         generators: tuple[tuple[int, int], ...] = ((1, 1),)

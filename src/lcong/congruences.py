@@ -18,6 +18,7 @@ from typing import Optional
 from .bernoulli import (
     DEFAULT_CACHE,
     BernoulliCache,
+    DomainError,
     ParityError,
     l_value,
     script_l,
@@ -39,7 +40,7 @@ from .cyclotomic import (
     rational_valuation,
     root_of_unity_order,
 )
-from .power_sums import DomainError, floor_weighted_sum, power_sum
+from .power_sums import floor_weighted_sum, power_sum
 
 
 @dataclass(frozen=True)

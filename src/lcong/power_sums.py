@@ -52,13 +52,8 @@ def floor_weighted_sum(
     if a % p == 0:
         raise DomainError(f"a={a} is divisible by p={p}")
     modulus = p**n
-    if chi is None:
-        total = 0
-        for j in range(1, modulus):
-            total += j**k * (j * a // modulus)
-        return CyclotomicElement.from_rational(total)
-    f = chi.modulus
-    per_class = [0] * f
+    per_class = [0] * (chi.modulus if chi else 1)
+    f = len(per_class)
     for j in range(1, modulus):
         per_class[j % f] += j**k * (j * a // modulus)
-    return chi.weighted_sum(per_class)
+    return chi.weighted_sum(per_class) if chi else CyclotomicElement.from_rational(per_class[0])

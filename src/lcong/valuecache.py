@@ -12,7 +12,7 @@ is a CacheError.
 Loading checks every line (UTF-8, JSON, each field, and the coefficient
 text by CyclotomicElement.check_record) but builds no element: the memo
 gets a builder per key, which its first lookup replaces by the value.
-read_entries, behind ``lcong cache verify``, builds every entry.
+``lcong cache verify`` builds only the entries it recomputes.
 """
 
 from __future__ import annotations
@@ -124,11 +124,6 @@ def _builders(path: Path | str) -> dict[CacheKey, Callable[[], CyclotomicElement
     return entries
 
 
-def read_entries(path: Path | str) -> dict[CacheKey, CyclotomicElement]:
-    """All records, later lines overriding earlier ones with the same key."""
-    return {key: build() for key, build in _builders(path).items()}
-
-
 def load_into(path: Path | str, cache: BernoulliCache) -> int:
     """Seed a memo cache from the file, every line checked but each value
     built on its first lookup; returns the number of entries."""
@@ -188,15 +183,13 @@ def verify(path: Path | str, limit: int | None = None) -> list[str]:
     Returns the serialized keys of any mismatches; raises CacheError if
     the file cannot be parsed.
     """
-    entries = read_entries(path)
     fresh = BernoulliCache()
     mismatches = []
-    for i, (key, value) in enumerate(sorted(entries.items())):
-        if limit is not None and i >= limit:
-            break
+    # Keys are unique, so sorting never compares two builders.
+    for key, build in sorted(_builders(path).items())[:limit]:
         (p, m, images), k = key
-        chi = character(p, m, images)
-        recomputed = fresh.twisted_bernoulli(chi, k)
+        value = build()
+        recomputed = fresh.twisted_bernoulli(character(p, m, images), k)
         if not (recomputed.order == value.order and recomputed == value):
             mismatches.append(f"p={p} m={m} chi={list(images)} k={k}")
     return mismatches

@@ -1,9 +1,11 @@
 """Slow routes through Bernoulli polynomials, kept as test oracles.
 
-lcong builds twisted Bernoulli numbers from integer rows per modulus and
-twisted power sums by bucketing residues; these routes evaluate the
-textbook formulas instead:
+lcong reads B_k and E_k off Seidel's integer triangle, builds twisted
+Bernoulli numbers from integer rows per modulus and twisted power sums
+by bucketing residues; these routes evaluate the textbook formulas
+instead:
 
+    sum_(i<=j) C(j+1, i) B_i = 0,   sum_(even i<=j) C(j, i) E_i = 0,
     B_k(x) = sum_j C(k,j) B_j x^(k-j),
     S_k(n, chi) = (B_(k+1,chi)(n) - B_(k+1,chi)) / (k+1),
     B_(k,chi)(x) = sum_j C(k,j) B_(j,chi) x^(k-j).
@@ -17,6 +19,22 @@ from math import comb
 from lcong.bernoulli import DomainError, bernoulli_number, generalized_bernoulli
 from lcong.characters import DirichletCharacter
 from lcong.cyclotomic import CyclotomicElement
+
+
+def bernoulli_recurrence(limit: int) -> list[Fraction]:
+    """B_0..B_limit from sum_(i<=j) C(j+1, i) B_i = 0 for j >= 1."""
+    bs = [Fraction(1)]
+    for j in range(1, limit + 1):
+        bs.append(Fraction(-sum(comb(j + 1, i) * b for i, b in enumerate(bs)), j + 1))
+    return bs
+
+
+def euler_recurrence(limit: int) -> list[int]:
+    """E_0..E_limit from sum over even i <= j of C(j, i) E_i = 0 for even j >= 2."""
+    es = [1]
+    for j in range(1, limit + 1):
+        es.append(0 if j % 2 else -sum(comb(j, i) * e for i, e in enumerate(es) if i % 2 == 0))
+    return es
 
 
 def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:

@@ -25,7 +25,7 @@ from lcong.characters import (
     opposite_parity,
 )
 from lcong.cyclotomic import CyclotomicElement, p_content_valuation
-from bernoulli_oracle import bernoulli_polynomial
+from bernoulli_oracle import bernoulli_polynomial, bernoulli_recurrence, euler_recurrence
 from fraction_oracle import coordinates
 from moment_oracle import moment_twisted_bernoulli
 
@@ -136,6 +136,50 @@ class TestEulerNumbers:
 
     def test_odd_vanishing(self):
         assert all(euler_number(k) == 0 for k in range(1, 40, 2))
+
+
+class TestSeidelTriangle:
+    """B_k and E_k both read one integer triangle.  The binomial
+    recurrences are the slow route for k <= 300; beyond them, von
+    Staudt-Clausen and the signs check every even k <= 1000."""
+
+    LIMIT = 1000
+
+    @pytest.fixture(scope="class")
+    def recurrences(self):
+        return bernoulli_recurrence(300), euler_recurrence(300)
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        cache = BernoulliCache()
+        cache.bernoulli(self.LIMIT)
+        return cache
+
+    def test_one_index_at_a_time_matches_the_recurrences(self, recurrences):
+        cache = BernoulliCache()
+        values = [(cache.bernoulli(k), cache.euler(k)) for k in range(301)]
+        assert [b for b, _ in values] == recurrences[0]
+        assert [e for _, e in values] == recurrences[1]
+        assert all(type(b) is Fraction and type(e) is int for b, e in values)
+
+    @pytest.mark.parametrize("first", ["bernoulli", "euler"])
+    def test_one_jump_matches_the_recurrences(self, recurrences, first):
+        cache = BernoulliCache()
+        getattr(cache, first)(300)
+        assert [cache.bernoulli(k) for k in range(301)] == recurrences[0]
+        assert [cache.euler(k) for k in range(301)] == recurrences[1]
+
+    def test_von_staudt_clausen_and_bernoulli_signs(self, grown):
+        primes = [q for q in range(2, self.LIMIT + 2) if all(q % d for d in range(2, q))]
+        for k in range(2, self.LIMIT + 1, 2):
+            b = grown.bernoulli(k)
+            assert b.denominator == math.prod(q for q in primes if k % (q - 1) == 0), k
+            assert (b > 0) == (k % 4 == 2), k
+
+    def test_euler_numbers_are_odd_with_alternating_signs(self, grown):
+        for k in range(0, self.LIMIT + 1, 2):
+            e = grown.euler(k)
+            assert e % 2 == 1 and (e > 0) == (k % 4 == 0), k
 
 
 class TestTwistedBernoulli:

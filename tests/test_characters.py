@@ -49,7 +49,7 @@ class TestUnitGroup:
 
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
-            build_unit_group(2, 3, max_modulus=4)
+            build_unit_group(2, 18)
 
     def test_smallest_primitive_root(self):
         assert smallest_primitive_root(3, 2) == 2

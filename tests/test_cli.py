@@ -15,6 +15,7 @@ from lcong.cli import (
 from lcong import valuecache
 from lcong.bernoulli import BernoulliCache
 from lcong.characters import character
+from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import ConfigError
 
 
@@ -487,6 +488,27 @@ class TestCacheCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == ["configuration error: --limit must be >= 1"]
 
+    def test_verify_limit_builds_only_the_entries_it_compares(self, tmp_path, monkeypatch,
+                                                              capsys):
+        path = tmp_path / "values.jsonl"
+        assert main(["verify", "1.4", "--m", "3", "--k", "1,3,5", "--n", "1", "--q", "1",
+                     "--cache", str(path)]) == EXIT_OK
+        entries = valuecache.entry_count(path)
+        assert entries > 2
+        from_record = CyclotomicElement.from_record
+        built = []
+
+        def counted(order, coeffs):
+            built.append(order)
+            return from_record(order, coeffs)
+
+        monkeypatch.setattr(CyclotomicElement, "from_record", counted)
+        for argv, count in ((["--limit", "1"], 1), ([], entries)):
+            built.clear()
+            assert main(["cache", "verify", "--path", str(path), *argv]) == EXIT_OK
+            assert "0 mismatches" in capsys.readouterr().out
+            assert len(built) == count
+
     def test_default_path_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LCONG_CACHE_DIR", str(tmp_path))
         assert main(["cache", "stat"]) == EXIT_OK
@@ -513,6 +535,27 @@ class TestConsoleScript:
         assert result.returncode == EXIT_CONFIG
         assert result.stderr.splitlines() == [
             "error: modulus 531441 exceeds dlog table bound 200000"
+        ]
+
+    @pytest.mark.parametrize("argv, modulus", [
+        (["verify", "1.6", "--p", "3", "--m", "100000000"], "3^100000000"),
+        (["verify", "1.6", "--p", "3", "--m", "10000000"], "3^10000000"),
+        (["verify", "1.6", "--p", "2305843009213693951", "--m", "1"], "2305843009213693951"),
+        (["table", "l-values", "--p", "2305843009213693951", "--m", "1", "--chi", "1"],
+         "2305843009213693951"),
+    ], ids=["huge-m", "large-m", "huge-p", "table-huge-p"])
+    def test_modulus_is_bounded_before_it_is_formed(self, argv, modulus):
+        # m is bounded before p**m is formed, and p**m before p is
+        # trial-divided, so each of these exits at once.
+        if argv[0] == "verify":
+            argv = [*argv, "--k", "0", "--n", "1", "--q", "1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", *argv],
+            capture_output=True, text=True, timeout=2,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            f"error: modulus {modulus} exceeds dlog table bound 200000"
         ]
 
     def test_unexpected_error_exits_three_without_traceback(self):

@@ -484,7 +484,8 @@ def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
     # Load checks every line of a file holding ernvall's foreign moduli and
     # 1.6's own values, but builds a value only when the sweep looks it up:
     # exactly the keys an uncached run computes, each equal field for field
-    # to what read_entries builds eagerly.  The others stay unbuilt.
+    # to what every builder of the file builds eagerly.  The others stay
+    # unbuilt.
     path = tmp_path / "values.jsonl"
     job = SweepJob("1.6", {"p": [3, 5, 7], "m": [1, 2], "k": "0..2", "n": [1, 2], "q": [1, 2]})
     history = SweepJob("ernvall", {"chi_p": [2], "chi_m": [3, 4], "p": [3], "k": "1..6",
@@ -497,7 +498,7 @@ def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
     used = set(uncached._twisted)
 
     warm = BernoulliCache()
-    eager = valuecache.read_entries(path)
+    eager = {key: build() for key, build in valuecache._builders(path).items()}
     assert valuecache.load_into(path, warm) == len(eager)
     assert csv_text(run_sweep(SweepConfig(jobs=(job,)), cache=warm)) == expected
     assert not warm.dirty_keys and set(warm._twisted) == set(eager)
