@@ -16,7 +16,7 @@ from lcong import (
 # The unit group mod 8 needs two generators:
 group = build_unit_group(2, 3)
 print("generators of (Z/8)*:", group.generators)
-print("3 = (-1)^1 * 5^1 mod 8:", group.exponents(3))
+print("3 = (-1)^1 * 5^1 mod 8:", group.dlog[3])
 
 # The quadratic character of conductor 4 (the one behind the Euler numbers):
 chi4 = chi_minus4()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicElement, euler_phi, prime_factors, zeta
@@ -20,11 +20,19 @@ from .cyclotomic import CyclotomicElement, euler_phi, prime_factors, zeta
 MAX_TABLE_MODULUS = 200_000
 
 
-class ResourceLimitError(RuntimeError):
-    """Modulus too large for the exhaustive discrete-log table."""
+class ResourceLimitError(ValueError):
+    """Modulus or prime too large for the exhaustive discrete-log table."""
+
+
+def check_bound(n: int, name: str = "modulus") -> None:
+    if n > MAX_TABLE_MODULUS:
+        raise ResourceLimitError(f"{name} {n} exceeds dlog table bound {MAX_TABLE_MODULUS}")
 
 
 def is_prime(n: int) -> bool:
+    """Trial division, so n > MAX_TABLE_MODULUS is refused first: every
+    congruence prime and conductor prime passes here."""
+    check_bound(n, "prime")
     return n >= 2 and prime_factors(n) == [n]
 
 
@@ -49,21 +57,19 @@ def smallest_primitive_root(p: int, m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """(Z/p^m)* presented by explicit generators and a full dlog table."""
+    """(Z/p^m)* by generators and a dlog table; one shared, read-only instance per (p, m)."""
 
     p: int
     m: int
     modulus: int
+    order: int  # phi(p^m)
     generators: tuple[tuple[int, int], ...]  # (residue, order) pairs
     dlog: dict[int, tuple[int, ...]] = field(repr=False)
 
-    def exponents(self, a: int) -> tuple[int, ...] | None:
-        """Exponent vector of a over the generators, or None if p | a."""
-        return self.dlog.get(a % self.modulus)
 
-
+@lru_cache(maxsize=16)
 def build_unit_group(p: int, m: int) -> UnitGroup:
-    """Generators and discrete logs for (Z/p^m)*.
+    """Generators and discrete logs for (Z/p^m)*, one group per (p, m).
 
     Odd p uses the smallest primitive root; p = 2, m >= 3 uses the pair
     (-1, 5).  The degenerate modulus 2 gets the trivial one-generator
@@ -75,11 +81,11 @@ def build_unit_group(p: int, m: int) -> UnitGroup:
     if m >= MAX_TABLE_MODULUS.bit_length():  # then p^m >= 2^m exceeds the bound
         raise ResourceLimitError(f"modulus {p}^{m} exceeds dlog table bound {MAX_TABLE_MODULUS}")
     modulus = p**m
-    if modulus > MAX_TABLE_MODULUS:
-        raise ResourceLimitError(f"modulus {modulus} exceeds dlog table bound {MAX_TABLE_MODULUS}")
+    check_bound(modulus)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
+    order = euler_phi(modulus)
     if p == 2 and m == 1:
         generators: tuple[tuple[int, int], ...] = ((1, 1),)
     elif p == 2 and m >= 3:
@@ -88,7 +94,7 @@ def build_unit_group(p: int, m: int) -> UnitGroup:
         generators = ((3, 2),)
     else:
         g = smallest_primitive_root(p, m)
-        generators = ((g, euler_phi(modulus)),)
+        generators = ((g, order),)
 
     # Insertion order is generator-product order: weighted_sum walks it.
     dlog: dict[int, tuple[int, ...]] = {}
@@ -98,9 +104,9 @@ def build_unit_group(p: int, m: int) -> UnitGroup:
         for (g, _), e in zip(generators, exps):
             residue = residue * pow(g, e, modulus) % modulus
         dlog[residue] = tuple(exps)
-    if len(dlog) != euler_phi(modulus):
+    if len(dlog) != order:
         raise ArithmeticError("generator presentation does not cover the unit group")
-    return UnitGroup(p=p, m=m, modulus=modulus, generators=generators, dlog=dlog)
+    return UnitGroup(p=p, m=m, modulus=modulus, order=order, generators=generators, dlog=dlog)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +126,7 @@ class DirichletCharacter:
     def __post_init__(self):
         if len(self.images) != len(self.group.generators):
             raise ValueError("one image exponent per generator required")
-        n = max(euler_phi(self.group.modulus), 1)
+        n = self.group.order
         norm_images = tuple(
             e % order for e, (_, order) in zip(self.images, self.group.generators)
         )

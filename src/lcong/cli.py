@@ -27,7 +27,7 @@ from .bernoulli import (
     l_value,
     script_l,
 )
-from .characters import ResourceLimitError, character, enumerate_primitive
+from .characters import character, enumerate_primitive
 from .sweep import (
     REGISTRY,
     ConfigError,
@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except valuecache.CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ResourceLimitError, ValueError) as exc:
+    except ValueError as exc:  # ResourceLimitError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

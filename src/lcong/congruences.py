@@ -25,6 +25,7 @@ from .bernoulli import (
 )
 from .characters import (
     DirichletCharacter,
+    check_bound,
     is_prime,
     multiplicative_order,
     opposite_parity,
@@ -63,9 +64,6 @@ class CongruenceVerdict:
     lhs: CyclotomicElement
     rhs: CyclotomicElement
     branch: Optional[str] = None
-
-    def sort_key(self) -> tuple:
-        return (self.id, tuple(sorted((k, str(v)) for k, v in self.params.items())))
 
 
 def _congruence_verdict(
@@ -428,6 +426,7 @@ def verify_lerch(a: int, n: int) -> CongruenceVerdict:
     holding verdict reports margin e.
     """
     _require(n >= 2, "n must be >= 2")
+    check_bound(n)  # before euler_phi(n) trial-divides n
     _require(math.gcd(a, n) == 1, f"a={a} must be coprime to n={n}")
     lhs = (pow(a, euler_phi(n), n * n) - 1) // n % n
     total = 0

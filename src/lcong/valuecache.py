@@ -9,8 +9,9 @@ a crash during an append leaves: it is never trusted, only skipped with
 a warning, and the next append cuts it off.  A bad line anywhere else
 is a CacheError.
 
-Loading checks every line (UTF-8, JSON, each field, and the coefficient
-text by CyclotomicElement.check_record) but builds no element: the memo
+Loading checks every line (UTF-8, JSON, each field, the key against the
+unit group characters.build_unit_group(p, m), and the coefficient text
+by CyclotomicElement.check_record) but builds no element: the memo
 gets a builder per key, which its first lookup replaces by the value.
 ``lcong cache verify`` builds only the entries it recomputes.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bernoulli import BernoulliCache, CharKey
-from .characters import MAX_TABLE_MODULUS, character, is_prime
+from .characters import build_unit_group, character
 from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
@@ -58,23 +59,16 @@ def _encode(key: CacheKey, value: CyclotomicElement) -> str:
 
 @lru_cache(maxsize=None)
 def _character_key(p: int, m: int, order: int, chi: tuple[int, ...]) -> CharKey:
-    """A record's character key once its modulus fields and exponents pass
-    every check; ValueError otherwise."""
-    # m is bounded before p**m is formed; a value mod p^m lives in
-    # Q(zeta_N) with N = phi(p^m).
-    bounded = 1 <= m < MAX_TABLE_MODULUS.bit_length()
-    if not (bounded and 2 <= p and p**m <= MAX_TABLE_MODULUS):
-        raise ValueError(f"modulus {p}^{m} out of range")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    # The generator orders: -1 and 5 for p = 2, m >= 3, else one of order N.
-    orders = (2, order // 2) if p == 2 and m >= 3 else (order,)
+    """A record's character key once its modulus fields and exponents fit
+    the unit group mod p^m; ValueError otherwise."""
+    group = build_unit_group(p, m)
+    orders = [n for _, n in group.generators]
     if len(chi) != len(orders):
         raise ValueError(f"chi mod {p}^{m} needs {len(orders)} image exponent(s)")
-    if order != (p - 1) * p ** (m - 1):
+    if order != group.order:
         raise ValueError(f"order {order} is not phi({p}^{m})")
     if not all(0 <= e < n for e, n in zip(chi, orders)):
-        raise ValueError(f"chi {list(chi)} is not reduced mod the generator orders {list(orders)}")
+        raise ValueError(f"chi {list(chi)} is not reduced mod the generator orders {orders}")
     return p, m, chi
 
 

@@ -18,8 +18,8 @@ class TestUnitGroup:
     def test_two_cubed(self):
         g = build_unit_group(2, 3)
         assert g.generators == ((7, 2), (5, 2))
-        assert g.exponents(3) == (1, 1)  # 3 = -5 mod 8
-        assert g.exponents(2) is None
+        assert g.dlog[3] == (1, 1)  # 3 = -5 mod 8
+        assert 2 not in g.dlog
 
     def test_nine(self):
         g = build_unit_group(3, 2)
@@ -42,6 +42,11 @@ class TestUnitGroup:
                 for (gen, _), e in zip(g.generators, exps):
                     value = value * pow(gen, e, g.modulus) % g.modulus
                 assert value == a
+
+    def test_one_group_per_modulus(self):
+        g = build_unit_group(7, 2)
+        assert g is build_unit_group(7, 2)
+        assert g.order == len(g.dlog) == euler_phi(49)
 
     def test_not_prime(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from lcong.cli import (
 )
 from lcong import valuecache
 from lcong.bernoulli import BernoulliCache
-from lcong.characters import character
+from lcong.characters import build_unit_group, character
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import ConfigError
 
@@ -133,6 +133,20 @@ class TestVerifyCommand:
         ])
         out = capsys.readouterr().out
         assert code == EXIT_OK and "total=1 holds=1" in out
+
+    @pytest.mark.parametrize("argv, bounded", [
+        (["voronoi", "--a", "2", "--p", "2305843009213693951", "--k", "2"], "prime"),
+        (["kummer", "--p", "2305843009213693951", "--k", "2", "--l", "4", "--n", "1"], "prime"),
+        (["euler-kummer", "--p", "2305843009213693951", "--k", "2", "--l", "4"], "prime"),
+        (["ernvall", "--p", "2305843009213693951", "--chi-p", "3", "--chi-m", "1",
+          "--k", "2", "--l", "2", "--n", "1"], "prime"),
+        (["lerch", "--a", "2", "--n", "2305843009213693951"], "modulus"),
+    ], ids=["voronoi", "kummer", "euler-kummer", "ernvall", "lerch"])
+    def test_congruence_prime_is_bounded_before_trial_division(self, capsys, argv, bounded):
+        assert main(["verify", *argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bounded} 2305843009213693951 exceeds dlog table bound 200000"
+        ]
 
 
 class TestSweepCommand:
@@ -324,7 +338,7 @@ class TestCacheCommand:
     @pytest.mark.parametrize("field, value, message", [
         ("coeffs", ["1/0", "0"], "coefficient '1/0' is not n or n/d with d > 0"),
         ("order", 3, "order 3 is not phi(2^3)"),
-        ("m", 10**9, "modulus 2^1000000000 out of range"),
+        ("m", 10**9, "modulus 2^1000000000 exceeds dlog table bound 200000"),
         ("p", 4, "4 is not prime"),
         ("chi", [0, 1, 5], "chi mod 2^3 needs 2 image exponent(s)"),
         # Records the writer never writes.
@@ -340,10 +354,16 @@ class TestCacheCommand:
         ("chi", [0, 9], "chi [0, 9] is not reduced mod the generator orders [2, 2]"),
         ("coeffs", ["1,2"], "coeffs is not a list of 2 coefficient strings"),
         ("coeffs", ["2", 0], "coefficient 0 is not n or n/d with d > 0"),
+        # Each refusal of the unit group mod p^m is a cache error too.
+        ("m", 0, "2^0 is not a prime power p^m with m >= 1"),
+        ("p", -2, "-2^3 is not a prime power p^m with m >= 1"),
+        ("m", 18, "modulus 2^18 exceeds dlog table bound 200000"),
+        ("p", 59, "modulus 205379 exceeds dlog table bound 200000"),
     ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent",
             "short-coeffs", "string-coeffs", "non-string-coeffs", "non-ascii-digit",
             "float-k", "negative-k", "bool-p", "float-exponent", "string-chi",
-            "unreduced-exponent", "comma-in-coeff", "int-coeff"])
+            "unreduced-exponent", "comma-in-coeff", "int-coeff",
+            "zero-m", "negative-p", "m-above-bound", "modulus-above-bound"])
     def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
         # A record for B_(2,chi), chi = 8:0,1, with one field broken.
         record = {"p": 2, "m": 3, "chi": [0, 1], "k": 2, "order": 4, "coeffs": ["2", "0"]}
@@ -508,6 +528,18 @@ class TestCacheCommand:
             assert main(["cache", "verify", "--path", str(path), *argv]) == EXIT_OK
             assert "0 mismatches" in capsys.readouterr().out
             assert len(built) == count
+
+    def test_verify_builds_one_unit_group_per_modulus(self, tmp_path, capsys):
+        path = tmp_path / "values.jsonl"
+        cache = BernoulliCache()
+        for images in ((0, 1), (1, 1), (1, 3)):
+            for k in (1, 2):
+                cache.twisted_bernoulli(character(2, 11, images), k)
+        assert valuecache.append_new(path, cache) == 6
+        build_unit_group.cache_clear()
+        assert main(["cache", "verify", "--path", str(path)]) == EXIT_OK
+        assert "0 mismatches" in capsys.readouterr().out
+        assert build_unit_group.cache_info().misses == 1
 
     def test_default_path_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LCONG_CACHE_DIR", str(tmp_path))

@@ -397,7 +397,3 @@ class TestVerdictShape:
             verify_euler_kummer(3, 0, 2),
         ):
             assert v.holds == (v.observed_margin >= v.required_modulus_exponent)
-
-    def test_sort_key_stable(self, chi8):
-        v = verify_stern(0, 1, 1)
-        assert v.sort_key() == verify_stern(0, 1, 1).sort_key()
