@@ -7,11 +7,12 @@ byte-identical CSV files, and the only timestamp lives in the JSONL
 header record.
 """
 
+import io
 import tempfile
 from pathlib import Path
 
 from lcong import BernoulliCache, SweepConfig, SweepJob, run_sweep
-from lcong.sweep import csv_text, table_text
+from lcong.sweep import table_text, write_csv
 from lcong import valuecache
 
 workdir = Path(tempfile.mkdtemp(prefix="lcong-demo-"))
@@ -38,7 +39,7 @@ report = run_sweep(config, cache=cache)
 
 written = valuecache.append_new(cache_file, cache)
 
-print(table_text(report, max_rows=12))
+print(table_text(report))
 print()
 print("per-id summary:")
 for id_, row in sorted(report.summary["per_id"].items()):
@@ -51,5 +52,9 @@ print(f"value cache: {written} new entries, "
       f"{len(valuecache.verify(cache_file))} mismatches on re-verification")
 
 # Determinism: a second run with a fresh cache produces the same CSV bytes.
+# The report writers take any open text stream, here an in-memory one.
 again = run_sweep(SweepConfig(jobs=config.jobs), cache=BernoulliCache())
-print("second run byte-identical:", csv_text(again) == csv_text(report))
+rendered = io.StringIO()
+write_csv(again, rendered)
+print("second run byte-identical:",
+      rendered.getvalue() == (workdir / "report.csv").read_text(encoding="utf-8"))

@@ -7,7 +7,7 @@ Commands:
     lcong cache <stat|clear|verify>      persistent value-cache maintenance
 
 Exit codes: 0 all verdicts hold, 1 at least one fails, 2 configuration or
-usage error, 3 internal/cache error.
+usage error, 3 internal, cache or file error.
 """
 
 from __future__ import annotations
@@ -89,11 +89,7 @@ def _report_and_exit(config: SweepConfig) -> int:
     cache = BernoulliCache()
     cache_path = config.cache_path
     loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
-    try:
-        report = run_sweep(config, cache=cache)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    report = run_sweep(config, cache=cache)
     if cache_path:
         valuecache.append_new(cache_path, cache)
     if report.skips and not report.verdicts:
@@ -101,7 +97,7 @@ def _report_and_exit(config: SweepConfig) -> int:
         raise ConfigError(f"every instance was skipped, first {first.id}: {first.reason}")
     if loaded and not report.all_hold:
         report = _recheck_fresh(config, report, cache)
-    print(table_text(report, max_rows=200))
+    print(table_text(report))
     return EXIT_OK if report.all_hold else EXIT_FAILURES
 
 
@@ -156,8 +152,16 @@ def cmd_table(args) -> int:
     else:
         if args.p is None or args.m is None:
             raise ConfigError(f"table '{kind}' needs --p and --m (and usually --chi)")
-        if args.chi:
-            chis = [character(args.p, args.m, tuple(int(e) for e in args.chi.split(",")))]
+        if args.chi is not None:
+            try:
+                images = tuple(int(e) for e in args.chi.split(","))
+            except ValueError:
+                raise ConfigError(f"table '{kind}': --chi must be 'e1,e2'") from None
+            chi = character(args.p, args.m, images)
+            if args.parity not in (None, chi.parity()):
+                raise ConfigError(f"table '{kind}': character {chi.label()} is {chi.parity()}, "
+                                  f"not {args.parity}")
+            chis = [chi]
         else:
             chis = enumerate_primitive(args.p, args.m)
             if args.parity:
@@ -265,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ResourceLimitError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # a report or cache path that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import dataclasses
 import inspect
-import io
 import math
 import os
 import time
@@ -133,32 +132,33 @@ class SkipRecord:
 
 @dataclass
 class SweepReport:
-    config: dict
-    verdicts: list[CongruenceVerdict]
-    skips: list[SkipRecord]
-    duration: float = 0.0
-    summary: dict = field(default_factory=dict)
+    """The verdicts and skips of a sweep in grid order, with a summary
+    counted as each result is added."""
 
-    def finalize(self) -> "SweepReport":
-        per_id: dict[str, dict] = {}
-        for r in (*self.verdicts, *self.skips):
-            row = per_id.setdefault(
-                r.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf}
-            )
-            if isinstance(r, SkipRecord):
-                row["skips"] += 1
-            else:
-                row["total"] += 1
-                row["holds" if r.holds else "fails"] += 1
-                row["min_margin"] = min(row["min_margin"], r.observed_margin)
-        counts = ("total", "holds", "fails", "skips")
-        self.summary = {c: sum(row[c] for row in per_id.values()) for c in counts}
-        self.summary["per_id"] = per_id
-        return self
+    config: dict
+    verdicts: list[CongruenceVerdict] = field(default_factory=list)
+    skips: list[SkipRecord] = field(default_factory=list)
+    duration: float = 0.0
+    summary: dict = field(
+        default_factory=lambda: {"total": 0, "holds": 0, "fails": 0, "skips": 0, "per_id": {}})
+
+    def add(self, result: CongruenceVerdict | SkipRecord) -> None:
+        row = self.summary["per_id"].setdefault(
+            result.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf})
+        if isinstance(result, SkipRecord):
+            self.skips.append(result)
+            counts = ("skips",)
+        else:
+            self.verdicts.append(result)
+            counts = ("total", "holds" if result.holds else "fails")
+            row["min_margin"] = min(row["min_margin"], result.observed_margin)
+        for count in counts:
+            row[count] += 1
+            self.summary[count] += 1
 
     @property
     def all_hold(self) -> bool:
-        return all(v.holds for v in self.verdicts)
+        return self.summary["fails"] == 0
 
 
 # ---------------------------------------------------------------------
@@ -181,7 +181,6 @@ class CongruenceSpec:
     verifier: str
     char_mode: Optional[str] = None  # None | "primitive" | "all" | "vanishing"
     char_axes: tuple[str, str] = ("p", "m")
-    char_fixed_p: Optional[int] = None  # conductor prime fixed by the congruence
     region: Optional[tuple[str, bool, str]] = None
     arguments: tuple[str, ...] = field(init=False, repr=False)  # the verifier's, in order
 
@@ -212,15 +211,15 @@ def _register(id_: str, aliases: tuple, axes: tuple, verifier: str, **options) -
 
 
 _register("kummer", (), ("p", "k", "l", "n"), "verify_kummer_classical")
-_register("ernvall", ("1.1",), ("p", "k", "l", "n"), "verify_ernvall",
+_register("ernvall", ("1.1",), ("chi_p", "chi_m", "p", "k", "l", "n"), "verify_ernvall",
           char_mode="primitive", char_axes=("chi_p", "chi_m"))
 _register("euler-kummer", ("1.2",), ("p", "k", "l"), "verify_euler_kummer")
 _register("stern", ("1.3",), ("k", "n", "q"), "verify_stern")
 _register("stern-iff", (), ("k", "l", "n"), "verify_stern_iff")
 _register("1.4", ("lshift-two",), ("m", "k", "n", "q"), "verify_lvalue_shift_two",
-          char_mode="primitive", char_fixed_p=2)
+          char_mode="primitive")
 _register("1.5", ("lshift-two-iff",), ("m", "k", "l", "n"), "verify_lvalue_shift_two_iff",
-          char_mode="primitive", char_fixed_p=2)
+          char_mode="primitive")
 _register("1.6", ("1.7", "lshift-odd"), ("p", "m", "k", "n", "q"), "verify_lvalue_shift_odd",
           char_mode="primitive")
 _register("1.8", ("lshift-odd-iff",), ("p", "m", "k", "h", "n"), "verify_lvalue_shift_odd_iff",
@@ -234,10 +233,10 @@ _register("2.3", ("char-orders",), ("p", "m"), "verify_character_orders", char_m
 _register("2.4", ("sum-vanishing",), ("p", "m", "k", "n"), "verify_sum_vanishing",
           char_mode="vanishing")
 _register("2.5", ("sum-vanishing-two",), ("m", "k", "n"), "verify_sum_vanishing_two",
-          char_mode="vanishing", char_fixed_p=2,
+          char_mode="vanishing",
           region=("strengthened_vanishing_applies", True, "outside the strengthened-vanishing cases"))
 _register("2.5x", ("sum-vanishing-two-excluded",), ("m", "k", "n"), "verify_sum_vanishing_two",
-          char_mode="vanishing", char_fixed_p=2,
+          char_mode="vanishing",
           region=("strengthened_vanishing_applies", False, "not in the excluded region"))
 _register("sun", ("3.1",), ("k", "n"), "verify_sun")
 _register("3.2", ("twisted-voronoi",), ("p", "m", "a", "k", "n"), "verify_twisted_voronoi",
@@ -272,8 +271,8 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCha
     out = []
     parity = job.params.get("parity")
     restrict = job.params.get("chi")
-    p_values = [spec.char_fixed_p] if spec.char_fixed_p else job.axis(p_axis)
-    for p in p_values:
+    # an id whose axes name no conductor prime is stated for 2-power moduli
+    for p in job.axis(p_axis) if p_axis in spec.axes else [2]:
         for m in job.axis(m_axis):
             family = _CHAR_FAMILIES[spec.char_mode](p, m)
             if restrict is not None and family:
@@ -293,15 +292,11 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     ``chi`` and the character axes, then each numeric axis, to its value;
     the verifier takes the names its signature lists.
     A job key must be one of the spec's axes or, with a character family,
-    ``chi``, ``parity`` or a character axis, less a fixed conductor prime.
+    ``chi`` or ``parity``.
     The job is checked on the call, raising ConfigError; the instances
     come lazily."""
     spec = lookup(job.id)
-    taken = set(spec.axes)
-    if spec.char_mode is not None:
-        taken |= {"chi", "parity", *spec.char_axes}
-    if spec.char_fixed_p is not None:
-        taken.discard("p")
+    taken = {*spec.axes, *(("chi", "parity") if spec.char_mode else ())}
     for key in job.params:
         if key not in taken:
             raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
@@ -339,19 +334,15 @@ def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> Swe
     if not config.jobs:
         raise ConfigError("no jobs configured")
     instances = chain(*[expand_job(job) for job in config.jobs])
-    verdicts, skips = [], []
+    report = SweepReport(config=config.echo())
     t0 = time.perf_counter()
     for spec, inst in instances:
-        result = run_instance(spec, inst, cache)
-        (skips if isinstance(result, SkipRecord) else verdicts).append(result)
-    duration = time.perf_counter() - t0
-    report = SweepReport(
-        config=config.echo(), verdicts=verdicts, skips=skips, duration=duration
-    ).finalize()
-    if config.csv_path:
-        write_csv(report, config.csv_path)
-    if config.records_path:
-        write_records(report, config.records_path)
+        report.add(run_instance(spec, inst, cache))
+    report.duration = time.perf_counter() - t0
+    for path, write in ((config.csv_path, write_csv), (config.records_path, write_records)):
+        if path:
+            with _replacing(path) as fh:
+                write(report, fh)
     return report
 
 
@@ -379,16 +370,11 @@ def _csv_row(v: CongruenceVerdict) -> list[str]:
     ]
 
 
-def _write_csv_rows(report: SweepReport, fh) -> None:
+def write_csv(report: SweepReport, fh) -> None:
+    """One CSV row per verdict, to an open text stream."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(map(_csv_row, report.verdicts))
-
-
-def csv_text(report: SweepReport) -> str:
-    buf = io.StringIO()
-    _write_csv_rows(report, buf)
-    return buf.getvalue()
 
 
 @contextlib.contextmanager
@@ -405,15 +391,10 @@ def _replacing(path) -> Iterator:
         raise
 
 
-def write_csv(report: SweepReport, path) -> None:
-    with _replacing(path) as fh:
-        _write_csv_rows(report, fh)
-
-
-def _record_lines(report: SweepReport, timestamp: str | None) -> Iterator[str]:
+def _record_lines(report: SweepReport) -> Iterator[str]:
     header = {
         "type": "header",
-        "timestamp": timestamp if timestamp is not None else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": report.config,
     }
     yield json_text(header)
@@ -439,20 +420,19 @@ def _record_lines(report: SweepReport, timestamp: str | None) -> Iterator[str]:
     yield json_text({"type": "summary", **summary})
 
 
-def records_lines(report: SweepReport, timestamp: str | None = None) -> list[str]:
-    """Line-delimited records; the timestamp appears only in the header."""
-    return list(_record_lines(report, timestamp))
+def write_records(report: SweepReport, fh) -> None:
+    """Line-delimited records, to an open text stream; the timestamp
+    appears only in the header."""
+    fh.writelines(line + "\n" for line in _record_lines(report))
 
 
-def write_records(report: SweepReport, path) -> None:
-    with _replacing(path) as fh:
-        fh.writelines(line + "\n" for line in _record_lines(report, None))
+#: The most verdict rows ``table_text`` shows.
+TABLE_ROWS = 200
 
 
-def table_text(report: SweepReport, max_rows: int | None = None) -> str:
+def table_text(report: SweepReport) -> str:
     rows = [["id", "branch", "params", "holds", "req", "margin"]]
-    shown = report.verdicts if max_rows is None else report.verdicts[:max_rows]
-    for v in shown:
+    for v in report.verdicts[:TABLE_ROWS]:
         params = " ".join(f"{k}={val}" for k, val in v.params.items())
         rows.append([
             v.id, v.branch or "-", params,
@@ -466,8 +446,8 @@ def table_text(report: SweepReport, max_rows: int | None = None) -> str:
         out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
         if i == 0:
             out.append("  ".join("-" * w for w in widths))
-    if max_rows is not None and len(report.verdicts) > max_rows:
-        out.append(f"... ({len(report.verdicts) - max_rows} more verdicts)")
+    if len(report.verdicts) > TABLE_ROWS:
+        out.append(f"... ({len(report.verdicts) - TABLE_ROWS} more verdicts)")
     s = report.summary
     out.append(
         f"total={s['total']} holds={s['holds']} fails={s['fails']} skips={s['skips']}"

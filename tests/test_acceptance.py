@@ -44,7 +44,7 @@ from lcong.congruences import (
 )
 from lcong.cyclotomic import p_content_valuation, rational_valuation
 from lcong.power_sums import DomainError, power_sum
-from lcong.sweep import SweepConfig, SweepJob, csv_text, records_lines, run_sweep
+from lcong.sweep import SweepConfig, SweepJob, run_sweep, write_csv, write_records
 from lcong import valuecache
 
 from bernoulli_oracle import power_sum_via_bernoulli
@@ -52,6 +52,7 @@ from divisibility_oracle import squared_normalizer_divides_p
 from fraction_oracle import coordinates
 from moment_oracle import moment_twisted_bernoulli
 from test_bernoulli import bernoulli_series_oracle, euler_series_oracle
+from test_sweep import rendered
 
 
 def report(criterion, detail, t0):
@@ -483,8 +484,9 @@ def test_criterion9_infrastructure(tmp_path):
     # determinism: fresh caches, identical machine-readable reports
     first = run_sweep(config, cache=BernoulliCache())
     second = run_sweep(config, cache=BernoulliCache())
-    assert csv_text(first) == csv_text(second)
-    assert records_lines(first, timestamp="T") == records_lines(second, timestamp="T")
+    assert rendered(write_csv, first) == rendered(write_csv, second)
+    bodies = [rendered(write_records, r).split("\n", 1)[1] for r in (first, second)]
+    assert bodies[0] == bodies[1]  # all but the timestamped header
 
     # cache soundness: after a sweep, every persisted value recomputes identically
     cache_file = tmp_path / "values.jsonl"

@@ -313,6 +313,37 @@ class TestTableCommand:
             f"configuration error: table 'l-values': no {selection}"
         ]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--chi", "1", "--parity", "even"], "character 9:1 is odd, not even"),
+        (["--chi="], "--chi must be 'e1,e2'"),
+    ], ids=["odd-character-as-even", "empty-chi"])
+    def test_chi_and_parity_read_as_verify_reads_them(self, capsys, flags, message):
+        assert main(["table", "l-values", "--p", "3", "--m", "2", *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: table 'l-values': {message}"
+        ]
+        verify = ["verify", "1.6", "--p", "3", "--m", "2", "--k", "0", "--n", "1", "--q", "1"]
+        assert main([*verify, *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--cache"],
+    ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--csv"],
+    ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1", "--records"],
+    ["cache", "stat", "--path"],
+    ["cache", "verify", "--path"],
+    ["cache", "clear", "--path"],
+], ids=["verify-cache", "verify-csv", "verify-records", "cache-stat", "cache-verify",
+        "cache-clear"])
+def test_a_directory_given_as_a_file_is_one_file_error(tmp_path, capsys, argv):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    assert main([*argv, str(directory)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("file error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["dir"]  # no temporary left
+
 
 class TestCacheCommand:
     def test_stat_clear_roundtrip(self, tmp_path, capsys):

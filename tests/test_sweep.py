@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import io
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -15,10 +17,8 @@ from lcong.sweep import (
     ConfigError,
     SweepConfig,
     SweepJob,
-    csv_text,
     expand_job,
     lookup,
-    records_lines,
     registered_ids,
     run_sweep,
     table_text,
@@ -29,6 +29,13 @@ from lcong import bernoulli, congruences, power_sums, sweep, valuecache
 from lcong.cli import (
     EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, build_parser, load_config, main,
 )
+
+
+def rendered(write, report) -> str:
+    """What the report writer ``write`` writes of ``report`` to a stream."""
+    buf = io.StringIO()
+    write(report, buf)
+    return buf.getvalue()
 
 
 def stern_config(**kwargs):
@@ -139,14 +146,39 @@ class TestRunSweep:
         assert report.summary["fails"] == 0
         assert all(s.reason for s in report.skips)
 
-    def test_summary_counts_match_lists(self):
-        report = run_sweep(SweepConfig(jobs=(
-            SweepJob("2.2", {"p": [3], "m": [2], "k": [0, 1, 2], "a": [1, 2, 3, 4]}),
-        )))
-        s = report.summary
-        assert s["total"] == len(report.verdicts)
-        assert s["skips"] == len(report.skips)
-        assert s["holds"] + s["fails"] == s["total"]
+    @pytest.mark.parametrize("jobs", [
+        (SweepJob("2.2", {"p": [3], "m": [2], "k": [0, 1, 2], "a": [1, 2, 3, 4]}),),
+        (SweepJob("2.1x", {"p": [2], "m": [1], "k": [1, 3], "n": [2, 3]}),  # failing verdicts
+         SweepJob("1.4", {"m": [3], "k": [0, 1], "n": [1], "q": [1]}),  # parity skips
+         SweepJob("euler-kummer", {"p": [3], "k": [2], "l": [2]}),  # margin inf
+         SweepJob("lerch", {"a": [2], "n": [6]})),  # every instance skipped
+    ], ids=["one-id", "fails-skips-inf-all-skipped"])
+    def test_summary_counts_match_lists(self, jobs):
+        # The summary is counted as the sweep runs; recount it from the lists.
+        report = run_sweep(SweepConfig(jobs=jobs))
+        per_id = {}
+        for id_ in {r.id for r in (*report.verdicts, *report.skips)}:
+            verdicts = [v for v in report.verdicts if v.id == id_]
+            per_id[id_] = {
+                "total": len(verdicts),
+                "holds": sum(v.holds for v in verdicts),
+                "fails": sum(not v.holds for v in verdicts),
+                "skips": sum(s.id == id_ for s in report.skips),
+                "min_margin": min((v.observed_margin for v in verdicts), default=math.inf),
+            }
+        assert report.summary == {
+            "total": len(report.verdicts),
+            "holds": sum(v.holds for v in report.verdicts),
+            "fails": sum(not v.holds for v in report.verdicts),
+            "skips": len(report.skips),
+            "per_id": per_id,
+        }
+        assert report.all_hold == all(v.holds for v in report.verdicts)
+        if len(jobs) > 1:  # the mixed sweep reaches every kind of row
+            assert per_id["2.1x"]["fails"] and per_id["1.4"]["skips"]
+            assert per_id["euler-kummer"]["min_margin"] == math.inf
+            assert per_id["lerch"] == {"total": 0, "holds": 0, "fails": 0, "skips": 1,
+                                       "min_margin": math.inf}
 
     def test_isolated_cache(self, chi8):
         cache = BernoulliCache()
@@ -219,9 +251,9 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
         expanded.append(job.id)
         return expand(job)
 
-    def writing(report, path):
-        written.append(path)
-        write(report, path)
+    def writing(report, fh):
+        written.append(fh)
+        write(report, fh)
 
     monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
     monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
@@ -234,24 +266,22 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     assert moduli == [(2, 3), (2, 4)]
     assert report.verdicts and report.skips
     assert len(verified) == len(report.verdicts) + len(report.skips)
-    assert expanded == ["1.4"] and written == [records]
+    assert expanded == ["1.4"] and len(written) == 1
 
 
 class TestReports:
-    def test_csv_deterministic(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run_sweep(stern_config()), p1)
-        write_csv(run_sweep(stern_config()), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_csv_deterministic(self):
+        first, second = (rendered(write_csv, run_sweep(stern_config())) for _ in range(2))
+        assert first == second
 
-    def test_records_deterministic_modulo_header(self, tmp_path):
-        r1 = records_lines(run_sweep(stern_config()), timestamp="X")
-        r2 = records_lines(run_sweep(stern_config()), timestamp="Y")
-        assert r1[0] != r2[0]          # timestamps differ, isolated to header
+    def test_records_deterministic_modulo_header(self):
+        r1, r2 = (rendered(write_records, run_sweep(stern_config())).splitlines()
+                  for _ in range(2))
+        assert "timestamp" in json.loads(r1[0])  # the clock reaches the header only
         assert r1[1:] == r2[1:]        # bodies byte-identical
 
     def test_records_carry_exact_sides(self):
-        lines = records_lines(run_sweep(stern_config()), timestamp="T")
+        lines = rendered(write_records, run_sweep(stern_config())).splitlines()
         verdicts = [json.loads(l) for l in lines if '"type": "verdict"' in l]
         assert verdicts
         for v in verdicts:
@@ -262,9 +292,9 @@ class TestReports:
         report = run_sweep(SweepConfig(jobs=(
             SweepJob("euler-kummer", {"p": [3], "k": [2], "l": [2]}),
         )))
-        assert "inf" in csv_text(report)
+        assert "inf" in rendered(write_csv, report)
         # every record line must be strict JSON (no bare Infinity tokens)
-        for line in records_lines(report, timestamp="T"):
+        for line in rendered(write_records, report).splitlines():
             assert "Infinity" not in line
             json.loads(line)
 
@@ -282,24 +312,26 @@ class TestReports:
 
 
 def test_file_writers_stream_what_the_views_collect(tmp_path):
-    """`write_records` and `write_csv` write the very lines `records_lines`
-    and `csv_text` collect, one at a time: the memory traced while the
-    records are written stays below half of the bytes written."""
+    """`write_records` and `write_csv` write to an open file the very lines
+    they write to an in-memory stream, one at a time: the memory traced
+    while the records are written stays below half of the bytes written."""
     report = run_sweep(SweepConfig(jobs=(SweepJob("lerch", {"a": "1..100", "n": "1..60"}),)))
-    lines = records_lines(report, timestamp="T")
+    lines = rendered(write_records, report).splitlines()
     assert len(lines) >= 5000
     csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
     tracemalloc.start()
     try:
-        write_records(report, records_path)
+        with open(records_path, "w", encoding="utf-8", newline="") as fh:
+            write_records(report, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     body = records_path.read_bytes().split(b"\n", 1)[1]
     assert body == ("\n".join(lines[1:]) + "\n").encode()
     assert peak < records_path.stat().st_size / 2
-    write_csv(report, csv_path)
-    assert csv_path.read_bytes() == csv_text(report).encode()
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(report, fh)
+    assert csv_path.read_bytes() == rendered(write_csv, report).encode()
 
 
 @pytest.mark.parametrize("id_", registered_ids())
@@ -494,13 +526,13 @@ def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
     run_sweep(SweepConfig(jobs=(history, job)), cache=filled)
     valuecache.append_new(path, filled)
     uncached = BernoulliCache()
-    expected = csv_text(run_sweep(SweepConfig(jobs=(job,)), cache=uncached))
+    expected = rendered(write_csv, run_sweep(SweepConfig(jobs=(job,)), cache=uncached))
     used = set(uncached._twisted)
 
     warm = BernoulliCache()
     eager = {key: build() for key, build in valuecache._builders(path).items()}
     assert valuecache.load_into(path, warm) == len(eager)
-    assert csv_text(run_sweep(SweepConfig(jobs=(job,)), cache=warm)) == expected
+    assert rendered(write_csv, run_sweep(SweepConfig(jobs=(job,)), cache=warm)) == expected
     assert not warm.dirty_keys and set(warm._twisted) == set(eager)
     built = {key for key, value in warm._twisted.items() if type(value) is CyclotomicElement}
     assert built == used and len(used) < len(eager)
