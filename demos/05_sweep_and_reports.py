@@ -8,14 +8,16 @@ header record.
 """
 
 import io
-import tempfile
 from pathlib import Path
 
 from lcong import BernoulliCache, SweepConfig, SweepJob, run_sweep
 from lcong.sweep import table_text, write_csv
 from lcong import valuecache
 
-workdir = Path(tempfile.mkdtemp(prefix="lcong-demo-"))
+# Reports and the value cache go under the working directory.
+workdir = Path("lcong-demo")
+workdir.mkdir(exist_ok=True)
+cache_file = workdir / "values.jsonl"
 
 config = SweepConfig(
     jobs=(
@@ -29,15 +31,12 @@ config = SweepConfig(
     ),
     csv_path=str(workdir / "report.csv"),
     records_path=str(workdir / "report.jsonl"),
+    cache_path=str(cache_file),
 )
 
-cache = BernoulliCache()
-cache_file = workdir / "values.jsonl"
-valuecache.load_into(cache_file, cache)
-
-report = run_sweep(config, cache=cache)
-
-written = valuecache.append_new(cache_file, cache)
+# run_sweep handles every file the config names: it loads the value cache,
+# runs the grid, appends the values it computed and writes both reports.
+report = run_sweep(config)
 
 print(table_text(report))
 print()
@@ -47,8 +46,8 @@ for id_, row in sorted(report.summary["per_id"].items()):
           f"fails={row['fails']:3d} skips={row['skips']:3d} min_margin={row['min_margin']}")
 
 print()
-print(f"reports in {workdir}")
-print(f"value cache: {written} new entries, "
+print(f"reports in {workdir.resolve()}")
+print(f"value cache: {valuecache.entry_count(cache_file)} entries, "
       f"{len(valuecache.verify(cache_file))} mismatches on re-verification")
 
 # Determinism: a second run with a fresh cache produces the same CSV bytes.

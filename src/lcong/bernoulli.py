@@ -79,7 +79,7 @@ class BernoulliCache:
 
     def bernoulli(self, k: int) -> Fraction:
         if k < 0:
-            raise ValueError("Bernoulli index must be >= 0")
+            raise DomainError("Bernoulli index must be >= 0")
         while (j := len(self._bernoulli)) <= k:
             if j % 2:
                 self._bernoulli.append(Fraction(-1 if j == 1 else 0, 2))
@@ -91,7 +91,7 @@ class BernoulliCache:
 
     def euler(self, k: int) -> int:
         if k < 0:
-            raise ValueError("Euler index must be >= 0")
+            raise DomainError("Euler index must be >= 0")
         return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
     # -- twisted values ------------------------------------------------
@@ -161,7 +161,7 @@ def generalized_bernoulli(
 ) -> CyclotomicElement:
     """B_(k,chi) evaluated at the modulus of chi."""
     if k < 0:
-        raise ValueError("index must be >= 0")
+        raise DomainError("index must be >= 0")
     return cache.twisted_bernoulli(chi, k)
 
 
@@ -170,7 +170,7 @@ def l_value(
 ) -> CyclotomicElement:
     """L(-k, chi) = -B_(k+1,chi)/(k+1) for k of parity opposite to chi."""
     if k < 0:
-        raise ValueError("index must be >= 0")
+        raise DomainError("index must be >= 0")
     if not opposite_parity(chi, k):
         raise ParityError(
             f"k={k} and chi={chi.label()} ({chi.parity()}) have the same parity"

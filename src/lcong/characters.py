@@ -29,6 +29,16 @@ def check_bound(n: int, name: str = "modulus") -> None:
         raise ResourceLimitError(f"{name} {n} exceeds dlog table bound {MAX_TABLE_MODULUS}")
 
 
+def bounded_power(p: int, m: int) -> int:
+    """p^m for p >= 2, m >= 0, within the table bound: m is bounded before
+    p**m is formed, so a unit group or a sum over p^m terms is refused at once."""
+    if m >= MAX_TABLE_MODULUS.bit_length():  # then p^m >= 2^m exceeds the bound
+        raise ResourceLimitError(f"modulus {p}^{m} exceeds dlog table bound {MAX_TABLE_MODULUS}")
+    modulus = p**m
+    check_bound(modulus)
+    return modulus
+
+
 def is_prime(n: int) -> bool:
     """Trial division, so n > MAX_TABLE_MODULUS is refused first: every
     congruence prime and conductor prime passes here."""
@@ -77,11 +87,7 @@ def build_unit_group(p: int, m: int) -> UnitGroup:
     """
     if m < 1 or p < 2:
         raise ValueError(f"{p}^{m} is not a prime power p^m with m >= 1")
-    # m is bounded before p**m is formed, and p**m before p is trial-divided.
-    if m >= MAX_TABLE_MODULUS.bit_length():  # then p^m >= 2^m exceeds the bound
-        raise ResourceLimitError(f"modulus {p}^{m} exceeds dlog table bound {MAX_TABLE_MODULUS}")
-    modulus = p**m
-    check_bound(modulus)
+    modulus = bounded_power(p, m)  # before p is trial-divided
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

@@ -83,36 +83,19 @@ def load_config(path: str | Path) -> SweepConfig:
     )
 
 
-def _report_and_exit(config: SweepConfig) -> int:
+def _report_and_exit(config: SweepConfig, args) -> int:
+    # A given --csv, --records or --cache overrides the config's path.
+    config = dataclasses.replace(config, **{
+        f"{flag}_path": getattr(args, flag) for flag in ("csv", "records", "cache")
+        if getattr(args, flag) is not None})
     # Each command starts from the persistent file, not from whatever the
     # process happens to have memoized: the file is the reuse layer.
-    cache = BernoulliCache()
-    cache_path = config.cache_path
-    loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
-    report = run_sweep(config, cache=cache)
-    if cache_path:
-        valuecache.append_new(cache_path, cache)
+    report = run_sweep(config, cache=BernoulliCache())
     if report.skips and not report.verdicts:
         first = report.skips[0]
         raise ConfigError(f"every instance was skipped, first {first.id}: {first.reason}")
-    if loaded and not report.all_hold:
-        report = _recheck_fresh(config, report, cache)
     print(table_text(report))
     return EXIT_OK if report.all_hold else EXIT_FAILURES
-
-
-def _recheck_fresh(config: SweepConfig, report, cache: BernoulliCache):
-    """Re-run a failing sweep without the cached values; the fresh run is
-    reported, and the values the file held wrongly are appended again."""
-    fresh = BernoulliCache()
-    fresh_report = run_sweep(config, cache=fresh)
-    for old, new in zip(report.verdicts, fresh_report.verdicts):
-        if (old.holds, old.observed_margin) != (new.holds, new.observed_margin):
-            print(f"warning: cached values changed {old.id} {old.params}: "
-                  f"holds={old.holds} margin={old.observed_margin} from the cache, "
-                  f"holds={new.holds} margin={new.observed_margin} recomputed", file=sys.stderr)
-    valuecache.append_corrections(config.cache_path, fresh, cache)
-    return fresh_report
 
 
 def cmd_verify(args) -> int:
@@ -122,24 +105,11 @@ def cmd_verify(args) -> int:
         for flag in (*PARAM_FLAGS, "chi", "parity")
         if getattr(args, flag) is not None
     }
-    job = SweepJob(id=spec.id, params=params)
-    config = SweepConfig(
-        jobs=(job,),
-        csv_path=args.csv,
-        records_path=args.records,
-        cache_path=args.cache,
-    )
-    return _report_and_exit(config)
+    return _report_and_exit(SweepConfig(jobs=(SweepJob(id=spec.id, params=params),)), args)
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    # (SweepConfig field, flag) pairs: a given flag overrides the file
-    fields = (("csv_path", "csv"), ("records_path", "records"),
-              ("cache_path", "cache"))
-    overrides = {field: getattr(args, flag) for field, flag in fields
-                 if getattr(args, flag) is not None}
-    return _report_and_exit(dataclasses.replace(config, **overrides))
+    return _report_and_exit(load_config(args.config), args)
 
 
 def cmd_table(args) -> int:

@@ -25,6 +25,7 @@ from .bernoulli import (
 )
 from .characters import (
     DirichletCharacter,
+    bounded_power,
     check_bound,
     is_prime,
     multiplicative_order,
@@ -371,8 +372,9 @@ def verify_twisted_voronoi(
     _require(p >= 5 or n >= 2, "requires p >= 5, or p in {2, 3} with n >= 2")
     if not opposite_parity(chi, k):
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
+    value = l_value(k, chi, cache)  # first: a negative k is refused before a**k
     chi_a = chi(a)
-    lhs = (1 - chi_a * a ** (k + 1)) * l_value(k, chi, cache)
+    lhs = (1 - chi_a * a ** (k + 1)) * value
     rhs = chi_a * a**k * floor_weighted_sum(k, a, p, n, chi)
     params = {"chi": chi.label(), "a": a, "k": k, "n": n}
     return _congruence_verdict("3.2", params, lhs, rhs, p, n)
@@ -406,7 +408,7 @@ def verify_sun(
     """
     _require(k % 2 == 0 and k >= 0, "k must be even >= 0")
     _require(n >= 1, "n must be >= 1")
-    modulus = 2**n
+    modulus = bounded_power(2, n)
     total = 0
     for j in range(modulus):
         sign = 1 if j % 2 else -1  # (-1)^(j-1)
@@ -516,7 +518,7 @@ def verify_sum_lift(
     p, m = chi.p, chi.m
     _require(n >= m, "requires n >= m")
     _require(k >= 0, "k must be >= 0")
-    lhs = power_sum(k, p**n, chi)
+    lhs = power_sum(k, bounded_power(p, n), chi)
     rhs = power_sum(k, p**m, chi) * p ** (n - m)
     params = {"chi": chi.label(), "k": k, "n": n}
     return _congruence_verdict("2.1", params, lhs, rhs, p, n)
@@ -585,7 +587,7 @@ def verify_sum_vanishing(
     _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= m and n >= 1, "requires n >= max(m, 1)")
     _require(k >= 0, "k must be >= 0")
-    lhs = power_sum(k, p**n, chi)
+    lhs = power_sum(k, bounded_power(p, n), chi)
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "n": n}
     return _congruence_verdict("2.4", params, lhs, rhs, p, n - 1)
@@ -605,7 +607,7 @@ def verify_sum_vanishing_two(
     _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= max(m, 2), "requires n >= max(m, 2)")
     _require(k >= 0, "k must be >= 0")
-    lhs = power_sum(k, 2**n, chi)
+    lhs = power_sum(k, bounded_power(2, n), chi)
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "n": n}
     return _congruence_verdict("2.5", params, lhs, rhs, 2, n)

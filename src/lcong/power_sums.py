@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bernoulli import DomainError
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, bounded_power
 from .cyclotomic import CyclotomicElement
 
 
@@ -51,7 +51,7 @@ def floor_weighted_sum(
         raise ValueError("n must be >= 1")
     if a % p == 0:
         raise DomainError(f"a={a} is divisible by p={p}")
-    modulus = p**n
+    modulus = bounded_power(p, n)
     per_class = [0] * (chi.modulus if chi else 1)
     f = len(per_class)
     for j in range(1, modulus):

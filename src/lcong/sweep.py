@@ -1,5 +1,5 @@
-"""Parameter-grid sweeps over the congruence catalog, with CSV/JSONL
-reports and an aligned human-readable table.
+"""Parameter-grid sweeps over the congruence catalog, with the value
+cache, CSV/JSONL reports and an aligned human-readable table.
 
 Grid points whose hypotheses fail are recorded as skips, never as
 failed verdicts.  Identical configs produce byte-identical
@@ -17,6 +17,7 @@ import dataclasses
 import inspect
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -26,6 +27,7 @@ from . import congruences as cg
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError
 from .characters import DirichletCharacter, enumerate_characters, enumerate_primitive
 from .congruences import CongruenceVerdict
+from . import valuecache
 from .valuecache import json_text
 
 
@@ -328,17 +330,45 @@ def run_instance(
     return verdict
 
 
-def run_sweep(config: SweepConfig, cache: BernoulliCache = DEFAULT_CACHE) -> SweepReport:
-    """Check every job, then evaluate its grid points one by one; write
-    the configured reports line by line."""
-    if not config.jobs:
-        raise ConfigError("no jobs configured")
+def _run(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
     instances = chain(*[expand_job(job) for job in config.jobs])
     report = SweepReport(config=config.echo())
     t0 = time.perf_counter()
     for spec, inst in instances:
         report.add(run_instance(spec, inst, cache))
     report.duration = time.perf_counter() - t0
+    return report
+
+
+def run_sweep(config: SweepConfig, cache: Optional[BernoulliCache] = None) -> SweepReport:
+    """Run a config and handle every file it names: load ``cache_path`` into
+    the memo, check and run the jobs and append the new values; if a verdict
+    fails on loaded values, run again on a fresh memo, warn once per changed
+    verdict and append the fresh values that differ.  Then write the reports,
+    once.  Without ``cache``, a config with a cache file runs on a fresh memo,
+    so a file never seeds DEFAULT_CACHE; any other runs on DEFAULT_CACHE."""
+    cache_path = config.cache_path
+    if cache is None:
+        cache = BernoulliCache() if cache_path else DEFAULT_CACHE
+    loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
+    if not config.jobs:
+        raise ConfigError("no jobs configured")
+    report = _run(config, cache)
+    if cache_path:
+        valuecache.append_new(cache_path, cache)
+    if loaded and not report.all_hold:
+        fresh = BernoulliCache()
+        fresh_report = _run(config, fresh)
+        for old, new in zip(report.verdicts, fresh_report.verdicts):
+            if (old.holds, old.observed_margin) != (new.holds, new.observed_margin):
+                print(f"warning: cached values changed {old.id} {old.params}: "
+                      f"holds={old.holds} margin={old.observed_margin} from the cache, "
+                      f"holds={new.holds} margin={new.observed_margin} recomputed",
+                      file=sys.stderr)
+        fresh.dirty_keys = {key for key in fresh.dirty_keys
+                            if cache.stored_twisted(key) != fresh.stored_twisted(key)}
+        valuecache.append_new(cache_path, fresh)
+        report = fresh_report
     for path, write in ((config.csv_path, write_csv), (config.records_path, write_records)):
         if path:
             with _replacing(path) as fh:

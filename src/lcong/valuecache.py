@@ -143,15 +143,6 @@ def append_new(path: Path | str, cache: BernoulliCache) -> int:
     return len(keys)
 
 
-def append_corrections(path: Path | str, fresh: BernoulliCache, loaded: BernoulliCache) -> int:
-    """Append the values ``fresh`` computed that ``loaded`` lacks or holds
-    differently; last-entry-wins then heals the file.  Returns the count."""
-    fresh.dirty_keys = {
-        key for key in fresh.dirty_keys if loaded.stored_twisted(key) != fresh._twisted[key]
-    }
-    return append_new(path, fresh)
-
-
 def _truncate_torn_tail(path: Path) -> None:
     with open(path, "rb+") as fh:
         if fh.seek(0, os.SEEK_END) == 0:

@@ -490,10 +490,7 @@ def test_criterion9_infrastructure(tmp_path):
 
     # cache soundness: after a sweep, every persisted value recomputes identically
     cache_file = tmp_path / "values.jsonl"
-    cache = BernoulliCache()
-    valuecache.load_into(cache_file, cache)
-    run_sweep(config, cache=cache)
-    valuecache.append_new(cache_file, cache)
+    run_sweep(SweepConfig(jobs=config.jobs, cache_path=str(cache_file)))
     assert valuecache.entry_count(cache_file) > 0
     assert valuecache.verify(cache_file) == []
     report(9, "deterministic reports, cache verifies clean", t0)

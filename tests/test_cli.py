@@ -13,10 +13,10 @@ from lcong.cli import (
     parse_values,
 )
 from lcong import valuecache
-from lcong.bernoulli import BernoulliCache
+from lcong.bernoulli import BernoulliCache, script_l
 from lcong.characters import build_unit_group, character
 from lcong.cyclotomic import CyclotomicElement
-from lcong.sweep import ConfigError
+from lcong.sweep import ConfigError, SweepConfig, SweepJob, run_sweep
 
 
 class TestParseValues:
@@ -274,6 +274,32 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == EXIT_FAILURES
 
 
+@pytest.mark.parametrize("job, axis, value", [
+    ({"id": "1.4", "m": [3], "k": [1, 3], "n": [1], "q": [1]}, "k", -1),
+    ({"id": "1.5", "m": [3], "k": [1, 3], "l": [1, 5], "n": [1, 2]}, "l", -3),
+    ({"id": "1.6", "p": [3], "m": [2], "k": [0, 1, 2], "n": [1], "q": [1]}, "k", -2),
+    ({"id": "1.8", "p": [3], "m": [2], "k": [0, 1], "h": [0, 3], "n": [1, 2]}, "k", -1),
+    ({"id": "3.2", "p": [3], "m": [2], "a": [2], "k": [0, 1, 2, 3], "n": [2]}, "k", -2),
+    ({"id": "nondiv", "p": [3, 5], "m": [2], "d": [0, 1]}, "d", -1),
+    ({"id": "stern-iff", "k": [0, 2, 4], "l": [0, 4], "n": [1, 2]}, "k", -2),
+], ids=lambda value: value["id"] if isinstance(value, dict) else None)
+def test_negative_index_is_a_skip(tmp_path, capsys, job, axis, value):
+    # A negative index is a hypothesis violation (DomainError): the sweep
+    # exits as the non-negative grid does, with the negative points skipped.
+    def run(name, job):
+        config, csv, records = (tmp_path / f"{name}.{ext}" for ext in ("json", "csv", "jsonl"))
+        config.write_text(json.dumps({"jobs": [job], "csv": str(csv), "records": str(records)}))
+        code = main(["sweep", "--config", str(config)])
+        lines = [json.loads(line) for line in records.read_text().splitlines()]
+        return code, csv.read_text(), [r for r in lines if r["type"] == "skip"]
+
+    code, csv, skips = run("base", job)
+    negative_code, negative_csv, negative_skips = run("negative", {**job, axis: [value, *job[axis]]})
+    assert (negative_code, negative_csv) == (code, csv)
+    assert [s for s in negative_skips if s["params"][axis] != value] == skips
+    assert any(s["params"][axis] == value for s in negative_skips)
+
+
 class TestTableCommand:
     def test_euler_table(self, capsys):
         assert main(["table", "euler", "--max-k", "10"]) == EXIT_OK
@@ -495,7 +521,8 @@ class TestCacheCommand:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_wrong_cached_value_among_foreign_entries_is_recomputed(self, tmp_path, capsys):
+    def test_wrong_cached_value_among_foreign_entries_is_recomputed(self, tmp_path, capsys,
+                                                                    monkeypatch):
         # As above, with values for chi mod 16 in the file, which no 1.4 run
         # mod 8 builds: the recheck appends the one corrected line only.
         path = tmp_path / "values.jsonl"
@@ -518,14 +545,24 @@ class TestCacheCommand:
         lines = path.read_text().splitlines()
         assert lines[:-1] == before and '["-44", "0"]' in lines[-1]
 
-        # append_corrections builds what it compares: a loaded cache whose
-        # values are all still unbuilt agrees with a fresh computation.
-        loaded, fresh = BernoulliCache(), BernoulliCache()
-        assert valuecache.load_into(path, loaded) == len(lines) - 1
+        # The recheck builds what it compares.  Here the first run serves
+        # L*_1 from the memo, so the loaded B_(2,chi) is still unbuilt when
+        # the fresh run computes it; it is built, found equal and not
+        # appended again, and only the wrong B_(4,chi) is corrected.
+        path.write_text("\n".join(before) + "\n")
         chi = character(2, 3, (0, 1))
-        for k in (2, 4):
-            fresh.twisted_bernoulli(chi, k)
-        assert valuecache.append_corrections(path, fresh, loaded) == 0
+        load_into = valuecache.load_into
+
+        def load_then_serve_l1(file, memo):
+            count = load_into(file, memo)
+            memo._script_l[(chi.key(), 1)] = script_l(1, chi, BernoulliCache())
+            return count
+
+        monkeypatch.setattr(valuecache, "load_into", load_then_serve_l1)
+        job = SweepJob("1.4", {"m": 3, "chi": "0,1", "k": 1, "n": 1, "q": 1})
+        report = run_sweep(SweepConfig(jobs=(job,), cache_path=str(path)))
+        assert report.all_hold
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert path.read_text().splitlines() == lines
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
@@ -578,6 +615,10 @@ class TestCacheCommand:
         assert str(tmp_path) in capsys.readouterr().out
 
 
+#: The numeric flags of a 1.6 instance.
+SHIFT = ("--k", "0", "--n", "1", "--q", "1")
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -601,17 +642,24 @@ class TestConsoleScript:
         ]
 
     @pytest.mark.parametrize("argv, modulus", [
-        (["verify", "1.6", "--p", "3", "--m", "100000000"], "3^100000000"),
-        (["verify", "1.6", "--p", "3", "--m", "10000000"], "3^10000000"),
-        (["verify", "1.6", "--p", "2305843009213693951", "--m", "1"], "2305843009213693951"),
+        (["verify", "1.6", "--p", "3", "--m", "100000000", *SHIFT], "3^100000000"),
+        (["verify", "1.6", "--p", "3", "--m", "10000000", *SHIFT], "3^10000000"),
+        (["verify", "1.6", "--p", "2305843009213693951", "--m", "1", *SHIFT],
+         "2305843009213693951"),
         (["table", "l-values", "--p", "2305843009213693951", "--m", "1", "--chi", "1"],
          "2305843009213693951"),
-    ], ids=["huge-m", "large-m", "huge-p", "table-huge-p"])
+        (["verify", "2.4", "--p", "3", "--m", "2", "--k", "1", "--n", "1000000000"],
+         "3^1000000000"),
+        (["verify", "2.1", "--p", "3", "--m", "1", "--k", "2", "--n", "40"], "3^40"),
+        (["verify", "2.5", "--m", "3", "--k", "0", "--n", "60"], "2^60"),
+        (["verify", "sun", "--k", "0", "--n", "60"], "2^60"),
+        (["verify", "3.2", "--p", "3", "--m", "1", "--a", "2", "--k", "1", "--n", "30"], "3^30"),
+    ], ids=["huge-m", "large-m", "huge-p", "table-huge-p", "sum-vanishing-n", "sum-lift-n",
+            "sum-vanishing-two-n", "sun-n", "floor-sum-n"])
     def test_modulus_is_bounded_before_it_is_formed(self, argv, modulus):
         # m is bounded before p**m is formed, and p**m before p is
-        # trial-divided, so each of these exits at once.
-        if argv[0] == "verify":
-            argv = [*argv, "--k", "0", "--n", "1", "--q", "1"]
+        # trial-divided; a sum over p^n terms bounds p^n the same way.  So
+        # each of these exits at once.
         result = subprocess.run(
             [sys.executable, "-m", "lcong.cli", *argv],
             capture_output=True, text=True, timeout=2,

@@ -17,13 +17,18 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # A demo writes under its working directory only: the temp directory
+    # it is given stays empty.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(temp))
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    assert list(temp.iterdir()) == []
 
 
 def test_readme_library_quick_start_runs():

@@ -424,33 +424,29 @@ class TestLemmaSweep:
 
 
 class TestValueCache:
-    def _sweep_with_cache(self, path, cache):
-        config = SweepConfig(
-            jobs=(SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]}),),
-        )
-        valuecache.load_into(path, cache)
-        report = run_sweep(config, cache=cache)
-        valuecache.append_new(path, cache)
-        return report
+    JOB = SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]})
+
+    def _sweep_with_cache(self, path, **reports):
+        return run_sweep(SweepConfig(jobs=(self.JOB,), cache_path=str(path), **reports))
 
     def test_roundtrip_and_verify(self, tmp_path):
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         count = valuecache.entry_count(path)
         assert count > 0
         assert valuecache.verify(path) == []
 
     def test_cached_values_reused_not_rewritten(self, tmp_path):
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         size = path.stat().st_size
-        report = self._sweep_with_cache(path, BernoulliCache())
+        report = self._sweep_with_cache(path)
         assert report.all_hold
         assert path.stat().st_size == size  # second run appended nothing
 
     def test_corrupt_line_detected(self, tmp_path):
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         with open(path, "a") as fh:
             fh.write("{not json\n")
         with pytest.raises(valuecache.CacheError, match="line"):
@@ -458,7 +454,7 @@ class TestValueCache:
 
     def test_mismatch_detected(self, tmp_path):
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[0])
         record["coeffs"] = ["12345"] + record["coeffs"][1:]
@@ -472,7 +468,7 @@ class TestValueCache:
         # fail to build; should a builder's text stop reading, its lookup
         # still raises CacheError naming the line, not a bare ValueError.
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         cache = BernoulliCache()
         valuecache.load_into(path, cache)
         (char_key, k), build = next(iter(cache._twisted.items()))
@@ -483,9 +479,54 @@ class TestValueCache:
 
     def test_clear(self, tmp_path):
         path = tmp_path / "values.jsonl"
-        self._sweep_with_cache(path, BernoulliCache())
+        self._sweep_with_cache(path)
         valuecache.clear(path)
         assert valuecache.entry_count(path) == 0
+
+    def test_library_sweep_leaves_the_bytes_the_command_leaves(self, tmp_path, capsys):
+        # run_sweep loads and appends the file its config names, on a fresh
+        # memo: the process-wide DEFAULT_CACHE gets none of its values.
+        library, command = tmp_path / "library.jsonl", tmp_path / "command.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": [{"id": self.JOB.id, **self.JOB.params}],
+                                      "cache": str(command)}))
+        default = dict(bernoulli.DEFAULT_CACHE._twisted)
+        for run in (1, 2):
+            self._sweep_with_cache(library)
+            assert main(["sweep", "--config", str(config)]) == EXIT_OK
+            if run == 1:
+                written = library.read_bytes()
+        assert library.read_bytes() == command.read_bytes() == written  # run 2 appended nothing
+        assert bernoulli.DEFAULT_CACHE._twisted == default
+
+    def test_failing_sweep_over_cached_values_writes_each_report_once(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # A wrong B_(4,chi) makes a verdict fail; the sweep runs again on a
+        # fresh memo and writes the recomputed verdicts, opening each
+        # report once.
+        path = tmp_path / "values.jsonl"
+        self._sweep_with_cache(path)
+        good = path.read_text()
+        assert '"coeffs": ["-44", "0"], "k": 4' in good
+        path.write_text(good.replace('["-44", "0"]', '["-45", "0"]'))
+        opened = []
+        replacing = sweep._replacing
+
+        def counted(target):
+            opened.append(target)
+            return replacing(target)
+
+        monkeypatch.setattr(sweep, "_replacing", counted)
+        csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        report = self._sweep_with_cache(path, csv_path=str(csv_path),
+                                        records_path=str(records_path))
+        assert opened == [str(csv_path), str(records_path)]
+        assert report.all_hold
+        assert capsys.readouterr().err.startswith("warning: cached values changed 1.4 ")
+        fresh = run_sweep(SweepConfig(jobs=(self.JOB,)), cache=BernoulliCache())
+        assert csv_path.read_text() == rendered(write_csv, fresh)
+        body = records_path.read_text().split("\n", 1)[1]
+        assert body == rendered(write_records, fresh).split("\n", 1)[1]
 
 
 def test_warm_sweep_reports_what_an_uncached_sweep_reports(tmp_path, capsys):
