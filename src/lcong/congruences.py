@@ -41,6 +41,7 @@ from .cyclotomic import (
     prime_factors,
     rational_valuation,
     root_of_unity_order,
+    zeta,
 )
 from .power_sums import floor_weighted_sum, power_sum
 
@@ -103,6 +104,12 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _phi_aligned(k: int, l: int, p: int, n: int) -> bool:
+    """k == l (mod phi(p^n)) for a prime p and n >= 1, with phi(p^n) =
+    (p-1) p^(n-1): read from the valuation of k - l, so p^n is never formed."""
+    return (k - l) % (p - 1) == 0 and rational_valuation(k - l, p) >= n - 1
+
+
 # ---------------------------------------------------------------------
 # Kummer-family congruences for Bernoulli and Euler numbers
 
@@ -118,7 +125,7 @@ def verify_kummer_classical(
     _require(p >= 5 and is_prime(p), "requires a prime p >= 5")
     _require(k % 2 == 0 and l % 2 == 0 and k >= 2 and l >= 2, "k, l must be even >= 2")
     _require(n >= 1, "n must be >= 1")
-    _require((k - l) % euler_phi(p**n) == 0, "requires k == l (mod phi(p^n))")
+    _require(_phi_aligned(k, l, p, n), "requires k == l (mod phi(p^n))")
     _require(k % (p - 1) != 0, "requires (p-1) not dividing k")
     lhs = (1 - Fraction(p) ** (k - 1)) * cache.bernoulli(k) / k
     rhs = (1 - Fraction(p) ** (l - 1)) * cache.bernoulli(l) / l
@@ -144,7 +151,7 @@ def verify_ernvall(
     _require(conductor > 1 and conductor % p != 0, "conductor must be a prime power coprime to p")
     _require(k >= 1 and l >= 1, "k, l must be >= 1")
     _require(n >= 1, "n must be >= 1")
-    _require((k - l) % euler_phi(p**n) == 0, "requires k == l (mod phi(p^n))")
+    _require(_phi_aligned(k, l, p, n), "requires k == l (mod phi(p^n))")
     chi_p = chi(p)
     lhs = (1 - chi_p * Fraction(p) ** (k - 1)) * cache.twisted_bernoulli(chi, k) / k
     rhs = (1 - chi_p * Fraction(p) ** (l - 1)) * cache.twisted_bernoulli(chi, l) / l
@@ -218,7 +225,8 @@ def verify_lvalue_shift_two(
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
     d = k % 2
     lhs = script_l(k + 2**n * q, chi, cache) - script_l(k, chi, cache)
-    rhs = script_l(d, chi, cache) * (2 ** (n + 2)) / (1 - chi.conjugate()(5))
+    conj_chi_5 = zeta(chi.zeta_order, -chi.value_exponent(5))
+    rhs = script_l(d, chi, cache) * (2 ** (n + 2)) / (1 - conj_chi_5)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.4", params, lhs, rhs, 2, n + 3)
 
@@ -306,7 +314,8 @@ def verify_lvalue_shift_odd(
     _require(m >= 2, "no unit witness and m = 1: outside both branches")
     d = k % (p - 1)
     lhs = script_l(k + shift, chi, cache) - script_l(k, chi, cache)
-    rhs = script_l(d, chi, cache) * (p**n * q) / (1 - chi.conjugate()(p + 1))
+    conj_chi_u = zeta(chi.zeta_order, -chi.value_exponent(p + 1))
+    rhs = script_l(d, chi, cache) * (p**n * q) / (1 - conj_chi_u)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.7", params, lhs, rhs, p, n, branch="ii")
 

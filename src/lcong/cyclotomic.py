@@ -236,8 +236,6 @@ class CyclotomicElement:
         return _new(order, _reduce(vec, order), self.den)
 
     def _coerce(self, other: ElementLike) -> "tuple[CyclotomicElement, CyclotomicElement] | None":
-        if isinstance(other, (int, Fraction)):
-            return self, CyclotomicElement.from_rational(other, self.order)
         if isinstance(other, CyclotomicElement):
             if other.order == self.order:
                 return self, other
@@ -247,14 +245,21 @@ class CyclotomicElement:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _add(self, other: ElementLike, sign: int) -> "CyclotomicElement":
+    def _add(self, other: ElementLike, sign: int, scale: int = 1) -> "CyclotomicElement":
+        # scale * self + sign * other (scale, sign = +-1); a rational moves only num[0].
+        if isinstance(other, (int, Fraction)):
+            d = other.denominator
+            num = [c * scale * d for c in self.num]
+            num[0] += sign * other.numerator * self.den
+            return _new(self.order, num, self.den * d)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
         g = math.gcd(a.den, b.den)
         fa, fb = b.den // g, sign * (a.den // g)
-        return _new(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
+        sa = scale * fa
+        return _new(a.order, [x * sa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
 
     def __add__(self, other: ElementLike) -> "CyclotomicElement":
         return self._add(other, 1)
@@ -268,7 +273,7 @@ class CyclotomicElement:
         return self._add(other, -1)
 
     def __rsub__(self, other: ElementLike) -> "CyclotomicElement":
-        return (-self) + other
+        return self._add(other, 1, -1)
 
     def __mul__(self, other: ElementLike) -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
@@ -293,9 +298,12 @@ class CyclotomicElement:
 
     def __truediv__(self, other: ElementLike) -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            n, d = other.numerator, other.denominator
+            if n == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / other)
+            if n < 0:  # the sign goes into the numerators
+                n, d = -n, -d
+            return _new(self.order, [c * d for c in self.num], self.den * n)
         if isinstance(other, CyclotomicElement):
             return self * other.inverse()
         return NotImplemented
@@ -420,21 +428,25 @@ def as_element(value: ElementLike, order: int = 1) -> CyclotomicElement:
 # -- p-local predicates -----------------------------------------------
 
 
+def _content_valuation(num: Iterable[int], den: int, p: int) -> Valuation:
+    """v_p(gcd(num)) - v_p(den) for integers num over den > 0; INFINITE
+    when every numerator is 0."""
+    v, g = 0, math.gcd(*num)
+    if g == 0:
+        return INFINITE
+    while g % p == 0:
+        g //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 def rational_valuation(value: Scalar, p: int) -> Valuation:
     """p-adic valuation of a rational number; INFINITE for zero."""
     q = Fraction(value)
-    if q == 0:
-        return INFINITE
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _content_valuation((q.numerator,), q.denominator, p)
 
 
 def p_content_valuation(x: ElementLike, p: int) -> Valuation:
@@ -445,9 +457,7 @@ def p_content_valuation(x: ElementLike, p: int) -> Valuation:
     integrality.
     """
     x = as_element(x)
-    if x.is_zero():
-        return INFINITE
-    return rational_valuation(Fraction(math.gcd(*x.num), x.den), p)
+    return _content_valuation(x.num, x.den, p)
 
 
 def congruent_mod(
@@ -455,11 +465,13 @@ def congruent_mod(
 ) -> tuple[bool, Valuation]:
     """Whether x == y (mod p^n) in Z_(p)[zeta], with the observed margin.
 
-    Returns (holds, margin) where margin = p_content_valuation(x - y) and
-    holds iff margin >= n.
+    Returns (holds, margin) where margin = p_content_valuation(x - y), read
+    from the cross-multiplied numerators without building x - y, and holds
+    iff margin >= n.
     """
-    diff = as_element(x) - y
-    margin = p_content_valuation(diff, p)
+    x, y = as_element(x)._coerce(as_element(y))
+    diff = [a * y.den - b * x.den for a, b in zip(x.num, y.num)]
+    margin = _content_valuation(diff, x.den * y.den, p)
     return margin >= n, margin
 
 

@@ -7,7 +7,8 @@ exponent of chi, walking the units in generator order, and reduced once
 (DirichletCharacter.weighted_sum).  Exactness makes the regrouping
 indistinguishable from ascending-j summation.  S_k(n, chi) is a pure
 function of (k, n, chi) and elements are immutable, so power_sum is
-memoised.
+memoised; so is floor_weighted_sum's per-class row, which every character
+of one modulus shares.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ def floor_weighted_sum(
         raise ValueError("n must be >= 1")
     if a % p == 0:
         raise DomainError(f"a={a} is divisible by p={p}")
-    modulus = bounded_power(p, n)
-    per_class = [0] * (chi.modulus if chi else 1)
-    f = len(per_class)
+    per_class = _floor_row(k, a, bounded_power(p, n), chi.modulus if chi else 1)
+    return chi.weighted_sum(per_class) if chi else CyclotomicElement.from_rational(per_class[0])
+
+
+@lru_cache(maxsize=4096)
+def _floor_row(k: int, a: int, modulus: int, f: int) -> tuple[int, ...]:
+    per_class = [0] * f
     for j in range(1, modulus):
         per_class[j % f] += j**k * (j * a // modulus)
-    return chi.weighted_sum(per_class) if chi else CyclotomicElement.from_rational(per_class[0])
+    return tuple(per_class)

@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain, product
+from json.encoder import encode_basestring_ascii as _string_text
 from typing import Iterator, Optional
 
 from . import congruences as cg
@@ -145,7 +146,8 @@ class SweepReport:
         default_factory=lambda: {"total": 0, "holds": 0, "fails": 0, "skips": 0, "per_id": {}})
 
     def add(self, result: CongruenceVerdict | SkipRecord) -> None:
-        row = self.summary["per_id"].setdefault(
+        per_id = self.summary["per_id"]
+        row = per_id.get(result.id) or per_id.setdefault(  # a new row on an id's first result
             result.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf})
         if isinstance(result, SkipRecord):
             self.skips.append(result)
@@ -387,6 +389,13 @@ def _margin_str(margin) -> str:
     return "inf" if margin == math.inf else str(margin)
 
 
+def _element_text(x) -> str:
+    # json_text(x.record()); record()'s coefficient texts need no escapes.
+    record = x.record()
+    coeffs = '", "'.join(record["coeffs"])
+    return f'{{"coeffs": ["{coeffs}"], "order": {record["order"]}}}'
+
+
 def _csv_row(v: CongruenceVerdict) -> list[str]:
     extra = {k: v_ for k, v_ in v.params.items() if k not in CSV_PARAM_COLUMNS}
     return [
@@ -428,20 +437,19 @@ def _record_lines(report: SweepReport) -> Iterator[str]:
         "config": report.config,
     }
     yield json_text(header)
+    # Verdict and skip lines are written from fixed keys, in the order
+    # json_text sorts them, each value as json_text writes it.
     for v in report.verdicts:
-        yield json_text({
-            "type": "verdict",
-            "id": v.id,
-            "branch": v.branch,
-            "params": v.params,
-            "holds": v.holds,
-            "required_exponent": v.required_modulus_exponent,
-            "observed_margin": _margin_str(v.observed_margin),
-            "lhs": v.lhs.record(),
-            "rhs": v.rhs.record(),
-        })
+        branch = "null" if v.branch is None else _string_text(v.branch)
+        yield (f'{{"branch": {branch}, "holds": {"true" if v.holds else "false"}, '
+               f'"id": {_string_text(v.id)}, "lhs": {_element_text(v.lhs)}, '
+               f'"observed_margin": "{_margin_str(v.observed_margin)}", '
+               f'"params": {json_text(v.params)}, '
+               f'"required_exponent": {v.required_modulus_exponent}, '
+               f'"rhs": {_element_text(v.rhs)}, "type": "verdict"}}')
     for s in report.skips:
-        yield json_text({"type": "skip", "id": s.id, "params": s.params, "reason": s.reason})
+        yield (f'{{"id": {_string_text(s.id)}, "params": {json_text(s.params)}, '
+               f'"reason": {_string_text(s.reason)}, "type": "skip"}}')
     summary = dict(report.summary)
     summary["per_id"] = {
         id_: {**row, "min_margin": _margin_str(row["min_margin"])}

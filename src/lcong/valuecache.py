@@ -31,8 +31,18 @@ from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
 
-# The one JSON text of cache records and of the sweep's reports.
-json_text = json.JSONEncoder(sort_keys=True).encode
+_SORTED = json.JSONEncoder(sort_keys=True)
+# The C encoder _SORTED.encode builds per call, built once; no circular check
+# (markers None): records are trees, and shared markers outlive a failed call.
+_encoder = json.encoder.c_make_encoder(
+    None, _SORTED.default, json.encoder.encode_basestring_ascii, _SORTED.indent,
+    _SORTED.key_separator, _SORTED.item_separator, _SORTED.sort_keys, _SORTED.skipkeys,
+    _SORTED.allow_nan)
+
+
+def json_text(value) -> str:
+    """JSONEncoder(sort_keys=True).encode: the one JSON text of records and reports."""
+    return "".join(_encoder(value, 0))
 
 
 class CacheError(RuntimeError):

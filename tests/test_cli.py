@@ -669,6 +669,23 @@ class TestConsoleScript:
             f"error: modulus {modulus} exceeds dlog table bound 200000"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["kummer", "--p", "5", "--k", "2", "--l", "6"],
+        ["ernvall", "--chi-p", "3", "--chi-m", "1", "--p", "5", "--k", "1", "--l", "5"],
+    ], ids=["kummer", "ernvall"])
+    def test_congruence_exponent_is_not_raised_to_a_power(self, argv):
+        # k == l (mod phi(p^n)) is read from the valuation of k - l, so a
+        # huge n forms no p^n and the instance is skipped at once.
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv, "--n", "1000000000"],
+            capture_output=True, text=True, timeout=2,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            f"configuration error: every instance was skipped, first {argv[0]}: "
+            "requires k == l (mod phi(p^n))"
+        ]
+
     def test_unexpected_error_exits_three_without_traceback(self):
         script = (
             "import sys\n"

@@ -6,6 +6,7 @@ import pytest
 from lcong.bernoulli import ParityError, UndefinedCaseError
 from lcong.characters import character, enumerate_primitive
 from lcong.congruences import (
+    _phi_aligned,
     check_nondivisibility,
     sum_lift_excluded,
     unit_branch_witness,
@@ -29,6 +30,7 @@ from lcong.congruences import (
     verify_twisted_voronoi,
     verify_voronoi,
 )
+from lcong.cyclotomic import euler_phi
 from lcong.power_sums import DomainError
 from divisibility_oracle import squared_normalizer_divides_p
 from norm_oracle import least_unit_witness
@@ -47,6 +49,16 @@ class TestKummerClassical:
     def test_index_mismatch_rejected(self):
         with pytest.raises(DomainError):
             verify_kummer_classical(5, 2, 4, 1)
+
+
+def test_phi_alignment_is_the_euler_phi_test():
+    # kummer and ernvall decide k == l (mod phi(p^n)) without forming p^n.
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 5):
+            phi = euler_phi(p**n)
+            for l in (0, 1, 7):
+                for k in range(l - 400, l + 401):
+                    assert _phi_aligned(k, l, p, n) == ((k - l) % phi == 0), (p, n, k, l)
 
 
 class TestErnvall:

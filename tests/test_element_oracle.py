@@ -16,7 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle as oracle
 from lcong.cli import EXIT_OK, main
-from lcong.cyclotomic import CyclotomicElement, _bezout_constant, euler_phi, p_content_valuation
+from lcong.cyclotomic import (
+    CyclotomicElement, _bezout_constant, congruent_mod, euler_phi, p_content_valuation,
+)
 
 ORDERS = (1, 3, 4, 5, 8, 9, 12, 20, 25, 42)
 # Operand orders whose common field stays small enough for the oracle.
@@ -132,6 +134,45 @@ def test_scalar_operations(pair, c):
     assert (x == c) == oracle.equal(ox, oc)
     if c:
         assert as_oracle(x / c) == oracle.mul(ox, oracle.inverse(oc))
+
+
+# Every order N with phi(N) <= 16.
+SMALL_ORDERS = [n for n in range(1, 61) if euler_phi(n) <= 16]
+scalar_operands = st.one_of(st.sampled_from([0, Fraction(0), -1, Fraction(-1, 3)]), scalars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_ORDERS).flatmap(pairs), scalar_operands)
+def test_scalar_paths_at_every_small_order(pair, c):
+    # Adding, subtracting and dividing by an int or a Fraction touch the
+    # fields directly; each agrees with the Fraction oracle and with the
+    # generic element path, in canonical form.
+    x, ox = pair
+    oc, generic = oracle.reduce(1, [c]), CyclotomicElement.from_rational(c, x.order)
+    for got, want, expected in ((x + c, x + generic, oracle.add(ox, oc)),
+                                (x - c, x - generic, oracle.sub(ox, oc)),
+                                (c - x, generic - x, oracle.sub(oc, ox))):
+        assert as_oracle(got) == expected
+        assert fields(got) == fields(want)
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    if c:
+        got = x / c
+        assert as_oracle(got) == oracle.mul(ox, oracle.inverse(oc))
+        assert fields(got) == fields(x * generic.inverse())
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_ORDERS).flatmap(pairs),
+       st.one_of(st.sampled_from(SMALL_ORDERS).flatmap(pairs), scalar_operands.map(lambda c: (c,))),
+       st.sampled_from([2, 3, 5, 7]), st.integers(-2, 6))
+def test_congruent_mod_reads_the_content_of_the_difference(pair, other, p, n):
+    x, y = pair[0], other[0]
+    margin = p_content_valuation(x - y, p)
+    assert congruent_mod(x, y, p, n) == (margin >= n, margin)
 
 
 @settings(max_examples=150, deadline=None)

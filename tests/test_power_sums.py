@@ -1,8 +1,8 @@
 import pytest
 
 from lcong.characters import character, enumerate_characters, enumerate_primitive
-from lcong.cyclotomic import congruent_mod
-from lcong.power_sums import DomainError, floor_weighted_sum, power_sum
+from lcong.cyclotomic import CyclotomicElement, congruent_mod
+from lcong.power_sums import DomainError, _floor_row, floor_weighted_sum, power_sum
 from bernoulli_oracle import power_sum_via_bernoulli
 from norm_oracle import is_unit_at_p
 
@@ -80,6 +80,16 @@ class TestFloorWeightedSum:
     def test_p_divides_a_rejected(self, chi8):
         with pytest.raises(DomainError):
             floor_weighted_sum(1, 4, 2, 3, chi8)
+
+    def test_characters_of_one_modulus_share_one_row(self):
+        # The memoised per-class row is built once for (k, a, p^n, f) and
+        # read by every character mod f; each sum matches the direct one.
+        _floor_row.cache_clear()
+        for chi in enumerate_characters(3, 2):
+            brute = sum((chi(j) * j**2 * (j * 5 // 27) for j in range(1, 27)),
+                        CyclotomicElement.zero(chi.zeta_order))
+            assert floor_weighted_sum(2, 5, 3, 3, chi) == brute
+        assert _floor_row.cache_info().misses == 1
 
 
 class TestScalingCongruence:

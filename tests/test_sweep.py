@@ -8,13 +8,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcong import DomainError, ParityError, UndefinedCaseError
 from lcong.bernoulli import BernoulliCache
 from lcong.characters import character
+from lcong.congruences import CongruenceVerdict
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import (
     ConfigError,
+    SkipRecord,
     SweepConfig,
     SweepJob,
     expand_job,
@@ -255,10 +258,26 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
         written.append(fh)
         write(report, fh)
 
+    # A 3.2 verdict makes one floor sum and one int - element, through
+    # congruences.floor_weighted_sum and CyclotomicElement.__rsub__, or
+    # `power_sums.floor_weighted_sum.*` and `cyclotomic.addsub.*` read 0.
+    floor_sums, rsubs = [], []
+    floor_sum, rsub = congruences.floor_weighted_sum, CyclotomicElement.__rsub__
+
+    def summing(*args):
+        floor_sums.append(args)
+        return floor_sum(*args)
+
+    def subtracting(self, other):
+        rsubs.append(other)
+        return rsub(self, other)
+
     monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
     monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
     monkeypatch.setattr(sweep, "expand_job", expanding)
     monkeypatch.setattr(sweep, "write_records", writing)
+    monkeypatch.setattr(congruences, "floor_weighted_sum", summing)
+    monkeypatch.setattr(CyclotomicElement, "__rsub__", subtracting)
     records = str(tmp_path / "out.jsonl")
     report = run_sweep(SweepConfig(jobs=(
         SweepJob("1.4", {"m": "3..4", "k": "0..3", "n": [1], "q": [1]}),
@@ -267,6 +286,12 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     assert report.verdicts and report.skips
     assert len(verified) == len(report.verdicts) + len(report.skips)
     assert expanded == ["1.4"] and len(written) == 1
+    floor_sums.clear(), rsubs.clear()
+    report = run_sweep(SweepConfig(jobs=(
+        SweepJob("3.2", {"p": [2, 3], "m": [1, 2], "a": [1, 2], "k": "0..3", "n": [2]}),
+    )), cache=BernoulliCache())
+    assert report.verdicts and report.skips
+    assert len(floor_sums) == len(rsubs) == len(report.verdicts)
 
 
 class TestReports:
@@ -309,6 +334,58 @@ class TestReports:
         assert csv_path.read_text().startswith("id,branch,chi")
         first = json.loads(rec_path.read_text().splitlines()[0])
         assert first["type"] == "header" and "timestamp" in first
+
+
+# Text with the characters JSON escapes: a quote, a backslash, controls
+# and non-ASCII.
+escaped_text = st.text(alphabet=st.sampled_from('ab:,"\\\n\x01\u00e9\u2013\U0001f600'), max_size=6)
+param_values = st.one_of(st.integers(-10**20, 10**20), st.booleans(), escaped_text,
+                         st.floats(allow_nan=False))
+params = st.dictionaries(st.one_of(st.sampled_from(["chi", "k", "n", "congruent", "expected"]),
+                                   escaped_text), param_values, max_size=5)
+elements = st.builds(
+    CyclotomicElement, st.sampled_from([1, 4, 8, 12]),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=4))
+verdicts = st.builds(
+    CongruenceVerdict, id=st.one_of(st.sampled_from(registered_ids()), escaped_text),
+    params=params, holds=st.booleans(), required_modulus_exponent=st.integers(0, 10**6),
+    observed_margin=st.one_of(st.integers(-5, 60), st.just(math.inf)),
+    lhs=elements, rhs=elements, branch=st.sampled_from([None, "i", "ii", "iff"]))
+skips = st.builds(SkipRecord, id=escaped_text, params=params,
+                  reason=escaped_text.map(lambda text: f'{text} "\\\u00e9'))
+
+
+def legacy_record(result) -> dict:
+    """A verdict or skip line's dict, as the writer built it for
+    JSONEncoder(sort_keys=True).encode."""
+    if isinstance(result, SkipRecord):
+        return {"type": "skip", "id": result.id, "params": result.params, "reason": result.reason}
+    return {
+        "type": "verdict", "id": result.id, "branch": result.branch, "params": result.params,
+        "holds": result.holds, "required_exponent": result.required_modulus_exponent,
+        "observed_margin": "inf" if result.observed_margin == math.inf
+        else str(result.observed_margin),
+        "lhs": result.lhs.record(), "rhs": result.rhs.record(),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(verdicts, max_size=3), st.lists(skips, max_size=3))
+def test_record_lines_match_the_sort_keys_encoder(drawn_verdicts, drawn_skips):
+    # The fixed-key line writer against the generic encoder, line by line;
+    # the one-encoder json_text against it on the same values.
+    encode = json.JSONEncoder(sort_keys=True).encode
+    report = sweep.SweepReport(config={"jobs": []})
+    for result in drawn_verdicts + drawn_skips:
+        report.add(result)
+    lines = rendered(write_records, report).splitlines()
+    records = [legacy_record(result) for result in drawn_verdicts + drawn_skips]
+    assert lines[1:-1] == [encode(record) for record in records]
+    for record in records:
+        assert valuecache.json_text(record) == encode(record)
+        assert all(valuecache.json_text(value) == encode(value) for value in record.values())
+    for line in lines[0], lines[-1]:
+        assert valuecache.json_text(json.loads(line)) == encode(json.loads(line)) == line
 
 
 def test_file_writers_stream_what_the_views_collect(tmp_path):
