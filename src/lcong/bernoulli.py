@@ -25,12 +25,21 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Callable
 
-from .characters import DirichletCharacter, opposite_parity
+from .characters import DirichletCharacter, ResourceLimitError, opposite_parity
 from .cyclotomic import CyclotomicElement
 
 CharKey = tuple[int, int, tuple[int, ...]]
 #: A twisted value, or a builder of it that is called on first lookup.
 Twisted = CyclotomicElement | Callable[[], CyclotomicElement]
+
+
+#: Largest index of B_k, E_k and B_(k,chi): Seidel's triangle grows no further.
+MAX_INDEX = 2000
+
+
+def _check_index(k: int) -> None:
+    if k > MAX_INDEX:
+        raise ResourceLimitError(f"index {k} exceeds Bernoulli/Euler index bound {MAX_INDEX}")
 
 
 class DomainError(ValueError):
@@ -56,7 +65,8 @@ class BernoulliCache:
 
     The L* memo is derived from the twisted values, never persisted (the
     file cache holds B_(k,chi) only), and seeding a twisted value drops
-    the L* entry built on it.
+    the L* entry built on it.  ``take_new`` hands over the twisted values
+    computed here, never those seeded, for lcong.valuecache.append_new.
     """
 
     def __init__(self):
@@ -66,8 +76,7 @@ class BernoulliCache:
         self._twisted: dict[tuple[CharKey, int], Twisted] = {}
         self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        #: keys written since the last persistence sync (see lcong.valuecache)
-        self.dirty_keys: set[tuple[CharKey, int]] = set()
+        self._new: set[tuple[CharKey, int]] = set()  # computed, not yet taken
 
     # -- classical sequences -------------------------------------------
 
@@ -80,6 +89,7 @@ class BernoulliCache:
     def bernoulli(self, k: int) -> Fraction:
         if k < 0:
             raise DomainError("Bernoulli index must be >= 0")
+        _check_index(k)
         while (j := len(self._bernoulli)) <= k:
             if j % 2:
                 self._bernoulli.append(Fraction(-1 if j == 1 else 0, 2))
@@ -92,6 +102,7 @@ class BernoulliCache:
     def euler(self, k: int) -> int:
         if k < 0:
             raise DomainError("Euler index must be >= 0")
+        _check_index(k)
         return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
     # -- twisted values ------------------------------------------------
@@ -118,6 +129,7 @@ class BernoulliCache:
         return row
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:
+        _check_index(k)
         key = (chi.key(), k)
         cached = self.stored_twisted(key)
         if cached is not None:
@@ -125,7 +137,7 @@ class BernoulliCache:
         scale, row = self._row(chi.modulus, k)  # chi(0) = chi(f) = 0 stands in for a = f
         total = chi.weighted_sum(row) * Fraction(1, scale)
         self._twisted[key] = total
-        self.dirty_keys.add(key)
+        self._new.add(key)
         return total
 
     def stored_twisted(self, key: tuple[CharKey, int]) -> CyclotomicElement | None:
@@ -139,7 +151,13 @@ class BernoulliCache:
         """Seed a precomputed twisted Bernoulli number, or a builder called
         for it on first lookup (e.g. from a file cache)."""
         self._twisted[key] = value
+        self._new.discard(key)
         self._script_l.pop((key[0], key[1] - 1), None)  # L*_(k-1) is built on B_(k,chi)
+
+    def take_new(self) -> dict[tuple[CharKey, int], CyclotomicElement]:
+        """The twisted values computed since the last call, in key order: each is taken once."""
+        new, self._new = self._new, set()
+        return {key: self._twisted[key] for key in sorted(new)}
 
 
 #: Default process-wide cache; sweeps re-use values heavily.

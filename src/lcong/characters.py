@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .cyclotomic import CyclotomicElement, euler_phi, prime_factors, zeta
+from .cyclotomic import CyclotomicElement, _new, _reduce, euler_phi, prime_factors, zeta
 
 #: Largest modulus for which a full discrete-log table is built.
 MAX_TABLE_MODULUS = 200_000
 
 
 class ResourceLimitError(ValueError):
-    """Modulus or prime too large for the exhaustive discrete-log table."""
+    """A modulus, prime or power above the dlog table bound, or an index above MAX_INDEX."""
 
 
 def check_bound(n: int, name: str = "modulus") -> None:
@@ -192,6 +192,10 @@ class DirichletCharacter:
             return None
         return sum(w * x for w, x in zip(self._weights, exps)) % self.zeta_order
 
+    def value_order(self, a: int) -> int:
+        """Order N / gcd(t, N) of the root of unity chi(a) = zeta_N^t, a prime to p."""
+        return self.zeta_order // math.gcd(self.value_exponent(a), self.zeta_order)
+
     def weighted_sum(self, weights: list[int]) -> CyclotomicElement:
         """sum_r chi(r) * weights[r], one integer weight per residue r = 0..f-1.
 
@@ -207,7 +211,7 @@ class DirichletCharacter:
         vec = [0] * n
         for r, t in zip(self.group.dlog, exps):
             vec[t % n] += weights[r]
-        return CyclotomicElement(n, vec)
+        return _new(n, _reduce(vec, n), 1)
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.images))

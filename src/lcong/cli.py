@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .bernoulli import (
-    BernoulliCache,
     DomainError,
     bernoulli_number,
     euler_number,
@@ -88,9 +87,7 @@ def _report_and_exit(config: SweepConfig, args) -> int:
     config = dataclasses.replace(config, **{
         f"{flag}_path": getattr(args, flag) for flag in ("csv", "records", "cache")
         if getattr(args, flag) is not None})
-    # Each command starts from the persistent file, not from whatever the
-    # process happens to have memoized: the file is the reuse layer.
-    report = run_sweep(config, cache=BernoulliCache())
+    report = run_sweep(config)
     if report.skips and not report.verdicts:
         first = report.skips[0]
         raise ConfigError(f"every instance was skipped, first {first.id}: {first.reason}")

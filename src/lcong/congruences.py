@@ -40,7 +40,6 @@ from .cyclotomic import (
     p_content_valuation,
     prime_factors,
     rational_valuation,
-    root_of_unity_order,
     zeta,
 )
 from .power_sums import floor_weighted_sum, power_sum
@@ -182,8 +181,9 @@ def verify_stern(
     _require(k % 2 == 0 and k >= 0, "k must be even >= 0")
     _require(n >= 1, "n must be >= 1")
     _require(q % 2 == 1 and q >= 1, "q must be odd >= 1")
-    lhs = cache.euler(k + 2**n * q)
-    rhs = cache.euler(k) + 2**n
+    power = bounded_power(2, n)  # before E_(k + 2^n q) is looked up
+    lhs = cache.euler(k + power * q)
+    rhs = cache.euler(k) + power
     return _congruence_verdict("stern", {"k": k, "n": n, "q": q}, lhs, rhs, 2, n + 1)
 
 
@@ -195,7 +195,7 @@ def verify_stern_iff(
     _require(n >= 1, "n must be >= 1")
     return _congruence_verdict(
         "stern-iff", {"k": k, "l": l, "n": n}, cache.euler(k), cache.euler(l), 2, n,
-        expected=(k - l) % 2**n == 0,
+        expected=rational_valuation(k - l, 2) >= n,  # 2^n is never formed
     )
 
 
@@ -224,9 +224,10 @@ def verify_lvalue_shift_two(
     if not opposite_parity(chi, k):
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
     d = k % 2
-    lhs = script_l(k + 2**n * q, chi, cache) - script_l(k, chi, cache)
+    power = bounded_power(2, n)  # before L*_(k + 2^n q) is looked up
+    lhs = script_l(k + power * q, chi, cache) - script_l(k, chi, cache)
     conj_chi_5 = zeta(chi.zeta_order, -chi.value_exponent(5))
-    rhs = script_l(d, chi, cache) * (2 ** (n + 2)) / (1 - conj_chi_5)
+    rhs = script_l(d, chi, cache) * (4 * power) / (1 - conj_chi_5)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.4", params, lhs, rhs, 2, n + 3)
 
@@ -247,7 +248,8 @@ def verify_lvalue_shift_two_iff(
     lhs = script_l(k, chi, cache)
     rhs = script_l(l, chi, cache)
     params = {"chi": chi.label(), "k": k, "l": l, "n": n}
-    return _congruence_verdict("1.5", params, lhs, rhs, 2, n + 2, expected=(k - l) % 2**n == 0)
+    return _congruence_verdict("1.5", params, lhs, rhs, 2, n + 2,
+                               expected=rational_valuation(k - l, 2) >= n)
 
 
 @lru_cache(maxsize=65536)
@@ -267,11 +269,11 @@ def unit_branch_witness(chi: DirichletCharacter, k: int) -> int | None:
     A full coprime residue system modulo p^m is an exhaustive search
     space because both chi(a) and a^(k+1) mod p only depend on a mod p^m.
     """
-    p, n = chi.p, chi.zeta_order
+    p = chi.p
     for a in range(1, chi.modulus):
         if a % p == 0:
             continue
-        order = n // math.gcd(chi.value_exponent(a), n)
+        order = chi.value_order(a)
         while order % p == 0:
             order //= p
         if multiplicative_order(pow(a, k + 1, p), p, p - 1) != order:
@@ -304,7 +306,8 @@ def verify_lvalue_shift_odd(
     _require(q % p != 0, "requires p not dividing q")
     if not opposite_parity(chi, k):
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
-    shift = euler_phi(p**n) * q
+    power = bounded_power(p, n)  # before L_(k + phi(p^n) q) is looked up
+    shift = power // p * (p - 1) * q  # phi(p^n) q, p^n not trial-divided
     witness = unit_branch_witness(chi, k)
     if witness is not None:
         lhs = l_value(k + shift, chi, cache)
@@ -315,7 +318,7 @@ def verify_lvalue_shift_odd(
     d = k % (p - 1)
     lhs = script_l(k + shift, chi, cache) - script_l(k, chi, cache)
     conj_chi_u = zeta(chi.zeta_order, -chi.value_exponent(p + 1))
-    rhs = script_l(d, chi, cache) * (p**n * q) / (1 - conj_chi_u)
+    rhs = script_l(d, chi, cache) * (power * q) / (1 - conj_chi_u)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.7", params, lhs, rhs, p, n, branch="ii")
 
@@ -352,9 +355,10 @@ def verify_lvalue_shift_odd_iff(
     lhs = script_l(k + (p - 1) * h, chi, cache)
     rhs = script_l(k, chi, cache)
     params = {"chi": chi.label(), "k": k, "h": h, "n": n}
-    verdict = _congruence_verdict("1.8", params, lhs, rhs, p, n, expected=h % p ** (n - 1) == 0)
+    val_h = rational_valuation(h, p)  # p^(n-1) and p^n are never formed
+    verdict = _congruence_verdict("1.8", params, lhs, rhs, p, n, expected=val_h >= n - 1)
     # Reports print params in insertion order: the aligned reading goes last.
-    verdict.params["expected_aligned"] = h % p**n == 0
+    verdict.params["expected_aligned"] = val_h >= n
     return verdict
 
 
@@ -558,13 +562,13 @@ def verify_character_orders(chi: DirichletCharacter) -> CongruenceVerdict:
     ok = True
     if p == 2:
         _require(m >= 3, "p = 2 requires m >= 3")
-        order = root_of_unity_order(chi(5))
+        order = chi.value_order(5)
         checks["order_chi_5"] = order
         ok = order == 2 ** (m - 2)
     else:
         _require(m >= 2, "odd p requires m >= 2")
         for j in range(1, m):
-            order = root_of_unity_order(chi(p ** (m - j) + 1))
+            order = chi.value_order(p ** (m - j) + 1)
             checks[f"order_at_1+p^{m - j}"] = order
             ok = ok and order == p**j
     one = CyclotomicElement.one(chi.zeta_order)

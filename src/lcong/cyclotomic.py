@@ -182,6 +182,8 @@ class CyclotomicElement:
         """{"order": N, "coeffs": [...]} with each power-basis coordinate
         written as str(Fraction) writes it ("n" or "n/d" in lowest terms):
         the one coefficient text of reports, the value cache and repr."""
+        if self.den == 1:
+            return {"order": self.order, "coeffs": list(map(str, self.num))}
         coeffs = []
         for c in self.num:
             g = math.gcd(c, self.den)

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _string_text
 from typing import Iterator, Optional
 
 from . import congruences as cg
-from .bernoulli import DEFAULT_CACHE, BernoulliCache, DomainError
+from .bernoulli import BernoulliCache, DomainError
 from .characters import DirichletCharacter, enumerate_characters, enumerate_primitive
 from .congruences import CongruenceVerdict
 from . import valuecache
@@ -347,17 +347,16 @@ def run_sweep(config: SweepConfig, cache: Optional[BernoulliCache] = None) -> Sw
     the memo, check and run the jobs and append the new values; if a verdict
     fails on loaded values, run again on a fresh memo, warn once per changed
     verdict and append the fresh values that differ.  Then write the reports,
-    once.  Without ``cache``, a config with a cache file runs on a fresh memo,
-    so a file never seeds DEFAULT_CACHE; any other runs on DEFAULT_CACHE."""
+    once.  Without ``cache``, the sweep runs on a fresh memo: it starts from
+    the file, not from what the process happens to have memoised."""
     cache_path = config.cache_path
-    if cache is None:
-        cache = BernoulliCache() if cache_path else DEFAULT_CACHE
+    cache = BernoulliCache() if cache is None else cache
     loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
     if not config.jobs:
         raise ConfigError("no jobs configured")
     report = _run(config, cache)
     if cache_path:
-        valuecache.append_new(cache_path, cache)
+        valuecache.append_new(cache_path, cache.take_new())
     if loaded and not report.all_hold:
         fresh = BernoulliCache()
         fresh_report = _run(config, fresh)
@@ -367,9 +366,8 @@ def run_sweep(config: SweepConfig, cache: Optional[BernoulliCache] = None) -> Sw
                       f"holds={old.holds} margin={old.observed_margin} from the cache, "
                       f"holds={new.holds} margin={new.observed_margin} recomputed",
                       file=sys.stderr)
-        fresh.dirty_keys = {key for key in fresh.dirty_keys
-                            if cache.stored_twisted(key) != fresh.stored_twisted(key)}
-        valuecache.append_new(cache_path, fresh)
+        valuecache.append_new(cache_path, {key: value for key, value in fresh.take_new().items()
+                                           if cache.stored_twisted(key) != value})
         report = fresh_report
     for path, write in ((config.csv_path, write_csv), (config.records_path, write_records)):
         if path:

@@ -137,20 +137,17 @@ def load_into(path: Path | str, cache: BernoulliCache) -> int:
     return len(entries)
 
 
-def append_new(path: Path | str, cache: BernoulliCache) -> int:
-    """Append every value computed since the last sync; returns the count."""
-    path = Path(path)
-    keys = sorted(cache.dirty_keys)
-    if not keys:
+def append_new(path: Path | str, values: dict[CacheKey, CyclotomicElement]) -> int:
+    """Append the given values, in the mapping's order; returns the count."""
+    if not values:
         return 0
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         _truncate_torn_tail(path)
     with open(path, "a", encoding="utf-8") as fh:
-        for key in keys:
-            fh.write(_encode(key, cache._twisted[key]) + "\n")
-    cache.dirty_keys.clear()
-    return len(keys)
+        fh.writelines(_encode(key, value) + "\n" for key, value in values.items())
+    return len(values)
 
 
 def _truncate_torn_tail(path: Path) -> None:

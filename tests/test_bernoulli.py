@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lcong.bernoulli import (
+    MAX_INDEX,
     BernoulliCache,
     ParityError,
     UndefinedCaseError,
@@ -19,6 +20,7 @@ from lcong.bernoulli import (
     script_l,
 )
 from lcong.characters import (
+    ResourceLimitError,
     character,
     enumerate_characters,
     enumerate_primitive,
@@ -180,6 +182,15 @@ class TestSeidelTriangle:
         for k in range(0, self.LIMIT + 1, 2):
             e = grown.euler(k)
             assert e % 2 == 1 and (e > 0) == (k % 4 == 0), k
+
+
+def test_index_above_the_bound_is_refused_before_anything_grows(chi8):
+    cache = BernoulliCache()
+    for lookup in (cache.bernoulli, cache.euler, lambda k: cache.twisted_bernoulli(chi8, k)):
+        with pytest.raises(ResourceLimitError,
+                           match=f"^index {MAX_INDEX + 1} exceeds Bernoulli/Euler index bound"):
+            lookup(MAX_INDEX + 1)
+    assert cache._zigzag_numbers == [1] and not cache._rows and not cache._twisted
 
 
 class TestTwistedBernoulli:
@@ -374,8 +385,24 @@ class TestCache:
     def test_dirty_key_tracking(self, chi8):
         cache = BernoulliCache()
         cache.twisted_bernoulli(chi8, 4)
-        assert (chi8.key(), 4) in cache.dirty_keys
+        assert (chi8.key(), 4) in cache.take_new()
         seeded = BernoulliCache()
         seeded.store_twisted((chi8.key(), 4), cache._twisted[(chi8.key(), 4)])
-        assert not seeded.dirty_keys
+        assert not seeded.take_new()
         assert seeded.twisted_bernoulli(chi8, 4) == cache.twisted_bernoulli(chi8, 4)
+
+    def test_take_new_hands_each_computed_value_over_once_in_key_order(self, chi8):
+        chi16 = character(2, 4, (1, 1))
+        cache = BernoulliCache()
+        # Seeded values are never new: a value seeded over a computed one,
+        # and a builder, as a file load seeds it, that a lookup then builds.
+        cache.twisted_bernoulli(chi16, 3)
+        cache.store_twisted((chi16.key(), 3), BernoulliCache().twisted_bernoulli(chi16, 3))
+        cache.store_twisted((chi8.key(), 6), lambda: BernoulliCache().twisted_bernoulli(chi8, 6))
+        for chi, k in ((chi16, 2), (chi8, 4), (chi8, 2), (chi8, 6)):
+            cache.twisted_bernoulli(chi, k)
+        computed = [(chi16.key(), 2), (chi8.key(), 4), (chi8.key(), 2)]
+        new = cache.take_new()
+        assert list(new) == sorted(computed) != computed
+        assert all(new[key] is cache.stored_twisted(key) for key in computed)
+        assert cache.take_new() == {}

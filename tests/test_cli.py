@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from lcong.cli import (
     parse_values,
 )
 from lcong import valuecache
-from lcong.bernoulli import BernoulliCache, script_l
+from lcong.bernoulli import MAX_INDEX, BernoulliCache, script_l
 from lcong.characters import build_unit_group, character
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import ConfigError, SweepConfig, SweepJob, run_sweep
@@ -603,7 +604,7 @@ class TestCacheCommand:
         for images in ((0, 1), (1, 1), (1, 3)):
             for k in (1, 2):
                 cache.twisted_bernoulli(character(2, 11, images), k)
-        assert valuecache.append_new(path, cache) == 6
+        assert valuecache.append_new(path, cache.take_new()) == 6
         build_unit_group.cache_clear()
         assert main(["cache", "verify", "--path", str(path)]) == EXIT_OK
         assert "0 mismatches" in capsys.readouterr().out
@@ -668,6 +669,46 @@ class TestConsoleScript:
         assert result.stderr.splitlines() == [
             f"error: modulus {modulus} exceeds dlog table bound 200000"
         ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["1.6", "--p", "3", "--m", "2", "--k", "0", "--n", "40", "--q", "1"],
+         "modulus 3^40 exceeds dlog table bound 200000"),
+        (["stern", "--k", "0", "--n", "200", "--q", "1"],
+         "modulus 2^200 exceeds dlog table bound 200000"),
+        (["1.4", "--m", "3", "--k", "1", "--n", "200", "--q", "1"],
+         "modulus 2^200 exceeds dlog table bound 200000"),
+        (["1.8", "--p", "3", "--m", "2", "--k", "0", "--h", "100000000000", "--n", "1"],
+         f"index 200000000001 exceeds Bernoulli/Euler index bound {MAX_INDEX}"),
+        (["euler-kummer", "--p", "3", "--k", "0", "--l", "100000000000"],
+         f"index 100000000000 exceeds Bernoulli/Euler index bound {MAX_INDEX}"),
+    ], ids=["odd-shift-n", "stern-n", "two-shift-n", "odd-shift-iff-h", "euler-kummer-l"])
+    def test_index_is_bounded_before_the_triangle_grows(self, argv, message):
+        # The shift power 2^n or p^n is bounded before it is formed, and
+        # every B_k, E_k and B_(k,chi) index before Seidel's triangle or a
+        # row grows toward it.  So each of these exits at once.
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv],
+            capture_output=True, text=True, timeout=2,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["stern-iff", "--k", "0", "--l", "2"],
+        ["1.5", "--m", "3", "--k", "1", "--l", "3"],
+        ["1.8", "--p", "3", "--m", "2", "--k", "0", "--h", "3"],
+    ], ids=["stern-iff", "1.5", "1.8"])
+    def test_alignment_exponent_is_not_raised_to_a_power(self, argv):
+        # k == l (mod 2^n) and h == 0 (mod p^(n-1)) are read from the
+        # valuation, so a huge n forms no 2^n or p^n.  Under the address
+        # space cap, forming one fails at once instead of allocating 12 GB.
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv, "--n", "100000000000"],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
 
     @pytest.mark.parametrize("argv", [
         ["kummer", "--p", "5", "--k", "2", "--l", "6"],

@@ -30,7 +30,7 @@ from lcong.congruences import (
     verify_twisted_voronoi,
     verify_voronoi,
 )
-from lcong.cyclotomic import euler_phi
+from lcong.cyclotomic import euler_phi, root_of_unity_order
 from lcong.power_sums import DomainError
 from divisibility_oracle import squared_normalizer_divides_p
 from norm_oracle import least_unit_witness
@@ -397,6 +397,15 @@ class TestSumLemmas:
         assert verify_character_orders(character(3, 2, (1,))).holds
         with pytest.raises(DomainError):
             verify_character_orders(character(3, 1, (1,)))
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 2), (7, 2), (2, 3), (2, 5), (2, 7)])
+    def test_character_orders_match_the_power_route(self, p, m):
+        # 2.3 reads the order of chi(a) = zeta_N^t as N / gcd(t, N);
+        # root_of_unity_order finds it by raising chi(a) to powers.
+        points = [5] if p == 2 else [p ** (m - j) + 1 for j in range(1, m)]
+        for chi in enumerate_primitive(p, m):
+            orders = list(verify_character_orders(chi).params.values())[1:]
+            assert orders == [root_of_unity_order(chi(a)) for a in points], chi.label()
 
 
 class TestVerdictShape:

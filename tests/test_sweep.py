@@ -192,6 +192,17 @@ class TestRunSweep:
         assert report.all_hold
         assert (chi8.key(), 2) in cache._twisted  # B_(2,chi8) entered the memo
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache-file", "cache-file"])
+    def test_sweep_without_a_memo_leaves_the_default_memo_alone(self, tmp_path, monkeypatch,
+                                                                cached):
+        # The default memo starts empty, so a value a sweep put there would show.
+        for name, value in vars(BernoulliCache()).items():
+            monkeypatch.setattr(bernoulli.DEFAULT_CACHE, name, value)
+        path = str(tmp_path / "values.jsonl") if cached else None
+        job = SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]})
+        assert run_sweep(SweepConfig(jobs=(job,), cache_path=path)).all_hold
+        assert not bernoulli.DEFAULT_CACHE._twisted and not bernoulli.DEFAULT_CACHE._script_l
+
 
 class TestSkipContract:
     """Every failed hypothesis is a DomainError, which a sweep records as a
@@ -642,7 +653,7 @@ def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
                                    "l": [1], "n": [1]})
     filled = BernoulliCache()
     run_sweep(SweepConfig(jobs=(history, job)), cache=filled)
-    valuecache.append_new(path, filled)
+    valuecache.append_new(path, filled.take_new())
     uncached = BernoulliCache()
     expected = rendered(write_csv, run_sweep(SweepConfig(jobs=(job,)), cache=uncached))
     used = set(uncached._twisted)
@@ -651,7 +662,7 @@ def test_warm_sweep_builds_only_the_values_it_looks_up(tmp_path):
     eager = {key: build() for key, build in valuecache._builders(path).items()}
     assert valuecache.load_into(path, warm) == len(eager)
     assert rendered(write_csv, run_sweep(SweepConfig(jobs=(job,)), cache=warm)) == expected
-    assert not warm.dirty_keys and set(warm._twisted) == set(eager)
+    assert not warm.take_new() and set(warm._twisted) == set(eager)
     built = {key for key, value in warm._twisted.items() if type(value) is CyclotomicElement}
     assert built == used and len(used) < len(eager)
     for key in used:
