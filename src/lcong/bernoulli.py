@@ -135,7 +135,7 @@ class BernoulliCache:
         if cached is not None:
             return cached
         scale, row = self._row(chi.modulus, k)  # chi(0) = chi(f) = 0 stands in for a = f
-        total = chi.weighted_sum(row) * Fraction(1, scale)
+        total = chi.weighted_sum(row, scale)
         self._twisted[key] = total
         self._new.add(key)
         return total

@@ -10,7 +10,6 @@ Q(zeta_N) with N = phi(p^m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -65,16 +64,22 @@ def smallest_primitive_root(p: int, m: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {modulus}")
 
 
-@dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """(Z/p^m)* by generators and a dlog table; one shared, read-only instance per (p, m)."""
+    """(Z/p^m)* by generators and a dlog table; one shared instance per (p, m),
+    read-only by convention."""
 
-    p: int
-    m: int
-    modulus: int
-    order: int  # phi(p^m)
-    generators: tuple[tuple[int, int], ...]  # (residue, order) pairs
-    dlog: dict[int, tuple[int, ...]] = field(repr=False)
+    __slots__ = ("p", "m", "modulus", "order", "generators", "dlog")
+
+    def __init__(self, p: int, m: int, modulus: int, order: int,
+                 generators: tuple[tuple[int, int], ...], dlog: dict[int, tuple[int, ...]]):
+        self.p, self.m, self.modulus = p, m, modulus
+        self.order = order  # phi(p^m)
+        self.generators = generators  # (residue, order) pairs
+        self.dlog = dlog
+
+    def __repr__(self) -> str:
+        return (f"UnitGroup(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r}, "
+                f"order={self.order!r}, generators={self.generators!r})")
 
 
 @lru_cache(maxsize=16)
@@ -115,34 +120,28 @@ def build_unit_group(p: int, m: int) -> UnitGroup:
     return UnitGroup(p=p, m=m, modulus=modulus, order=order, generators=generators, dlog=dlog)
 
 
-@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
-    """A character of (Z/p^m)*, zero on residues sharing a factor with p.
+    """A character of (Z/p^m)*, zero on residues sharing a factor with p;
+    read-only by convention.
 
     ``images[i]`` is the exponent e_i with chi(g_i) = zeta_(order_i)^(e_i).
     Values are embedded in Q(zeta_N), N = phi(p^m).
     """
 
-    group: UnitGroup
-    images: tuple[int, ...]
-    zeta_order: int = field(init=False)
-    _weights: tuple[int, ...] = field(init=False, repr=False)
-    _conductor: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.images) != len(self.group.generators):
+    def __init__(self, group: UnitGroup, images: tuple[int, ...]):
+        if len(images) != len(group.generators):
             raise ValueError("one image exponent per generator required")
-        n = self.group.order
-        norm_images = tuple(
-            e % order for e, (_, order) in zip(self.images, self.group.generators)
-        )
-        object.__setattr__(self, "images", norm_images)
-        object.__setattr__(self, "zeta_order", n)
+        self.group = group
+        self.images = tuple(e % order for e, (_, order) in zip(images, group.generators))
+        self.zeta_order = n = group.order
         # chi(g_i)^x = zeta_N^(e_i * (N / order_i) * x)
-        object.__setattr__(self, "_weights", tuple(
-            e * (n // order) for e, (_, order) in zip(norm_images, self.group.generators)
-        ))
-        object.__setattr__(self, "_conductor", self._least_conductor())
+        self._weights = tuple(
+            e * (n // order) for e, (_, order) in zip(self.images, group.generators))
+        self._conductor = self._least_conductor()
+
+    def __repr__(self) -> str:
+        return (f"DirichletCharacter(group={self.group!r}, images={self.images!r}, "
+                f"zeta_order={self.zeta_order!r})")
 
     # -- identity -------------------------------------------------------
 
@@ -196,8 +195,9 @@ class DirichletCharacter:
         """Order N / gcd(t, N) of the root of unity chi(a) = zeta_N^t, a prime to p."""
         return self.zeta_order // math.gcd(self.value_exponent(a), self.zeta_order)
 
-    def weighted_sum(self, weights: list[int]) -> CyclotomicElement:
-        """sum_r chi(r) * weights[r], one integer weight per residue r = 0..f-1.
+    def weighted_sum(self, weights: list[int], den: int = 1) -> CyclotomicElement:
+        """sum_r chi(r) * weights[r] / den, one integer weight per residue
+        r = 0..f-1 and a positive common denominator.
 
         The units are walked in the dlog table's order, which is generator
         product order, so the exponent t of chi(r) = zeta_N^t steps by the
@@ -211,7 +211,7 @@ class DirichletCharacter:
         vec = [0] * n
         for r, t in zip(self.group.dlog, exps):
             vec[t % n] += weights[r]
-        return _new(n, _reduce(vec, n), 1)
+        return _new(n, _reduce(vec, n), den)
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.images))

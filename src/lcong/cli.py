@@ -13,7 +13,6 @@ usage error, 3 internal, cache or file error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,7 +83,7 @@ def load_config(path: str | Path) -> SweepConfig:
 
 def _report_and_exit(config: SweepConfig, args) -> int:
     # A given --csv, --records or --cache overrides the config's path.
-    config = dataclasses.replace(config, **{
+    config = config._replace(**{
         f"{flag}_path": getattr(args, flag) for flag in ("csv", "records", "cache")
         if getattr(args, flag) is not None})
     report = run_sweep(config)

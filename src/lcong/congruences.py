@@ -10,10 +10,9 @@ verdict bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bernoulli import (
     DEFAULT_CACHE,
@@ -34,19 +33,19 @@ from .characters import (
 from .cyclotomic import (
     CyclotomicElement,
     Valuation,
+    _new,
+    _reduce,
     as_element,
     congruent_mod,
     euler_phi,
     p_content_valuation,
     prime_factors,
     rational_valuation,
-    zeta,
 )
 from .power_sums import floor_weighted_sum, power_sum
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(NamedTuple):
     """One checked congruence instance.
 
     For plain congruence checks, ``holds`` is equivalent to
@@ -126,8 +125,9 @@ def verify_kummer_classical(
     _require(n >= 1, "n must be >= 1")
     _require(_phi_aligned(k, l, p, n), "requires k == l (mod phi(p^n))")
     _require(k % (p - 1) != 0, "requires (p-1) not dividing k")
-    lhs = (1 - Fraction(p) ** (k - 1)) * cache.bernoulli(k) / k
-    rhs = (1 - Fraction(p) ** (l - 1)) * cache.bernoulli(l) / l
+    b_k, b_l = cache.bernoulli(k), cache.bernoulli(l)  # first: the index bound before p^(k-1)
+    lhs = Fraction((1 - p ** (k - 1)) * b_k.numerator, b_k.denominator * k)
+    rhs = Fraction((1 - p ** (l - 1)) * b_l.numerator, b_l.denominator * l)
     return _congruence_verdict("kummer", {"p": p, "k": k, "l": l, "n": n}, lhs, rhs, p, n)
 
 
@@ -151,11 +151,28 @@ def verify_ernvall(
     _require(k >= 1 and l >= 1, "k, l must be >= 1")
     _require(n >= 1, "n must be >= 1")
     _require(_phi_aligned(k, l, p, n), "requires k == l (mod phi(p^n))")
-    chi_p = chi(p)
-    lhs = (1 - chi_p * Fraction(p) ** (k - 1)) * cache.twisted_bernoulli(chi, k) / k
-    rhs = (1 - chi_p * Fraction(p) ** (l - 1)) * cache.twisted_bernoulli(chi, l) / l
+    lhs = _ernvall_side(chi, p, k, cache)
+    rhs = _ernvall_side(chi, p, l, cache)
     params = {"chi": chi.label(), "p": p, "k": k, "l": l, "n": n}
     return _congruence_verdict("ernvall", params, lhs, rhs, p, n)
+
+
+def _rotated(num: tuple[int, ...], t: int, c: int, order: int) -> list[int]:
+    """The numerators of c zeta_N^t x, for x in Q(zeta_N) with numerators
+    num: one shift by t and one reduction."""
+    return _reduce([0] * t + [c * x for x in num], order)
+
+
+def _ernvall_side(
+    chi: DirichletCharacter, p: int, k: int, cache: BernoulliCache
+) -> CyclotomicElement:
+    """(1 - chi(p) p^(k-1)) B_(k,chi)/k in one integer pass: with chi(p) =
+    zeta_N^t, the numerators of B_(k,chi) minus p^(k-1) times their rotation
+    by t, over k times its denominator.  B_(k,chi) is looked up first, so
+    its index bound is checked before p^(k-1) is formed."""
+    value = cache.twisted_bernoulli(chi, k)
+    rotated = _rotated(value.num, chi.value_exponent(p), p ** (k - 1), value.order)
+    return _new(value.order, [x - y for x, y in zip(value.num, rotated)], value.den * k)
 
 
 def verify_euler_kummer(
@@ -203,6 +220,19 @@ def verify_stern_iff(
 # Shift congruences for normalized L-values (prime-power conductor)
 
 
+def _normalized_quotient(
+    chi: DirichletCharacter, unit: int, d: int, factor: int, cache: BernoulliCache
+) -> CyclotomicElement:
+    """factor L*_d / (1 - conj(chi)(u)), the right side of the shift
+    congruences, with no division.  L*_d = (1 - w) L(-d, chi) for the root
+    of unity w = chi(u), which is not 1 for primitive chi, and
+    (1 - w) / (1 - w^(-1)) = -w; so the quotient is -w factor L(-d, chi),
+    one rotation of the numerators of L(-d, chi)."""
+    value = l_value(d, chi, cache)
+    rotated = _rotated(value.num, chi.value_exponent(unit), -factor, value.order)
+    return _new(value.order, rotated, value.den)
+
+
 def verify_lvalue_shift_two(
     chi: DirichletCharacter,
     k: int,
@@ -226,8 +256,7 @@ def verify_lvalue_shift_two(
     d = k % 2
     power = bounded_power(2, n)  # before L*_(k + 2^n q) is looked up
     lhs = script_l(k + power * q, chi, cache) - script_l(k, chi, cache)
-    conj_chi_5 = zeta(chi.zeta_order, -chi.value_exponent(5))
-    rhs = script_l(d, chi, cache) * (4 * power) / (1 - conj_chi_5)
+    rhs = _normalized_quotient(chi, 5, d, 4 * power, cache)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.4", params, lhs, rhs, 2, n + 3)
 
@@ -266,13 +295,17 @@ def unit_branch_witness(chi: DirichletCharacter, k: int) -> int | None:
     the prime-to-p part of the order N/gcd(t, N) of zeta_N^t.  Content
     valuation 0 is not enough: 1 - zeta_p has it but divides p.
 
-    A full coprime residue system modulo p^m is an exhaustive search
-    space because both chi(a) and a^(k+1) mod p only depend on a mod p^m.
+    Both tests depend on a mod p only, so the loop runs over a = 1..p-1 and
+    still returns the least witness below p^m: a witness a leaves the
+    witness a mod p <= a.  a^(k+1) mod p plainly depends on a mod p.  For
+    chi(a), write a = w(a) <a>, with w(a) the Teichmueller lift of a mod p,
+    of order dividing p - 1, and <a> == 1 (mod p) in the subgroup 1 + pZ of
+    p-power order (for p = 2, all of (Z/2^m)*, and w(a) = 1).  chi(<a>) has
+    p-power order and chi(w(a)) order prime to p, so the prime-to-p part of
+    the order of chi(a) is the order of chi(w(a)), fixed by a mod p.
     """
     p = chi.p
-    for a in range(1, chi.modulus):
-        if a % p == 0:
-            continue
+    for a in range(1, p):
         order = chi.value_order(a)
         while order % p == 0:
             order //= p
@@ -317,8 +350,7 @@ def verify_lvalue_shift_odd(
     _require(m >= 2, "no unit witness and m = 1: outside both branches")
     d = k % (p - 1)
     lhs = script_l(k + shift, chi, cache) - script_l(k, chi, cache)
-    conj_chi_u = zeta(chi.zeta_order, -chi.value_exponent(p + 1))
-    rhs = script_l(d, chi, cache) * (power * q) / (1 - conj_chi_u)
+    rhs = _normalized_quotient(chi, p + 1, d, power * q, cache)
     params = {"chi": chi.label(), "k": k, "d": d, "n": n, "q": q}
     return _congruence_verdict("1.7", params, lhs, rhs, p, n, branch="ii")
 

@@ -5,7 +5,8 @@ denominator) on the power basis 1, z, ..., z^(phi(N)-1), fully reduced
 modulo the N-th cyclotomic polynomial and normalised by the gcd of the
 denominator and the numerators, so equality is field-wise.  Phi_N is
 monic in Z, so addition, multiplication, reduction and embedding never
-leave integer arithmetic; only the inverse divides, once, at the end.
+leave integer arithmetic.  Nothing divides by an element: an element is
+divided only by a nonzero rational.
 All "mod p^n" language in this package means: every power-basis
 coefficient of the difference has rational p-adic valuation >= n
 (membership in p^n * Z_(p)[zeta_N]).  Z[zeta_N] is the full ring of
@@ -289,33 +290,19 @@ class CyclotomicElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicElement":
-        """Multiplicative inverse den * s / c, where s * num == c (mod Phi_N)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        s, c = _bezout_constant(self.num, self.order)
-        if c < 0:
-            s, c = [-x for x in s], -c
-        return _new(self.order, [x * self.den for x in s], c)
-
-    def __truediv__(self, other: ElementLike) -> "CyclotomicElement":
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            if n == 0:
-                raise ZeroDivisionError("division by zero")
-            if n < 0:  # the sign goes into the numerators
-                n, d = -n, -d
-            return _new(self.order, [c * d for c in self.num], self.den * n)
-        if isinstance(other, CyclotomicElement):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other: ElementLike) -> "CyclotomicElement":
-        return self.inverse() * other
+    def __truediv__(self, other: Scalar) -> "CyclotomicElement":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        n, d = other.numerator, other.denominator
+        if n == 0:
+            raise ZeroDivisionError("division by zero")
+        if n < 0:  # the sign goes into the numerators
+            n, d = -n, -d
+        return _new(self.order, [c * d for c in self.num], self.den * n)
 
     def __pow__(self, exponent: int) -> "CyclotomicElement":
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError("negative exponent: elements are never inverted")
         result = CyclotomicElement.one(self.order)
         base = self
         e = exponent
@@ -368,44 +355,6 @@ class CyclotomicElement:
 
     def __repr__(self) -> str:
         return f"CyclotomicElement({self.order}, {self.record()['coeffs']})"
-
-
-@lru_cache(maxsize=4096)
-def _bezout_constant(f: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
-    """(s, c) with s * f == c (mod Phi_N) and c a nonzero integer; f != 0.
-    Memoised: a sweep divides by the same few elements 1 - chi(u) many times.
-
-    Euclid on pseudo-remainders: every remainder r carries its cofactor s
-    with s * f == r (mod Phi_N), each elimination step scales both by
-    integers, and each pair is divided by its content, so every step stays
-    in Z.  Phi_N is irreducible, so the last nonzero remainder is a
-    constant.
-    """
-    r0, s0 = list(cyclotomic_polynomial(order)), [0]
-    r1, s1 = _trim(list(f)), [1]
-    while len(r1) > 1:
-        d1, lead = len(r1) - 1, r1[-1]
-        r, s = r0[:], s0 + [0] * (len(r0) + len(s1) - len(s0))
-        for i in range(len(r) - 1, d1 - 1, -1):
-            if r[i]:
-                g = math.gcd(lead, r[i])
-                mult, c, shift = lead // g, r[i] // g, i - d1
-                if mult != 1:
-                    r, s = [x * mult for x in r], [x * mult for x in s]
-                for j, y in enumerate(r1):
-                    r[shift + j] -= c * y
-                for j, y in enumerate(s1):
-                    s[shift + j] -= c * y
-        r, s = _trim(r[:d1]), _reduce(s, order)
-        g = math.gcd(*r, *s)
-        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
-    return tuple(_reduce(s1, order)), r1[0]
-
-
-def _trim(poly: list[int]) -> list[int]:
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
 
 
 def zeta(order: int, exponent: int = 1) -> CyclotomicElement:

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
-import inspect
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _string_text
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import congruences as cg
 from .bernoulli import BernoulliCache, DomainError
@@ -58,10 +55,10 @@ def parse_values(text: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class SweepJob:
-    """One congruence id over a parameter grid.  ``params`` is parsed and
-    checked on construction, so a malformed job raises ConfigError:
+    """One congruence id over a parameter grid, read-only by convention.
+    ``params`` is parsed and checked on construction, so a malformed job
+    raises ConfigError:
 
     - an axis is an int, a string '3', '1,3,5' or 'lo..hi[:step]', or a
       list of ints and such strings; it is stored as a list of ints;
@@ -70,20 +67,20 @@ class SweepJob:
     - ``parity`` is 'even', 'odd' or None.
     """
 
-    id: str
-    params: dict
-
-    def __post_init__(self) -> None:
-        parsed = {}
-        for key, value in self.params.items():
+    def __init__(self, id: str, params: dict):
+        self.id = id
+        self.params = {}
+        for key, value in params.items():
             if key == "chi":
                 value = self._parse_chi(value)
             elif key != "parity":
                 value = self._parse_axis(key, value)
             elif value not in (None, "even", "odd"):
-                raise ConfigError(f"job '{self.id}': parity must be 'even' or 'odd'")
-            parsed[key] = value
-        object.__setattr__(self, "params", parsed)
+                raise ConfigError(f"job '{id}': parity must be 'even' or 'odd'")
+            self.params[key] = value
+
+    def __repr__(self) -> str:
+        return f"SweepJob(id={self.id!r}, params={self.params!r})"
 
     def _parse_axis(self, name: str, value) -> list[int]:
         out: list[int] = []
@@ -115,8 +112,7 @@ class SweepJob:
         return value
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     jobs: tuple[SweepJob, ...]
     csv_path: Optional[str] = None
     records_path: Optional[str] = None
@@ -126,24 +122,26 @@ class SweepConfig:
         return {"jobs": [{"id": job.id, **job.params} for job in self.jobs]}
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     id: str
     params: dict
     reason: str
 
 
-@dataclass
 class SweepReport:
     """The verdicts and skips of a sweep in grid order, with a summary
     counted as each result is added."""
 
-    config: dict
-    verdicts: list[CongruenceVerdict] = field(default_factory=list)
-    skips: list[SkipRecord] = field(default_factory=list)
-    duration: float = 0.0
-    summary: dict = field(
-        default_factory=lambda: {"total": 0, "holds": 0, "fails": 0, "skips": 0, "per_id": {}})
+    def __init__(self, config: dict):
+        self.config = config
+        self.verdicts: list[CongruenceVerdict] = []
+        self.skips: list[SkipRecord] = []
+        self.duration = 0.0
+        self.summary: dict = {"total": 0, "holds": 0, "fails": 0, "skips": 0, "per_id": {}}
+
+    def __repr__(self) -> str:
+        return (f"SweepReport(config={self.config!r}, verdicts={self.verdicts!r}, "
+                f"skips={self.skips!r}, duration={self.duration!r}, summary={self.summary!r})")
 
     def add(self, result: CongruenceVerdict | SkipRecord) -> None:
         per_id = self.summary["per_id"]
@@ -169,28 +167,29 @@ class SweepReport:
 # Congruence registry
 
 
-@dataclass(frozen=True)
 class CongruenceSpec:
-    """One catalog id.  ``verifier`` names the ``congruences`` function
-    that checks an instance; it is looked up on the module at call time
-    and given the instance values its signature names, plus ``cache``
-    when it takes one.  ``region``, when set, is ``(predicate, value,
-    reason)``: an instance where ``congruences.<predicate>(chi, k)`` is not
-    ``value`` is skipped with ``reason``, and the spec's id is stamped on
-    the verdicts, so a probe of an excluded region reports as itself."""
+    """One catalog id, read-only by convention.  ``verifier`` names the
+    ``congruences`` function that checks an instance; it is looked up on
+    the module at call time and given the instance values its argument
+    names list, plus ``cache`` when it takes one.  ``region``, when set,
+    is ``(predicate, value, reason)``: an instance where
+    ``congruences.<predicate>(chi, k)`` is not ``value`` is skipped with
+    ``reason``, and the spec's id is stamped on the verdicts, so a probe of
+    an excluded region reports as itself."""
 
-    id: str
-    aliases: tuple[str, ...]
-    axes: tuple[str, ...]
-    verifier: str
-    char_mode: Optional[str] = None  # None | "primitive" | "all" | "vanishing"
-    char_axes: tuple[str, str] = ("p", "m")
-    region: Optional[tuple[str, bool, str]] = None
-    arguments: tuple[str, ...] = field(init=False, repr=False)  # the verifier's, in order
+    def __init__(self, id: str, aliases: tuple[str, ...], axes: tuple[str, ...], verifier: str,
+                 char_mode: Optional[str] = None,  # None | "primitive" | "all" | "vanishing"
+                 char_axes: tuple[str, str] = ("p", "m"),
+                 region: Optional[tuple[str, bool, str]] = None):
+        self.id, self.aliases, self.axes, self.verifier = id, aliases, axes, verifier
+        self.char_mode, self.char_axes, self.region = char_mode, char_axes, region
+        code = getattr(cg, verifier).__code__
+        self.arguments = code.co_varnames[:code.co_argcount]  # the verifier's, in order
 
-    def __post_init__(self) -> None:
-        names = tuple(inspect.signature(getattr(cg, self.verifier)).parameters)
-        object.__setattr__(self, "arguments", names)
+    def __repr__(self) -> str:
+        return (f"CongruenceSpec(id={self.id!r}, aliases={self.aliases!r}, axes={self.axes!r}, "
+                f"verifier={self.verifier!r}, char_mode={self.char_mode!r}, "
+                f"char_axes={self.char_axes!r}, region={self.region!r})")
 
 
 def _vanishing_family(p: int, m: int) -> list[DirichletCharacter]:
@@ -328,7 +327,7 @@ def run_instance(
         params = {k: v.label() if k == "chi" else v for k, v in inst.items()}
         return SkipRecord(id=spec.id, params=params, reason=str(exc))
     if spec.region is not None and verdict.id != spec.id:
-        verdict = dataclasses.replace(verdict, id=spec.id)
+        verdict = verdict._replace(id=spec.id)
     return verdict
 
 

@@ -1,23 +1,26 @@
 """p-local divisibility by exact field division, kept for the tests.
 
-lcong decides divisibility by valuations of differences; these routes
-divide in Q(zeta_N) and read the p-content valuation of the quotient.
+lcong decides divisibility by valuations of differences and never
+divides by an element; these routes divide in Q(zeta_N) with the Fraction
+oracle's inverse and read the p-content valuation of the quotient.
 """
 
 from __future__ import annotations
 
+import fraction_oracle as oracle
 from lcong.bernoulli import DomainError
 from lcong.characters import DirichletCharacter
-from lcong.cyclotomic import ElementLike, as_element, p_content_valuation
+from lcong.cyclotomic import ElementLike, as_element
 
 
 def divides_p_locally(d: ElementLike, x: ElementLike, p: int) -> bool:
     """True iff x/d lies in Z_(p)[zeta] (exact field division, then valuation)."""
-    d = as_element(d)
+    d, x = as_element(d), as_element(x)
     if d.is_zero():
         raise ZeroDivisionError("divisor is zero")
-    quotient = as_element(x, d.order) / d
-    return p_content_valuation(quotient, p) >= 0
+    quotient = oracle.mul((x.order, oracle.coordinates(x)),
+                          oracle.inverse((d.order, oracle.coordinates(d))))
+    return oracle.valuation(quotient, p) >= 0
 
 
 def squared_normalizer_divides_p(chi: DirichletCharacter) -> bool:

@@ -5,7 +5,8 @@ An element is a pair (N, coefficient tuple) on the power basis
 are schoolbook, and inverses come from the extended Euclidean algorithm
 over Q: the arithmetic lcong.cyclotomic used before it stored integer
 numerators over one denominator.  The differential tests compare
-CyclotomicElement against it.
+CyclotomicElement against it, and every division by an element in the
+tests goes through its inverse.
 """
 
 import math
@@ -70,7 +71,11 @@ def mul(x, y):
 
 
 def inverse(x):
+    """The field inverse of a nonzero x: lcong itself never divides by an
+    element, so this is the one inverse the tests use."""
     order, coeffs = x
+    if not any(coeffs):
+        raise ZeroDivisionError("inverse of zero")
     modulus = [Fraction(c) for c in cyclotomic_polynomial(order)]
     r0, r1 = _trim(modulus), _trim(list(coeffs))
     s0, s1 = [], [Fraction(1)]

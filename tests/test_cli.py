@@ -693,6 +693,26 @@ class TestConsoleScript:
         assert result.returncode == EXIT_CONFIG
         assert result.stderr.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("argv, index", [
+        (["kummer", "--p", "5", "--k", "1000000002", "--l", "2", "--n", "1"], 1000000002),
+        (["ernvall", "--chi-p", "2", "--chi-m", "3", "--p", "3", "--k", "1000000001",
+          "--l", "1", "--n", "1"], 1000000001),
+    ], ids=["kummer", "ernvall"])
+    def test_value_is_looked_up_before_its_euler_factor_is_formed(self, argv, index):
+        # kummer and ernvall look B_k or B_(k,chi) up, which bounds k,
+        # before they form p^(k-1).  Under the address space cap, forming
+        # that power fails at once instead of running on.
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            f"error: index {index} exceeds Bernoulli/Euler index bound {MAX_INDEX}"
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["stern-iff", "--k", "0", "--l", "2"],
         ["1.5", "--m", "3", "--k", "1", "--l", "3"],

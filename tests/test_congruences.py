@@ -1,11 +1,17 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from lcong.bernoulli import ParityError, UndefinedCaseError
-from lcong.characters import character, enumerate_primitive
+import fraction_oracle as oracle
+from lcong.bernoulli import BernoulliCache, ParityError, UndefinedCaseError, script_l
+from lcong.characters import (
+    character, enumerate_characters, enumerate_primitive, multiplicative_order, opposite_parity,
+)
 from lcong.congruences import (
+    _ernvall_side,
+    _normalized_quotient,
     _phi_aligned,
     check_nondivisibility,
     sum_lift_excluded,
@@ -30,7 +36,7 @@ from lcong.congruences import (
     verify_twisted_voronoi,
     verify_voronoi,
 )
-from lcong.cyclotomic import euler_phi, root_of_unity_order
+from lcong.cyclotomic import CyclotomicElement, euler_phi, root_of_unity_order, zeta
 from lcong.power_sums import DomainError
 from divisibility_oracle import squared_normalizer_divides_p
 from norm_oracle import least_unit_witness
@@ -61,7 +67,66 @@ def test_phi_alignment_is_the_euler_phi_test():
                     assert _phi_aligned(k, l, p, n) == ((k - l) % phi == 0), (p, n, k, l)
 
 
+def fraction_chain_side(chi, p, k, cache):
+    """(1 - chi(p) p^(k-1)) B_(k,chi)/k by element and Fraction arithmetic:
+    the route verify_ernvall took before its one-pass side."""
+    return (1 - chi(p) * Fraction(p) ** (k - 1)) * cache.twisted_bernoulli(chi, k) / k
+
+
+def full_scan_witness(chi, k):
+    """unit_branch_witness's test over every residue a < p^m prime to p:
+    the search space unit_branch_witness had before it stopped at p - 1."""
+    p = chi.p
+    for a in range(1, chi.modulus):
+        if a % p == 0:
+            continue
+        order = chi.value_order(a)
+        while order % p == 0:
+            order //= p
+        if multiplicative_order(pow(a, k + 1, p), p, p - 1) != order:
+            return a
+    return None
+
+
+@lru_cache(maxsize=None)
+def oracle_quotient_inverse(order, t):
+    """1 / (1 - zeta_N^(-t)) as an element, from the Fraction oracle's inverse."""
+    divisor = 1 - zeta(order, -t)
+    return CyclotomicElement(*oracle.inverse((order, oracle.coordinates(divisor))))
+
+
+def test_shift_right_side_matches_the_division_route():
+    # 1.4 and 1.7 state factor L*_d / (1 - conj(chi)(u)); lcong forms
+    # -chi(u) factor L(-d, chi) instead.  Field for field, the two agree at
+    # every primitive character of these conductors, d in 0..3.
+    cache, cases = BernoulliCache(), 0
+    for p, m in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]:
+        unit, factor = (5, 8) if p == 2 else (p + 1, p)
+        for chi in enumerate_primitive(p, m):
+            inverse = oracle_quotient_inverse(chi.zeta_order, chi.value_exponent(unit))
+            for d in range(4):
+                if opposite_parity(chi, d):
+                    got = _normalized_quotient(chi, unit, d, factor, cache)
+                    want = script_l(d, chi, cache) * factor * inverse
+                    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+                    assert got.record() == want.record()
+                    cases += 1
+    assert cases == 268
+
+
 class TestErnvall:
+    def test_one_pass_side_matches_the_fraction_chain(self):
+        cache, cases = BernoulliCache(), 0
+        for q, m, p in [(2, 3, 3), (2, 4, 5), (2, 5, 3), (2, 6, 7),
+                        (11, 1, 2), (13, 1, 3), (17, 1, 2), (19, 1, 5)]:
+            for chi in enumerate_primitive(q, m):
+                for k in range(1, 31):
+                    got = _ernvall_side(chi, p, k, cache)
+                    want = fraction_chain_side(chi, p, k, cache)
+                    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+                    cases += 1
+        assert cases == 82 * 30
+
     def test_quartic_character(self, chi4):
         assert verify_ernvall(chi4, 5, 3, 7, 1).holds
         assert verify_ernvall(chi4, 3, 1, 3, 1).holds
@@ -193,6 +258,15 @@ class TestLvalueShiftOddPrime:
                 assert unit_branch_witness(chi, k) == least_unit_witness(chi, k), (
                     chi.label(), k
                 )
+
+    def test_short_witness_search_matches_the_full_residue_scan(self):
+        # Every character, primitive or not, of these odd conductors.
+        for p, m in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2),
+                     (11, 1), (13, 1)]:
+            for chi in enumerate_characters(p, m):
+                for k in range(14):
+                    assert unit_branch_witness(chi, k) == full_scan_witness(chi, k), (
+                        chi.label(), k)
 
     def test_branch_ii_mod9(self):
         chi = character(3, 2, (1,))

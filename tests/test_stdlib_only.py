@@ -1,13 +1,17 @@
 """The runtime is pure stdlib: every absolute import in src/lcong names a
-standard-library module."""
+standard-library module, and the CLI's start-up imports no more than it
+needs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "lcong").glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "lcong").glob("*.py"))
 
 
 def test_sources_found():
@@ -23,3 +27,14 @@ def test_imports_are_stdlib(path):
               if isinstance(node, ast.ImportFrom) and node.level == 0]
     outside = sorted({name.split(".")[0] for name in names} - sys.stdlib_module_names)
     assert outside == []
+
+
+def test_cli_start_up_leaves_dataclasses_and_inspect_unimported():
+    # Every lcong process imports the CLI.  dataclasses alone pulls in
+    # inspect, ast, dis and tokenize, a fixed cost in each process.
+    script = "import sys, lcong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
