@@ -33,7 +33,8 @@ CharKey = tuple[int, int, tuple[int, ...]]
 Twisted = CyclotomicElement | Callable[[], CyclotomicElement]
 
 
-#: Largest index of B_k, E_k and B_(k,chi): Seidel's triangle grows no further.
+#: Largest index of B_k, E_k and B_(k,chi) (Seidel's triangle grows no
+#: further), and largest exponent k of a power sum or floor sum.
 MAX_INDEX = 2000
 
 
@@ -222,5 +223,6 @@ def script_l(
         raise UndefinedCaseError(
             f"normalized L-value undefined for conductor {p}^{m}"
         )
-    value = cache._script_l[key] = (1 - chi(unit)) * l_value(k, chi, cache)
+    value = l_value(k, chi, cache).times_binomial(1, -1, chi.value_exponent(unit))
+    cache._script_l[key] = value
     return value

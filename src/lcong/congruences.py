@@ -33,8 +33,6 @@ from .characters import (
 from .cyclotomic import (
     CyclotomicElement,
     Valuation,
-    _new,
-    _reduce,
     as_element,
     congruent_mod,
     euler_phi,
@@ -157,22 +155,14 @@ def verify_ernvall(
     return _congruence_verdict("ernvall", params, lhs, rhs, p, n)
 
 
-def _rotated(num: tuple[int, ...], t: int, c: int, order: int) -> list[int]:
-    """The numerators of c zeta_N^t x, for x in Q(zeta_N) with numerators
-    num: one shift by t and one reduction."""
-    return _reduce([0] * t + [c * x for x in num], order)
-
-
 def _ernvall_side(
     chi: DirichletCharacter, p: int, k: int, cache: BernoulliCache
 ) -> CyclotomicElement:
-    """(1 - chi(p) p^(k-1)) B_(k,chi)/k in one integer pass: with chi(p) =
-    zeta_N^t, the numerators of B_(k,chi) minus p^(k-1) times their rotation
-    by t, over k times its denominator.  B_(k,chi) is looked up first, so
-    its index bound is checked before p^(k-1) is formed."""
+    """(1 - chi(p) p^(k-1)) B_(k,chi)/k in one integer pass, with chi(p) =
+    zeta_N^t.  B_(k,chi) is looked up first, so its index bound is checked
+    before p^(k-1) is formed."""
     value = cache.twisted_bernoulli(chi, k)
-    rotated = _rotated(value.num, chi.value_exponent(p), p ** (k - 1), value.order)
-    return _new(value.order, [x - y for x, y in zip(value.num, rotated)], value.den * k)
+    return value.times_binomial(1, -p ** (k - 1), chi.value_exponent(p), k)
 
 
 def verify_euler_kummer(
@@ -226,11 +216,8 @@ def _normalized_quotient(
     """factor L*_d / (1 - conj(chi)(u)), the right side of the shift
     congruences, with no division.  L*_d = (1 - w) L(-d, chi) for the root
     of unity w = chi(u), which is not 1 for primitive chi, and
-    (1 - w) / (1 - w^(-1)) = -w; so the quotient is -w factor L(-d, chi),
-    one rotation of the numerators of L(-d, chi)."""
-    value = l_value(d, chi, cache)
-    rotated = _rotated(value.num, chi.value_exponent(unit), -factor, value.order)
-    return _new(value.order, rotated, value.den)
+    (1 - w) / (1 - w^(-1)) = -w; so the quotient is -w factor L(-d, chi)."""
+    return l_value(d, chi, cache).times_binomial(0, -factor, chi.value_exponent(unit))
 
 
 def verify_lvalue_shift_two(
@@ -417,10 +404,10 @@ def verify_twisted_voronoi(
     _require(p >= 5 or n >= 2, "requires p >= 5, or p in {2, 3} with n >= 2")
     if not opposite_parity(chi, k):
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
+    t = chi.value_exponent(a)
     value = l_value(k, chi, cache)  # first: a negative k is refused before a**k
-    chi_a = chi(a)
-    lhs = (1 - chi_a * a ** (k + 1)) * value
-    rhs = chi_a * a**k * floor_weighted_sum(k, a, p, n, chi)
+    lhs = value.times_binomial(1, -a ** (k + 1), t)
+    rhs = floor_weighted_sum(k, a, p, n, chi).times_binomial(0, a**k, t)
     params = {"chi": chi.label(), "a": a, "k": k, "n": n}
     return _congruence_verdict("3.2", params, lhs, rhs, p, n)
 
@@ -437,7 +424,8 @@ def verify_voronoi(
     _require(p >= 5 and is_prime(p), "requires a prime p >= 5")
     _require(k % 2 == 0 and k >= 2, "k must be even >= 2")
     _require(a % p != 0, f"a={a} must be coprime to p={p}")
-    lhs = (a**k - 1) * cache.bernoulli(k)
+    b_k = cache.bernoulli(k)  # first: the index bound before a**k
+    lhs = (a**k - 1) * b_k
     rhs = floor_weighted_sum(k - 1, a, p, 1, None) * (k * a ** (k - 1))
     return _congruence_verdict("voronoi", {"a": a, "p": p, "k": k}, lhs, rhs, p, 1)
 
@@ -454,11 +442,12 @@ def verify_sun(
     _require(k % 2 == 0 and k >= 0, "k must be even >= 0")
     _require(n >= 1, "n must be >= 1")
     modulus = bounded_power(2, n)
+    e_k = cache.euler(k)  # first: the index bound before the 2^n-term loop
     total = 0
     for j in range(modulus):
         sign = 1 if j % 2 else -1  # (-1)^(j-1)
         total += sign * (2 * j + 1) ** k * ((3 * j + 1) // modulus)
-    lhs = Fraction(3 ** (k + 1) + 1, 4) * cache.euler(k)
+    lhs = Fraction(3 ** (k + 1) + 1, 4) * e_k
     rhs = Fraction(3**k, 2) * total
     return _congruence_verdict("sun", {"k": k, "n": n}, lhs, rhs, 2, n)
 
@@ -576,7 +565,7 @@ def verify_sum_twist(
     p, m = chi.p, chi.m
     _require(a % p != 0, f"a={a} must be coprime to p={p}")
     _require(k >= 0, "k must be >= 0")
-    lhs = (1 - chi(a) * a**k) * power_sum(k, p**m, chi)
+    lhs = power_sum(k, p**m, chi).times_binomial(1, -a**k, chi.value_exponent(a))
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "a": a}
     return _congruence_verdict("2.2", params, lhs, rhs, p, m)

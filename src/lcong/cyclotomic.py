@@ -6,7 +6,10 @@ modulo the N-th cyclotomic polynomial and normalised by the gcd of the
 denominator and the numerators, so equality is field-wise.  Phi_N is
 monic in Z, so addition, multiplication, reduction and embedding never
 leave integer arithmetic.  Nothing divides by an element: an element is
-divided only by a nonzero rational.
+divided only by a nonzero rational.  The catalog multiplies no two
+elements either: each of its chi-value factors has the form
+c0 + c1 zeta_N^t, which times_binomial applies as one shift and one
+reduction.
 All "mod p^n" language in this package means: every power-basis
 coefficient of the difference has rational p-adic valuation >= n
 (membership in p^n * Z_(p)[zeta_N]).  Z[zeta_N] is the full ring of
@@ -300,6 +303,14 @@ class CyclotomicElement:
             n, d = -n, -d
         return _new(self.order, [c * d for c in self.num], self.den * n)
 
+    def times_binomial(self, c0: int, c1: int, t: int, d: int = 1) -> "CyclotomicElement":
+        """(c0 + c1 zeta_N^t) self / d for integers c0, c1, t and d >= 1: the
+        numerators shifted by t mod N, plus c0 times themselves, reduced once."""
+        vec = [0] * (t % self.order) + [c1 * x for x in self.num]
+        for i, x in enumerate(self.num):
+            vec[i] += c0 * x
+        return _new(self.order, _reduce(vec, self.order), self.den * d)
+
     def __pow__(self, exponent: int) -> "CyclotomicElement":
         if exponent < 0:
             raise ValueError("negative exponent: elements are never inverted")
@@ -361,13 +372,7 @@ def zeta(order: int, exponent: int = 1) -> CyclotomicElement:
     """zeta_N^(j mod N) in canonical reduced form."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _zeta_power(order, exponent % order)
-
-
-@lru_cache(maxsize=65536)
-def _zeta_power(order: int, j: int) -> CyclotomicElement:
-    # Elements are immutable, so sharing cached instances is safe.
-    return _new(order, _reduce([0] * j + [1], order), 1)
+    return _new(order, _reduce([0] * (exponent % order) + [1], order), 1)
 
 
 def as_element(value: ElementLike, order: int = 1) -> CyclotomicElement:

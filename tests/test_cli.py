@@ -713,6 +713,30 @@ class TestConsoleScript:
             f"error: index {index} exceeds Bernoulli/Euler index bound {MAX_INDEX}"
         ]
 
+    @pytest.mark.parametrize("argv, index", [
+        (["voronoi", "--a", "2", "--p", "5", "--k", "1000000000"], 1000000000),
+        (["sun", "--k", "100000000", "--n", "3"], 100000000),
+        (["2.1", "--p", "3", "--m", "1", "--k", "100000000", "--n", "2"], 100000000),
+        (["2.2", "--p", "3", "--m", "2", "--k", "1000000000", "--a", "2"], 1000000000),
+        (["2.4", "--p", "3", "--m", "2", "--k", "100000000", "--n", "2"], 100000000),
+        (["2.5", "--m", "3", "--k", "100000000", "--n", "3"], 100000000),
+    ], ids=["voronoi", "sun", "2.1", "2.2", "2.4", "2.5"])
+    def test_exponent_is_bounded_before_its_power_is_formed(self, argv, index):
+        # voronoi and sun look B_k or E_k up before they form a^k or run
+        # their 2^n-term sum, and the power sums bound k before their
+        # loops, which 2.2 runs before it forms a^k.  A power formed first
+        # would run past the timeout or into the address space cap.
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            f"error: index {index} exceeds Bernoulli/Euler index bound {MAX_INDEX}"
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["stern-iff", "--k", "0", "--l", "2"],
         ["1.5", "--m", "3", "--k", "1", "--l", "3"],

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fraction_oracle as oracle
 from bezout_oracle import bezout_constant
 from lcong.cli import EXIT_OK, main
-from lcong.cyclotomic import CyclotomicElement, congruent_mod, euler_phi, p_content_valuation
+from lcong.cyclotomic import CyclotomicElement, congruent_mod, euler_phi, p_content_valuation, zeta
 
 ORDERS = (1, 3, 4, 5, 8, 9, 12, 20, 25, 42)
 # Operand orders whose common field stays small enough for the oracle.
@@ -116,6 +116,28 @@ def test_powers(pair, e):
             x ** e
     else:
         assert as_oracle(x ** e) == oracle.power(ox, e)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_times_binomial_is_the_binomial_product(order, data):
+    # (c0 + c1 zeta_N^t) x / d, formed by one shift and one reduction, is
+    # the element product by the binomial and the oracle's product, for t
+    # in [-2N, 2N].  Each example also takes c0 = 0 with a d > 1.
+    x, ox = data.draw(pairs(order))
+    t = data.draw(st.integers(-2 * order, 2 * order))
+    c0, c1 = data.draw(st.integers(-60, 60)), data.draw(st.integers(-60, 60))
+    d = data.draw(st.integers(1, 12))
+    for c0, d in ((c0, d), (0, d + 1)):
+        got = x.times_binomial(c0, c1, t, d)
+        assert fields(got) == fields((c0 + c1 * zeta(order, t)) * x / d)
+        binomial = [0] * (t % order + 1)
+        binomial[0] += c0
+        binomial[t % order] += c1
+        product = oracle.mul(oracle.reduce(order, binomial), ox)
+        assert as_oracle(got) == (order, tuple(c / d for c in product[1]))
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,9 @@
 import pytest
 
-from lcong.characters import character, enumerate_characters, enumerate_primitive
+from lcong.bernoulli import MAX_INDEX
+from lcong.characters import (
+    ResourceLimitError, character, enumerate_characters, enumerate_primitive,
+)
 from lcong.cyclotomic import CyclotomicElement, congruent_mod
 from lcong.power_sums import DomainError, _floor_row, floor_weighted_sum, power_sum
 from bernoulli_oracle import power_sum_via_bernoulli
@@ -80,6 +83,15 @@ class TestFloorWeightedSum:
     def test_p_divides_a_rejected(self, chi8):
         with pytest.raises(DomainError):
             floor_weighted_sum(1, 4, 2, 3, chi8)
+
+    def test_exponent_above_the_index_bound_is_refused(self, chi8):
+        # Both sums bound k before their loops form any j^k.
+        for chi in (chi8, None):
+            with pytest.raises(ResourceLimitError):
+                floor_weighted_sum(MAX_INDEX + 1, 3, 2, 3, chi)
+        with pytest.raises(ResourceLimitError):
+            power_sum(MAX_INDEX + 1, 8, chi8)
+        assert floor_weighted_sum(MAX_INDEX, 3, 2, 1, None) == 1
 
     def test_characters_of_one_modulus_share_one_row(self):
         # The memoised per-class row is built once for (k, a, p^n, f) and

@@ -1,6 +1,6 @@
 """The runtime is pure stdlib: every absolute import in src/lcong names a
 standard-library module, and the CLI's start-up imports no more than it
-needs."""
+needs.  The element internals stay in cyclotomic and characters."""
 
 import ast
 import os
@@ -38,3 +38,19 @@ def test_cli_start_up_leaves_dataclasses_and_inspect_unimported():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_private_cyclotomic_names_stay_in_cyclotomic_and_characters():
+    # Every other module forms its values through the element's public
+    # methods, so only these two know the (order, num, den) representation.
+    private = {}
+    for path in SOURCES:
+        if path.stem in ("cyclotomic", "characters"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.level, node.module) in ((1, "cyclotomic"), (0, "lcong.cyclotomic"))
+                 for alias in node.names if alias.name.startswith("_")]
+        if names:
+            private[path.name] = names
+    assert private == {}

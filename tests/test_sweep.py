@@ -269,26 +269,27 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
         written.append(fh)
         write(report, fh)
 
-    # A 3.2 verdict makes one floor sum and one int - element, through
-    # congruences.floor_weighted_sum and CyclotomicElement.__rsub__, or
-    # `power_sums.floor_weighted_sum.*` and `cyclotomic.addsub.*` read 0.
-    floor_sums, rsubs = [], []
-    floor_sum, rsub = congruences.floor_weighted_sum, CyclotomicElement.__rsub__
+    # A 1.4 verdict makes one element difference, L*_(k+2^n q) - L*_k,
+    # through CyclotomicElement.__sub__, and a 3.2 verdict one floor sum,
+    # through congruences.floor_weighted_sum, or `cyclotomic.addsub.*` and
+    # `power_sums.floor_weighted_sum.*` read 0.
+    floor_sums, subs = [], []
+    floor_sum, sub = congruences.floor_weighted_sum, CyclotomicElement.__sub__
 
     def summing(*args):
         floor_sums.append(args)
         return floor_sum(*args)
 
     def subtracting(self, other):
-        rsubs.append(other)
-        return rsub(self, other)
+        subs.append(other)
+        return sub(self, other)
 
     monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
     monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
     monkeypatch.setattr(sweep, "expand_job", expanding)
     monkeypatch.setattr(sweep, "write_records", writing)
     monkeypatch.setattr(congruences, "floor_weighted_sum", summing)
-    monkeypatch.setattr(CyclotomicElement, "__rsub__", subtracting)
+    monkeypatch.setattr(CyclotomicElement, "__sub__", subtracting)
     records = str(tmp_path / "out.jsonl")
     report = run_sweep(SweepConfig(jobs=(
         SweepJob("1.4", {"m": "3..4", "k": "0..3", "n": [1], "q": [1]}),
@@ -297,12 +298,13 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     assert report.verdicts and report.skips
     assert len(verified) == len(report.verdicts) + len(report.skips)
     assert expanded == ["1.4"] and len(written) == 1
-    floor_sums.clear(), rsubs.clear()
+    assert len(subs) == len(report.verdicts)
+    floor_sums.clear()
     report = run_sweep(SweepConfig(jobs=(
         SweepJob("3.2", {"p": [2, 3], "m": [1, 2], "a": [1, 2], "k": "0..3", "n": [2]}),
     )), cache=BernoulliCache())
     assert report.verdicts and report.skips
-    assert len(floor_sums) == len(rsubs) == len(report.verdicts)
+    assert len(floor_sums) == len(report.verdicts)
 
 
 class TestReports:
