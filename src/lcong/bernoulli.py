@@ -62,12 +62,12 @@ class BernoulliCache:
     """Memo store for Seidel's triangle (the zigzag numbers A_n and its last
     row; B_(2i) from T_i = A_(2i-1), E_(2i) = (-1)^i A_(2i)), B_k, B_(k,chi),
     the per-modulus integer rows the twisted values are built from, and
-    the unit-normalized values L*_k of ``script_l`` keyed by (chi.key(), k).
+    L(-k, chi) of ``l_value`` and L*_k of ``script_l`` keyed by (chi.key(), k).
 
-    The L* memo is derived from the twisted values, never persisted (the
-    file cache holds B_(k,chi) only), and seeding a twisted value drops
-    the L* entry built on it.  ``take_new`` hands over the twisted values
-    computed here, never those seeded, for lcong.valuecache.append_new.
+    The L and L* memos are derived from the twisted values, never persisted
+    (the file cache holds B_(k,chi) only), and seeding a twisted value drops
+    the L and L* entries built on it.  ``take_new`` hands over the twisted
+    values computed here, never those seeded, for lcong.valuecache.append_new.
     """
 
     def __init__(self):
@@ -75,6 +75,7 @@ class BernoulliCache:
         self._zigzag_numbers: list[int] = [1]
         self._bernoulli: list[Fraction] = [Fraction(1)]
         self._twisted: dict[tuple[CharKey, int], Twisted] = {}
+        self._l_values: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._script_l: dict[tuple[CharKey, int], CyclotomicElement] = {}
         self._rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._new: set[tuple[CharKey, int]] = set()  # computed, not yet taken
@@ -153,7 +154,9 @@ class BernoulliCache:
         for it on first lookup (e.g. from a file cache)."""
         self._twisted[key] = value
         self._new.discard(key)
-        self._script_l.pop((key[0], key[1] - 1), None)  # L*_(k-1) is built on B_(k,chi)
+        built_on = (key[0], key[1] - 1)  # L(1-k, chi) and L*_(k-1) are built on B_(k,chi)
+        self._l_values.pop(built_on, None)
+        self._script_l.pop(built_on, None)
 
     def take_new(self) -> dict[tuple[CharKey, int], CyclotomicElement]:
         """The twisted values computed since the last call, in key order: each is taken once."""
@@ -187,14 +190,19 @@ def generalized_bernoulli(
 def l_value(
     k: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
 ) -> CyclotomicElement:
-    """L(-k, chi) = -B_(k+1,chi)/(k+1) for k of parity opposite to chi."""
+    """L(-k, chi) = -B_(k+1,chi)/(k+1) for k of parity opposite to chi.
+    Memoized on ``cache`` per (chi.key(), k)."""
+    key = (chi.key(), k)
+    if (value := cache._l_values.get(key)) is not None:
+        return value
     if k < 0:
         raise DomainError("index must be >= 0")
     if not opposite_parity(chi, k):
         raise ParityError(
             f"k={k} and chi={chi.label()} ({chi.parity()}) have the same parity"
         )
-    return cache.twisted_bernoulli(chi, k + 1) * Fraction(-1, k + 1)
+    value = cache._l_values[key] = cache.twisted_bernoulli(chi, k + 1) / -(k + 1)
+    return value
 
 
 def script_l(

@@ -10,7 +10,7 @@ Q(zeta_N) with N = phi(p^m).
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicElement, _new, _reduce, euler_phi, prime_factors, zeta
@@ -128,16 +128,23 @@ class DirichletCharacter:
     Values are embedded in Q(zeta_N), N = phi(p^m).
     """
 
+    __slots__ = ("group", "p", "m", "modulus", "images", "zeta_order", "_weights", "_key",
+                 "_conductor", "_primitive", "_label", "_odd")
+
     def __init__(self, group: UnitGroup, images: tuple[int, ...]):
         if len(images) != len(group.generators):
             raise ValueError("one image exponent per generator required")
         self.group = group
+        self.p, self.m, self.modulus = group.p, group.m, group.modulus
         self.images = tuple(e % order for e, (_, order) in zip(images, group.generators))
         self.zeta_order = n = group.order
         # chi(g_i)^x = zeta_N^(e_i * (N / order_i) * x)
         self._weights = tuple(
             e * (n // order) for e, (_, order) in zip(self.images, group.generators))
+        self._key = (self.p, self.m, self.images)
         self._conductor = self._least_conductor()
+        self._primitive = self._conductor == group.modulus
+        self._label = self._odd = None  # computed on first use, not while enumerating
 
     def __repr__(self) -> str:
         return (f"DirichletCharacter(group={self.group!r}, images={self.images!r}, "
@@ -145,27 +152,13 @@ class DirichletCharacter:
 
     # -- identity -------------------------------------------------------
 
-    @property
-    def p(self) -> int:
-        return self.group.p
-
-    @property
-    def m(self) -> int:
-        return self.group.m
-
-    @property
-    def modulus(self) -> int:
-        return self.group.modulus
-
     def key(self) -> tuple[int, int, tuple[int, ...]]:
         """Stable serialization key (p, m, exponent vector)."""
-        return (self.p, self.m, self.images)
-
-    @cached_property
-    def _label(self) -> str:
-        return f"{self.modulus}:" + ",".join(str(e) for e in self.images)
+        return self._key
 
     def label(self) -> str:
+        if self._label is None:
+            self._label = f"{self.modulus}:" + ",".join(str(e) for e in self.images)
         return self._label
 
     def __eq__(self, other: object) -> bool:
@@ -221,12 +214,9 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.images)
 
-    @cached_property
-    def _odd(self) -> bool:
-        # Computed on first use, so enumerating characters does not pay for it.
-        return self.value_exponent(self.modulus - 1) != 0
-
     def is_odd(self) -> bool:
+        if self._odd is None:
+            self._odd = self.value_exponent(self.modulus - 1) != 0
         return self._odd
 
     def parity(self) -> str:
@@ -248,7 +238,7 @@ class DirichletCharacter:
         return self.modulus
 
     def is_primitive(self) -> bool:
-        return self.conductor() == self.modulus
+        return self._primitive
 
 
 def character(p: int, m: int, images: tuple[int, ...] | list[int]) -> DirichletCharacter:

@@ -81,23 +81,21 @@ def _congruence_verdict(
     rhs = as_element(rhs)
     holds, margin = congruent_mod(lhs, rhs, p, n)
     if expected is not None:
-        params = {**params, "congruent": holds, "expected": expected}
+        params.update(congruent=holds, expected=expected)
         holds, branch = holds == expected, "iff"
-    return CongruenceVerdict(
-        id=id_,
-        params=params,
-        holds=holds,
-        required_modulus_exponent=n,
-        observed_margin=margin,
-        lhs=lhs,
-        rhs=rhs,
-        branch=branch,
-    )
+    return CongruenceVerdict(id_, params, holds, n, margin, lhs, rhs, branch)
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DomainError(message)
+
+
+def _require_base(a: int, p: int) -> None:
+    """The base a of a^k: bounded in absolute value before a^k is formed, and prime to p."""
+    check_bound(abs(a), "base |a|")
+    if a % p == 0:
+        raise DomainError(f"a={a} must be coprime to p={p}")
 
 
 def _phi_aligned(k: int, l: int, p: int, n: int) -> bool:
@@ -399,7 +397,7 @@ def verify_twisted_voronoi(
             == chi(a) a^k sum_(j < p^n) chi(j) j^k floor(ja/p^n)   (mod p^n).
     """
     p, m = chi.p, chi.m
-    _require(a % p != 0, f"a={a} must be coprime to p={p}")
+    _require_base(a, p)
     _require(n >= m, "requires n >= m")
     _require(p >= 5 or n >= 2, "requires p >= 5, or p in {2, 3} with n >= 2")
     if not opposite_parity(chi, k):
@@ -423,7 +421,7 @@ def verify_voronoi(
     """
     _require(p >= 5 and is_prime(p), "requires a prime p >= 5")
     _require(k % 2 == 0 and k >= 2, "k must be even >= 2")
-    _require(a % p != 0, f"a={a} must be coprime to p={p}")
+    _require_base(a, p)
     b_k = cache.bernoulli(k)  # first: the index bound before a**k
     lhs = (a**k - 1) * b_k
     rhs = floor_weighted_sum(k - 1, a, p, 1, None) * (k * a ** (k - 1))
@@ -463,7 +461,8 @@ def verify_lerch(a: int, n: int) -> CongruenceVerdict:
     """
     _require(n >= 2, "n must be >= 2")
     check_bound(n)  # before euler_phi(n) trial-divides n
-    _require(math.gcd(a, n) == 1, f"a={a} must be coprime to n={n}")
+    if math.gcd(a, n) != 1:
+        raise DomainError(f"a={a} must be coprime to n={n}")
     lhs = (pow(a, euler_phi(n), n * n) - 1) // n % n
     total = 0
     for j in range(1, n + 1):
@@ -563,7 +562,7 @@ def verify_sum_twist(
 ) -> CongruenceVerdict:
     """(1 - chi(a) a^k) S_k(p^m, chi) == 0  (mod p^m) for a coprime to p."""
     p, m = chi.p, chi.m
-    _require(a % p != 0, f"a={a} must be coprime to p={p}")
+    _require_base(a, p)
     _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, p**m, chi).times_binomial(1, -a**k, chi.value_exponent(a))
     rhs = CyclotomicElement.zero(chi.zeta_order)

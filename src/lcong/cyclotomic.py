@@ -401,6 +401,8 @@ def _content_valuation(num: Iterable[int], den: int, p: int) -> Valuation:
 
 def rational_valuation(value: Scalar, p: int) -> Valuation:
     """p-adic valuation of a rational number; INFINITE for zero."""
+    if isinstance(value, int):
+        return _content_valuation((value,), 1, p)
     q = Fraction(value)
     return _content_valuation((q.numerator,), q.denominator, p)
 

@@ -144,19 +144,22 @@ class SweepReport:
                 f"skips={self.skips!r}, duration={self.duration!r}, summary={self.summary!r})")
 
     def add(self, result: CongruenceVerdict | SkipRecord) -> None:
-        per_id = self.summary["per_id"]
+        summary, per_id = self.summary, self.summary["per_id"]
         row = per_id.get(result.id) or per_id.setdefault(  # a new row on an id's first result
             result.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf})
         if isinstance(result, SkipRecord):
             self.skips.append(result)
-            counts = ("skips",)
-        else:
-            self.verdicts.append(result)
-            counts = ("total", "holds" if result.holds else "fails")
-            row["min_margin"] = min(row["min_margin"], result.observed_margin)
-        for count in counts:
-            row[count] += 1
-            self.summary[count] += 1
+            row["skips"] += 1
+            summary["skips"] += 1
+            return
+        self.verdicts.append(result)
+        outcome = "holds" if result.holds else "fails"
+        row["total"] += 1
+        row[outcome] += 1
+        summary["total"] += 1
+        summary[outcome] += 1
+        if result.observed_margin < row["min_margin"]:
+            row["min_margin"] = result.observed_margin
 
     @property
     def all_hold(self) -> bool:
@@ -185,6 +188,9 @@ class CongruenceSpec:
         self.char_mode, self.char_axes, self.region = char_mode, char_axes, region
         code = getattr(cg, verifier).__code__
         self.arguments = code.co_varnames[:code.co_argcount]  # the verifier's, in order
+        # The instance keys it takes; ``cache``, when taken, is last and passed by position.
+        self.takes_cache = self.arguments[-1] == "cache"
+        self.keys = self.arguments[:-1] if self.takes_cache else self.arguments
 
     def __repr__(self) -> str:
         return (f"CongruenceSpec(id={self.id!r}, aliases={self.aliases!r}, axes={self.axes!r}, "
@@ -309,23 +315,32 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     heads = [{}] if spec.char_mode is None else [
         {"chi": chi, p_axis: chi.p, m_axis: chi.m} for chi in _select_characters(spec, job)
     ]
-    return ((spec, {**head, **dict(zip(numeric_axes, point))})
-            for head in heads for point in product(*values))
+
+    def instances() -> Iterator[tuple[CongruenceSpec, dict]]:
+        for head in heads:
+            for point in product(*values):
+                inst = head.copy()
+                inst.update(zip(numeric_axes, point))
+                yield spec, inst
+    return instances()
 
 
 def run_instance(
     spec: CongruenceSpec, inst: dict, cache: BernoulliCache
 ) -> CongruenceVerdict | SkipRecord:
+    """The verdict at one instance, or its skip, whose params are ``inst``
+    itself with ``chi`` replaced by its label: the instance is used up."""
     try:
         if spec.region is not None:
             predicate, value, reason = spec.region
             if getattr(cg, predicate)(inst["chi"], inst["k"]) != value:
                 raise DomainError(reason)
-        args = [cache if name == "cache" else inst[name] for name in spec.arguments]
-        verdict = getattr(cg, spec.verifier)(*args)
+        verify, args = getattr(cg, spec.verifier), map(inst.__getitem__, spec.keys)
+        verdict = verify(*args, cache) if spec.takes_cache else verify(*args)
     except DomainError as exc:
-        params = {k: v.label() if k == "chi" else v for k, v in inst.items()}
-        return SkipRecord(id=spec.id, params=params, reason=str(exc))
+        if "chi" in inst:
+            inst["chi"] = inst["chi"].label()
+        return SkipRecord(spec.id, inst, str(exc))
     if spec.region is not None and verdict.id != spec.id:
         verdict = verdict._replace(id=spec.id)
     return verdict
@@ -427,38 +442,48 @@ def _replacing(path) -> Iterator:
         raise
 
 
+_TEXT_MEMO_SIZE = 256  # the most element texts _record_lines keeps for reuse
+
+
 def _record_lines(report: SweepReport) -> Iterator[str]:
     header = {
         "type": "header",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": report.config,
     }
-    yield json_text(header)
+    yield json_text(header) + "\n"
     # Verdict and skip lines are written from fixed keys, in the order
-    # json_text sorts them, each value as json_text writes it.
+    # json_text sorts them, each value as json_text writes it.  Memoised
+    # values repeat across nearby verdicts, so up to _TEXT_MEMO_SIZE element
+    # texts are kept, by id(): the report holds each element, so ids are unique.
+    texts: dict[int, str] = {}
     for v in report.verdicts:
+        if len(texts) >= _TEXT_MEMO_SIZE:
+            texts.clear()
         branch = "null" if v.branch is None else _string_text(v.branch)
+        lhs = texts.get(id(v.lhs)) or texts.setdefault(id(v.lhs), _element_text(v.lhs))
+        rhs = texts.get(id(v.rhs)) or texts.setdefault(id(v.rhs), _element_text(v.rhs))
         yield (f'{{"branch": {branch}, "holds": {"true" if v.holds else "false"}, '
-               f'"id": {_string_text(v.id)}, "lhs": {_element_text(v.lhs)}, '
+               f'"id": {_string_text(v.id)}, "lhs": {lhs}, '
                f'"observed_margin": "{_margin_str(v.observed_margin)}", '
                f'"params": {json_text(v.params)}, '
                f'"required_exponent": {v.required_modulus_exponent}, '
-               f'"rhs": {_element_text(v.rhs)}, "type": "verdict"}}')
+               f'"rhs": {rhs}, "type": "verdict"}}\n')
     for s in report.skips:
         yield (f'{{"id": {_string_text(s.id)}, "params": {json_text(s.params)}, '
-               f'"reason": {_string_text(s.reason)}, "type": "skip"}}')
+               f'"reason": {_string_text(s.reason)}, "type": "skip"}}\n')
     summary = dict(report.summary)
     summary["per_id"] = {
         id_: {**row, "min_margin": _margin_str(row["min_margin"])}
         for id_, row in report.summary["per_id"].items()
     }
-    yield json_text({"type": "summary", **summary})
+    yield json_text({"type": "summary", **summary}) + "\n"
 
 
 def write_records(report: SweepReport, fh) -> None:
     """Line-delimited records, to an open text stream; the timestamp
     appears only in the header."""
-    fh.writelines(line + "\n" for line in _record_lines(report))
+    fh.writelines(_record_lines(report))
 
 
 #: The most verdict rows ``table_text`` shows.

@@ -452,6 +452,34 @@ def test_criterion7_branch_margins_beyond_m2():
            "all 1628 verdicts hold with margin exactly n at conductors 27, 81, 125", t0)
 
 
+def test_criterion7_branch_excess_at_conductor_9():
+    """The one family where the branch (ii) shift congruence is not sharp:
+    at conductor 9 (k 0..40, n 1..4, q 1..2; 656 verdicts, all branch
+    (ii)) every verdict holds, with margin n + 1 exactly at the characters
+    9:2 and 9:4 of order 3 with k == 1 (mod 6) and n >= 2, 84 verdicts,
+    and margin n everywhere else."""
+    t0 = time.perf_counter()
+    cache, margins = BernoulliCache(), {}
+    for chi in enumerate_primitive(3, 2):
+        for k in range(41):
+            for n in range(1, 5):
+                for q in (1, 2):
+                    try:
+                        v = verify_lvalue_shift_odd(chi, k, n, q, cache=cache)
+                    except ParityError:
+                        continue
+                    assert v.holds and v.branch == "ii", v.params
+                    margins[chi.label(), k, n, q] = v.observed_margin
+    expected = {
+        (label, k, n, q): n + 1 if label in ("9:2", "9:4") and k % 6 == 1 and n >= 2 else n
+        for label, k, n, q in margins
+    }
+    assert margins == expected
+    assert len(margins) == 656
+    assert sum(margin > n for (_, _, n, _), margin in margins.items()) == 84
+    report("7 (1.7 at conductor 9)", "656 verdicts hold; margin n + 1 at exactly 84", t0)
+
+
 def test_criterion8_classical_checks():
     t0 = time.perf_counter()
     for p in (5, 7, 11):

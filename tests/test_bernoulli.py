@@ -274,6 +274,35 @@ class TestLValues:
         with pytest.raises(ParityError):
             l_value(0, chi8)
 
+    def test_memo_matches_a_fresh_bernoulli_quotient(self):
+        # Every L(-k, chi) a warm memo answers, the second time from the
+        # memo itself, against -B_(k+1,chi)/(k+1) formed with a Fraction
+        # from a cache that never forms an L-value.
+        warm, reference, checked = BernoulliCache(), BernoulliCache(), 0
+        for p, m in ((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)):
+            for chi in enumerate_primitive(p, m):
+                for k in range(13):
+                    if not opposite_parity(chi, k):
+                        with pytest.raises(ParityError):
+                            l_value(k, chi, warm)
+                        continue
+                    expected = generalized_bernoulli(k + 1, chi, reference) * Fraction(-1, k + 1)
+                    value = l_value(k, chi, warm)
+                    assert value == expected, (chi.label(), k)
+                    assert l_value(k, chi, warm) is value
+                    checked += 1
+        assert len(warm._l_values) == checked > 0 and not reference._l_values
+
+    def test_seeded_value_replaces_memoized_one(self, chi8):
+        cache = BernoulliCache()
+        assert l_value(3, chi8, cache) == 11
+        # L(-3, chi) is built on B_(4,chi); seeding another B_(4,chi) must
+        # not leave the old L(-3, chi) behind, and leaves L(-1, chi) alone.
+        seeded = CyclotomicElement(chi8.zeta_order, [-45, 2])
+        cache.store_twisted((chi8.key(), 4), seeded)
+        assert l_value(3, chi8, cache) == seeded * Fraction(-1, 4)
+        assert l_value(1, chi8, cache) == -1
+
 
 class TestScriptL:
     def test_mod8_values(self, chi8):

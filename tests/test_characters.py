@@ -130,6 +130,18 @@ class TestConductorParity:
             assert chi.conductor() == expected, chi.label()
 
 
+    def test_stored_key_and_primitive_flag_match_the_dlog_route(self):
+        # A character mod p^m is primitive iff it is nontrivial on the units
+        # == 1 (mod p^(m-1)), read here from every entry of the dlog table.
+        for p, ms in ((2, range(3, 8)), (3, range(1, 5)), (5, range(1, 4)), (7, (2,))):
+            for m in ms:
+                for chi in enumerate_characters(p, m):
+                    assert chi.key() == (p, m, tuple(chi.images)) == (chi.p, chi.m, chi.images)
+                    kernel = [a for a in chi.group.dlog if (a - 1) % p ** (m - 1) == 0]
+                    primitive = any(chi.value_exponent(a) != 0 for a in kernel)
+                    assert chi.is_primitive() == primitive, chi.label()
+
+
 class TestEnumeration:
     def test_counts_mod_eight(self):
         prim = enumerate_primitive(2, 3)

@@ -15,7 +15,7 @@ from lcong.cli import (
 )
 from lcong import valuecache
 from lcong.bernoulli import MAX_INDEX, BernoulliCache, script_l
-from lcong.characters import build_unit_group, character
+from lcong.characters import MAX_TABLE_MODULUS, build_unit_group, character
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import ConfigError, SweepConfig, SweepJob, run_sweep
 
@@ -711,6 +711,26 @@ class TestConsoleScript:
         assert result.returncode == EXIT_CONFIG
         assert result.stderr.splitlines() == [
             f"error: index {index} exceeds Bernoulli/Euler index bound {MAX_INDEX}"
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["2.2", "--p", "3", "--m", "1", "--k", "2000"],
+        ["voronoi", "--p", "5", "--k", "2000"],
+        ["3.2", "--p", "5", "--m", "1", "--k", "2000", "--n", "1"],
+    ], ids=["2.2", "voronoi", "3.2"])
+    def test_base_is_bounded_before_its_power_is_formed(self, argv):
+        # A base a prime to p with 4,002 digits: a^k with k inside the index
+        # bound would run past the timeout or into the address space cap.
+        a = 10**4001 + 1
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv, "--a", str(a)],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [
+            f"error: base |a| {a} exceeds dlog table bound {MAX_TABLE_MODULUS}"
         ]
 
     @pytest.mark.parametrize("argv, index", [

@@ -165,6 +165,24 @@ class TestValuation:
         assert rational_valuation(Fraction(5, 8), 2) == -3
         assert rational_valuation(0, 7) == INFINITE
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_int_branch_matches_the_fraction_route(self, p):
+        # An int is read without building a Fraction; the same value as
+        # a Fraction, and a count of divisions by p, give the reference.
+        values = [*range(-300, 301), *(s * u * p**e for s in (1, -1)
+                                         for u in (1, p - 1, p + 1) for e in (20, 64, 200))]
+        for value in values:
+            got = rational_valuation(value, p)
+            assert got == rational_valuation(Fraction(value), p), value
+            if value == 0:
+                assert got == INFINITE
+                continue
+            count, rest = 0, abs(value)
+            while rest % p == 0:
+                rest //= p
+                count += 1
+            assert type(got) is int and got == count, value
+
     @settings(max_examples=60, deadline=None)
     @given(elements(), st.sampled_from([2, 3, 5]))
     def test_scaling_by_p_adds_one(self, x, p):

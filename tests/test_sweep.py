@@ -201,7 +201,8 @@ class TestRunSweep:
         path = str(tmp_path / "values.jsonl") if cached else None
         job = SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]})
         assert run_sweep(SweepConfig(jobs=(job,), cache_path=path)).all_hold
-        assert not bernoulli.DEFAULT_CACHE._twisted and not bernoulli.DEFAULT_CACHE._script_l
+        default = bernoulli.DEFAULT_CACHE
+        assert not default._twisted and not default._l_values and not default._script_l
 
 
 class TestSkipContract:
@@ -305,6 +306,38 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     )), cache=BernoulliCache())
     assert report.verdicts and report.skips
     assert len(floor_sums) == len(report.verdicts)
+
+
+def test_a_grid_point_repeats_no_value_work(monkeypatch):
+    # A cost guard over the 1.4 + 1.5 grids at m = 3..4, whose points share
+    # their L-values: each L(-k, chi) forms its scalar product,
+    # B_(k+1,chi) / -(k+1), once for the whole sweep, and the JSONL writer
+    # renders the text of each distinct element object once.
+    divisions, texts = {}, {}
+    divide, element_text = CyclotomicElement.__truediv__, sweep._element_text
+
+    def counted_division(self, other):
+        divisions[id(self), other] = divisions.get((id(self), other), 0) + 1
+        return divide(self, other)
+
+    def counted_text(x):
+        texts[id(x)] = texts.get(id(x), 0) + 1
+        return element_text(x)
+
+    monkeypatch.setattr(CyclotomicElement, "__truediv__", counted_division)
+    monkeypatch.setattr(sweep, "_element_text", counted_text)
+    cache = BernoulliCache()
+    report = run_sweep(SweepConfig(jobs=(
+        SweepJob("1.4", {"m": "3..4", "k": "0..8", "n": "1..2", "q": [1, 3]}),
+        SweepJob("1.5", {"m": "3..4", "k": "0..8", "l": "0..8", "n": "1..2"}),
+    )), cache=cache)
+    assert report.all_hold and report.skips
+    assert len(divisions) == len(cache._l_values) > 0
+    assert set(divisions.values()) == {1}
+    rendered(write_records, report)
+    sides = {id(side) for v in report.verdicts for side in (v.lhs, v.rhs)}
+    assert set(texts) == sides and set(texts.values()) == {1}
+    assert len(sides) < len(report.verdicts)  # the sides do repeat
 
 
 class TestReports:
@@ -429,13 +462,15 @@ def test_registry_entry_fits_its_verifier(id_):
     """An entry names a congruences function whose arguments other than
     ``cache`` are all instance keys (an axis, ``chi`` or a character axis),
     since run_instance passes each of them; its region predicate exists,
-    and every axis is a `lcong verify` flag."""
+    and every axis is a `lcong verify` flag.  ``cache``, when taken, is
+    the last argument, since run_instance passes it by position."""
     spec = lookup(id_)
     parameters = inspect.signature(getattr(congruences, spec.verifier)).parameters
     keys = {*spec.axes, *(("chi", *spec.char_axes) if spec.char_mode else ())}
     required = {name for name, param in parameters.items()
                 if param.default is param.empty and name != "cache"}
     assert spec.arguments == tuple(parameters)
+    assert spec.keys == tuple(name for name in spec.arguments if name != "cache")
     assert required <= set(spec.arguments) - {"cache"} <= keys
     if spec.region is not None:
         assert callable(getattr(congruences, spec.region[0]))
