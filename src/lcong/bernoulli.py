@@ -25,22 +25,12 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Callable
 
-from .characters import DirichletCharacter, ResourceLimitError, opposite_parity
+from .characters import DirichletCharacter, check_index, check_work, opposite_parity
 from .cyclotomic import CyclotomicElement
 
 CharKey = tuple[int, int, tuple[int, ...]]
 #: A twisted value, or a builder of it that is called on first lookup.
 Twisted = CyclotomicElement | Callable[[], CyclotomicElement]
-
-
-#: Largest index of B_k, E_k and B_(k,chi) (Seidel's triangle grows no
-#: further), and largest exponent k of a power sum or floor sum.
-MAX_INDEX = 2000
-
-
-def _check_index(k: int) -> None:
-    if k > MAX_INDEX:
-        raise ResourceLimitError(f"index {k} exceeds Bernoulli/Euler index bound {MAX_INDEX}")
 
 
 class DomainError(ValueError):
@@ -91,7 +81,7 @@ class BernoulliCache:
     def bernoulli(self, k: int) -> Fraction:
         if k < 0:
             raise DomainError("Bernoulli index must be >= 0")
-        _check_index(k)
+        check_index(k)
         while (j := len(self._bernoulli)) <= k:
             if j % 2:
                 self._bernoulli.append(Fraction(-1 if j == 1 else 0, 2))
@@ -104,7 +94,7 @@ class BernoulliCache:
     def euler(self, k: int) -> int:
         if k < 0:
             raise DomainError("Euler index must be >= 0")
-        _check_index(k)
+        check_index(k)
         return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
     # -- twisted values ------------------------------------------------
@@ -131,11 +121,11 @@ class BernoulliCache:
         return row
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:
-        _check_index(k)
         key = (chi.key(), k)
         cached = self.stored_twisted(key)
         if cached is not None:
             return cached
+        check_work(chi.modulus, k)  # a row of f weights of degree k
         scale, row = self._row(chi.modulus, k)  # chi(0) = chi(f) = 0 stands in for a = f
         total = chi.weighted_sum(row, scale)
         self._twisted[key] = total

@@ -15,12 +15,19 @@ from itertools import product
 
 from .cyclotomic import CyclotomicElement, _new, _reduce, euler_phi, prime_factors, zeta
 
-#: Largest modulus for which a full discrete-log table is built.
+# Resource bounds: each size a user gives is checked before what it sizes is formed.
+
+#: Largest modulus, prime or base |a|, so the longest dlog table or sum.
 MAX_TABLE_MODULUS = 200_000
+#: Largest index of B_k, E_k and B_(k,chi), and largest exponent of a power.
+MAX_INDEX = 2000
+#: Largest terms x exponent of a loop of powers (a power or floor sum, a B_(k,chi)
+#: row, all rows of a table); a row at f = 625, k = 1600 takes 1.5 s, as B_2000 does.
+MAX_WORK = 1_000_000
 
 
 class ResourceLimitError(ValueError):
-    """A modulus, prime or power above the dlog table bound, or an index above MAX_INDEX."""
+    """An input above one of the bounds of this section."""
 
 
 def check_bound(n: int, name: str = "modulus") -> None:
@@ -36,6 +43,18 @@ def bounded_power(p: int, m: int) -> int:
     modulus = p**m
     check_bound(modulus)
     return modulus
+
+
+def check_index(k: int) -> None:
+    if k > MAX_INDEX:
+        raise ResourceLimitError(f"index {k} exceeds Bernoulli/Euler index bound {MAX_INDEX}")
+
+
+def check_work(terms: int, exponent: int) -> None:
+    """A loop of ``terms`` powers of degree ``exponent``; the exponent first, as check_index."""
+    check_index(exponent)
+    if terms * exponent > MAX_WORK:
+        raise ResourceLimitError(f"work {terms * exponent} exceeds work bound {MAX_WORK}")
 
 
 def is_prime(n: int) -> bool:

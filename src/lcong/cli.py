@@ -25,7 +25,7 @@ from .bernoulli import (
     l_value,
     script_l,
 )
-from .characters import character, enumerate_primitive
+from .characters import character, check_index, check_work, enumerate_primitive
 from .sweep import (
     REGISTRY,
     ConfigError,
@@ -112,6 +112,7 @@ def cmd_table(args) -> int:
     kind = args.kind
     if args.max_k < 0:
         raise ConfigError("--max-k must be >= 0")
+    check_index(args.max_k)  # before the first row
     if kind in ("bernoulli", "euler"):
         fn = bernoulli_number if kind == "bernoulli" else euler_number
         rows = [(k, str(fn(k))) for k in range(args.max_k + 1)]
@@ -135,6 +136,7 @@ def cmd_table(args) -> int:
             if not chis:
                 which = f"primitive {args.parity}" if args.parity else "primitive"
                 raise ConfigError(f"table '{kind}': no {which} character mod {args.p}^{args.m}")
+        check_work(chis[0].modulus * sum(range(args.max_k + 1)), 1)  # rows shared by all chi mod f
         fn = {"generalized-bernoulli": generalized_bernoulli, "l-values": l_value,
               "script-l": script_l}[kind]
         rows = []

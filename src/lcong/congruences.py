@@ -26,6 +26,7 @@ from .characters import (
     DirichletCharacter,
     bounded_power,
     check_bound,
+    check_work,
     is_prime,
     multiplicative_order,
     opposite_parity,
@@ -156,9 +157,8 @@ def verify_ernvall(
 def _ernvall_side(
     chi: DirichletCharacter, p: int, k: int, cache: BernoulliCache
 ) -> CyclotomicElement:
-    """(1 - chi(p) p^(k-1)) B_(k,chi)/k in one integer pass, with chi(p) =
-    zeta_N^t.  B_(k,chi) is looked up first, so its index bound is checked
-    before p^(k-1) is formed."""
+    """(1 - chi(p) p^(k-1)) B_(k,chi)/k in one integer pass, with chi(p) = zeta_N^t;
+    looking B_(k,chi) up first bounds k before p^(k-1) is formed."""
     value = cache.twisted_bernoulli(chi, k)
     return value.times_binomial(1, -p ** (k - 1), chi.value_exponent(p), k)
 
@@ -402,6 +402,7 @@ def verify_twisted_voronoi(
     _require(p >= 5 or n >= 2, "requires p >= 5, or p in {2, 3} with n >= 2")
     if not opposite_parity(chi, k):
         raise ParityError(f"k={k} has the same parity as chi={chi.label()}")
+    check_work(bounded_power(p, n), k + 1)  # the p^n-term floor sum, and B_(k+1,chi)
     t = chi.value_exponent(a)
     value = l_value(k, chi, cache)  # first: a negative k is refused before a**k
     lhs = value.times_binomial(1, -a ** (k + 1), t)
@@ -422,7 +423,8 @@ def verify_voronoi(
     _require(p >= 5 and is_prime(p), "requires a prime p >= 5")
     _require(k % 2 == 0 and k >= 2, "k must be even >= 2")
     _require_base(a, p)
-    b_k = cache.bernoulli(k)  # first: the index bound before a**k
+    check_work(p, k)  # the floor sum's p terms, before B_k is looked up and a**k formed
+    b_k = cache.bernoulli(k)
     lhs = (a**k - 1) * b_k
     rhs = floor_weighted_sum(k - 1, a, p, 1, None) * (k * a ** (k - 1))
     return _congruence_verdict("voronoi", {"a": a, "p": p, "k": k}, lhs, rhs, p, 1)
@@ -439,8 +441,8 @@ def verify_sun(
     """
     _require(k % 2 == 0 and k >= 0, "k must be even >= 0")
     _require(n >= 1, "n must be >= 1")
-    modulus = bounded_power(2, n)
-    e_k = cache.euler(k)  # first: the index bound before the 2^n-term loop
+    check_work(modulus := bounded_power(2, n), k)  # before E_k is looked up
+    e_k = cache.euler(k)
     total = 0
     for j in range(modulus):
         sign = 1 if j % 2 else -1  # (-1)^(j-1)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bernoulli import DomainError, _check_index
-from .characters import DirichletCharacter, bounded_power
+from .bernoulli import DomainError
+from .characters import DirichletCharacter, bounded_power, check_work
 from .cyclotomic import CyclotomicElement
 
 
@@ -27,7 +27,7 @@ def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:
         raise ValueError("exponent k must be >= 0")
     if n < 1:
         raise ValueError("upper limit must be >= 1")
-    _check_index(k)
+    check_work(n, k)
     f = chi.modulus
     per_class = [0] * f
     for j in range(1, n + 1):
@@ -53,8 +53,8 @@ def floor_weighted_sum(
         raise ValueError("n must be >= 1")
     if a % p == 0:
         raise DomainError(f"a={a} is divisible by p={p}")
-    _check_index(k)
-    per_class = _floor_row(k, a, bounded_power(p, n), chi.modulus if chi else 1)
+    check_work(modulus := bounded_power(p, n), k)
+    per_class = _floor_row(k, a, modulus, chi.modulus if chi else 1)
     return chi.weighted_sum(per_class) if chi else CyclotomicElement.from_rational(per_class[0])
 
 

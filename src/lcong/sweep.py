@@ -174,28 +174,31 @@ class CongruenceSpec:
     """One catalog id, read-only by convention.  ``verifier`` names the
     ``congruences`` function that checks an instance; it is looked up on
     the module at call time and given the instance values its argument
-    names list, plus ``cache`` when it takes one.  ``region``, when set,
-    is ``(predicate, value, reason)``: an instance where
-    ``congruences.<predicate>(chi, k)`` is not ``value`` is skipped with
-    ``reason``, and the spec's id is stamped on the verdicts, so a probe of
-    an excluded region reports as itself."""
+    names list, plus ``cache`` when it takes one.  The grid ``axes`` are the
+    character axes, but that of a ``prime`` the id fixes, then those names
+    but ``chi``.  ``region``, when set, is ``(predicate, value, reason)``: an
+    instance where ``congruences.<predicate>(chi, k)`` is not ``value`` is
+    skipped with ``reason``, and the spec's id is stamped on the verdicts,
+    so a probe of an excluded region reports as itself."""
 
-    def __init__(self, id: str, aliases: tuple[str, ...], axes: tuple[str, ...], verifier: str,
+    def __init__(self, id: str, aliases: tuple[str, ...], verifier: str,
                  char_mode: Optional[str] = None,  # None | "primitive" | "all" | "vanishing"
-                 char_axes: tuple[str, str] = ("p", "m"),
+                 char_axes: tuple[str, str] = ("p", "m"), prime: Optional[int] = None,
                  region: Optional[tuple[str, bool, str]] = None):
-        self.id, self.aliases, self.axes, self.verifier = id, aliases, axes, verifier
+        self.id, self.aliases, self.verifier, self.prime = id, aliases, verifier, prime
         self.char_mode, self.char_axes, self.region = char_mode, char_axes, region
         code = getattr(cg, verifier).__code__
         self.arguments = code.co_varnames[:code.co_argcount]  # the verifier's, in order
         # The instance keys it takes; ``cache``, when taken, is last and passed by position.
         self.takes_cache = self.arguments[-1] == "cache"
         self.keys = self.arguments[:-1] if self.takes_cache else self.arguments
+        grid_chars = () if char_mode is None else char_axes[1:] if prime else char_axes
+        self.axes = (*grid_chars, *(key for key in self.keys if key != "chi"))
 
     def __repr__(self) -> str:
-        return (f"CongruenceSpec(id={self.id!r}, aliases={self.aliases!r}, axes={self.axes!r}, "
+        return (f"CongruenceSpec(id={self.id!r}, aliases={self.aliases!r}, "
                 f"verifier={self.verifier!r}, char_mode={self.char_mode!r}, "
-                f"char_axes={self.char_axes!r}, region={self.region!r})")
+                f"char_axes={self.char_axes!r}, prime={self.prime!r}, region={self.region!r})")
 
 
 def _vanishing_family(p: int, m: int) -> list[DirichletCharacter]:
@@ -211,49 +214,44 @@ _CHAR_FAMILIES = {
 REGISTRY: dict[str, CongruenceSpec] = {}
 
 
-def _register(id_: str, aliases: tuple, axes: tuple, verifier: str, **options) -> None:
-    spec = CongruenceSpec(id_, aliases, axes, verifier, **options)
+def _register(id_: str, aliases: tuple, verifier: str, **options) -> None:
+    spec = CongruenceSpec(id_, aliases, verifier, **options)
     for name in (id_, *aliases):
         if name in REGISTRY:
             raise ValueError(f"duplicate congruence id {name}")
         REGISTRY[name] = spec
 
 
-_register("kummer", (), ("p", "k", "l", "n"), "verify_kummer_classical")
-_register("ernvall", ("1.1",), ("chi_p", "chi_m", "p", "k", "l", "n"), "verify_ernvall",
-          char_mode="primitive", char_axes=("chi_p", "chi_m"))
-_register("euler-kummer", ("1.2",), ("p", "k", "l"), "verify_euler_kummer")
-_register("stern", ("1.3",), ("k", "n", "q"), "verify_stern")
-_register("stern-iff", (), ("k", "l", "n"), "verify_stern_iff")
-_register("1.4", ("lshift-two",), ("m", "k", "n", "q"), "verify_lvalue_shift_two",
-          char_mode="primitive")
-_register("1.5", ("lshift-two-iff",), ("m", "k", "l", "n"), "verify_lvalue_shift_two_iff",
-          char_mode="primitive")
-_register("1.6", ("1.7", "lshift-odd"), ("p", "m", "k", "n", "q"), "verify_lvalue_shift_odd",
-          char_mode="primitive")
-_register("1.8", ("lshift-odd-iff",), ("p", "m", "k", "h", "n"), "verify_lvalue_shift_odd_iff",
-          char_mode="primitive")
-_register("2.1", ("sum-lift",), ("p", "m", "k", "n"), "verify_sum_lift",
-          char_mode="all", region=("sum_lift_excluded", False, "excluded case: p = 2, m = 1, odd k"))
-_register("2.1x", ("sum-lift-excluded",), ("p", "m", "k", "n"), "verify_sum_lift",
-          char_mode="all", region=("sum_lift_excluded", True, "not in the excluded region"))
-_register("2.2", ("sum-twist",), ("p", "m", "k", "a"), "verify_sum_twist", char_mode="primitive")
-_register("2.3", ("char-orders",), ("p", "m"), "verify_character_orders", char_mode="primitive")
-_register("2.4", ("sum-vanishing",), ("p", "m", "k", "n"), "verify_sum_vanishing",
-          char_mode="vanishing")
-_register("2.5", ("sum-vanishing-two",), ("m", "k", "n"), "verify_sum_vanishing_two",
-          char_mode="vanishing",
+_register("kummer", (), "verify_kummer_classical")
+_register("ernvall", ("1.1",), "verify_ernvall", char_mode="primitive",
+          char_axes=("chi_p", "chi_m"))
+_register("euler-kummer", ("1.2",), "verify_euler_kummer")
+_register("stern", ("1.3",), "verify_stern")
+_register("stern-iff", (), "verify_stern_iff")
+_register("1.4", ("lshift-two",), "verify_lvalue_shift_two", char_mode="primitive", prime=2)
+_register("1.5", ("lshift-two-iff",), "verify_lvalue_shift_two_iff", char_mode="primitive",
+          prime=2)
+_register("1.6", ("1.7", "lshift-odd"), "verify_lvalue_shift_odd", char_mode="primitive")
+_register("1.8", ("lshift-odd-iff",), "verify_lvalue_shift_odd_iff", char_mode="primitive")
+_register("2.1", ("sum-lift",), "verify_sum_lift", char_mode="all",
+          region=("sum_lift_excluded", False, "excluded case: p = 2, m = 1, odd k"))
+_register("2.1x", ("sum-lift-excluded",), "verify_sum_lift", char_mode="all",
+          region=("sum_lift_excluded", True, "not in the excluded region"))
+_register("2.2", ("sum-twist",), "verify_sum_twist", char_mode="primitive")
+_register("2.3", ("char-orders",), "verify_character_orders", char_mode="primitive")
+_register("2.4", ("sum-vanishing",), "verify_sum_vanishing", char_mode="vanishing")
+_register("2.5", ("sum-vanishing-two",), "verify_sum_vanishing_two", char_mode="vanishing",
+          prime=2,
           region=("strengthened_vanishing_applies", True, "outside the strengthened-vanishing cases"))
-_register("2.5x", ("sum-vanishing-two-excluded",), ("m", "k", "n"), "verify_sum_vanishing_two",
-          char_mode="vanishing",
+_register("2.5x", ("sum-vanishing-two-excluded",), "verify_sum_vanishing_two",
+          char_mode="vanishing", prime=2,
           region=("strengthened_vanishing_applies", False, "not in the excluded region"))
-_register("sun", ("3.1",), ("k", "n"), "verify_sun")
-_register("3.2", ("twisted-voronoi",), ("p", "m", "a", "k", "n"), "verify_twisted_voronoi",
-          char_mode="all")
-_register("voronoi", (), ("a", "p", "k"), "verify_voronoi")
-_register("lerch", (), ("a", "n"), "verify_lerch")
-_register("nondiv", (), ("p", "m", "d"), "check_nondivisibility", char_mode="primitive")
-_register("floor-parity", (), ("m",), "verify_floor_count")
+_register("sun", ("3.1",), "verify_sun")
+_register("3.2", ("twisted-voronoi",), "verify_twisted_voronoi", char_mode="all")
+_register("voronoi", (), "verify_voronoi")
+_register("lerch", (), "verify_lerch")
+_register("nondiv", (), "check_nondivisibility", char_mode="primitive")
+_register("floor-parity", (), "verify_floor_count")
 
 
 def registered_ids() -> list[str]:
@@ -280,8 +278,7 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCha
     out = []
     parity = job.params.get("parity")
     restrict = job.params.get("chi")
-    # an id whose axes name no conductor prime is stated for 2-power moduli
-    for p in job.axis(p_axis) if p_axis in spec.axes else [2]:
+    for p in [spec.prime] if spec.prime else job.axis(p_axis):
         for m in job.axis(m_axis):
             family = _CHAR_FAMILIES[spec.char_mode](p, m)
             if restrict is not None and family:

@@ -10,9 +10,10 @@ a warning, and the next append cuts it off.  A bad line anywhere else
 is a CacheError.
 
 Loading checks every line (UTF-8, JSON, each field, the key against the
-unit group characters.build_unit_group(p, m), and the coefficient text
-by CyclotomicElement.check_record) but builds no element: the memo
-gets a builder per key, which its first lookup replaces by the value.
+unit group characters.build_unit_group(p, m), k against the index bound,
+and the coefficient text by CyclotomicElement.check_record) but builds
+no element: the memo gets a builder per key, which its first lookup
+replaces by the value.
 ``lcong cache verify`` builds only the entries it recomputes.
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bernoulli import BernoulliCache, CharKey
-from .characters import build_unit_group, character
+from .characters import build_unit_group, character, check_index
 from .cyclotomic import CyclotomicElement
 
 CacheKey = tuple[CharKey, int]
@@ -102,6 +103,7 @@ def _check(line: bytes, lineno: int) -> tuple[CacheKey, Callable[[], CyclotomicE
         char = _character_key(p, m, order, tuple(chi))
         if k < 0:
             raise ValueError(f"k {k} is negative")
+        check_index(k)
         coeffs = record["coeffs"]
         CyclotomicElement.check_record(order, coeffs)
     except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError

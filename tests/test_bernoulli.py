@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from lcong.bernoulli import (
-    MAX_INDEX,
     BernoulliCache,
     ParityError,
     UndefinedCaseError,
@@ -20,6 +19,7 @@ from lcong.bernoulli import (
     script_l,
 )
 from lcong.characters import (
+    MAX_INDEX,
     ResourceLimitError,
     character,
     enumerate_characters,

@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcong.characters import (
+    MAX_INDEX,
+    MAX_WORK,
     DirichletCharacter,
     ResourceLimitError,
     build_unit_group,
     character,
+    check_work,
     enumerate_characters,
     enumerate_primitive,
     opposite_parity,
@@ -55,6 +58,17 @@ class TestUnitGroup:
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             build_unit_group(2, 18)
+
+    def test_work_bound(self):
+        # terms x exponent may reach MAX_WORK; an exponent above MAX_INDEX
+        # is refused first, with the index message.
+        check_work(MAX_WORK // 1000, 1000)
+        check_work(MAX_WORK, 1)
+        with pytest.raises(ResourceLimitError, match=f"^work {MAX_WORK + 1} .* bound {MAX_WORK}$"):
+            check_work(MAX_WORK + 1, 1)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^index {MAX_INDEX + 1} exceeds Bernoulli/Euler index bound"):
+            check_work(1, MAX_INDEX + 1)
 
     def test_smallest_primitive_root(self):
         assert smallest_primitive_root(3, 2) == 2

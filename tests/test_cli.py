@@ -14,8 +14,8 @@ from lcong.cli import (
     parse_values,
 )
 from lcong import valuecache
-from lcong.bernoulli import MAX_INDEX, BernoulliCache, script_l
-from lcong.characters import MAX_TABLE_MODULUS, build_unit_group, character
+from lcong.bernoulli import BernoulliCache, script_l
+from lcong.characters import MAX_INDEX, MAX_TABLE_MODULUS, MAX_WORK, build_unit_group, character
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import ConfigError, SweepConfig, SweepJob, run_sweep
 
@@ -330,6 +330,14 @@ class TestTableCommand:
         assert main(["table", "bernoulli", "--max-k", "-1"]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == ["configuration error: --max-k must be >= 0"]
 
+    def test_max_k_above_the_index_bound_is_refused_before_the_first_row(self, capsys):
+        assert main(["table", "bernoulli", "--max-k", "3000"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: index 3000 exceeds Bernoulli/Euler index bound {MAX_INDEX}"
+        ]
+
     @pytest.mark.parametrize("flags, selection", [
         (["--m", "1"], "primitive character mod 2^1"),
         (["--m", "2", "--parity", "even"], "primitive even character mod 2^2"),
@@ -406,6 +414,7 @@ class TestCacheCommand:
         ("coeffs", ["2", "\u0661"], "coefficient '\u0661' is not n or n/d with d > 0"),
         ("k", 2.7, "p, m, k, order and chi [2, 3, 2.7, 4, 0, 1] are not all integers"),
         ("k", -3, "k -3 is negative"),
+        ("k", 5000, f"index 5000 exceeds Bernoulli/Euler index bound {MAX_INDEX}"),
         ("p", True, "p, m, k, order and chi [True, 3, 2, 4, 0, 1] are not all integers"),
         ("chi", [0, 1.0], "p, m, k, order and chi [2, 3, 2, 4, 0, 1.0] are not all integers"),
         ("chi", "01", "p, m, k, order and chi [2, 3, 2, 4, '0', '1'] are not all integers"),
@@ -419,7 +428,7 @@ class TestCacheCommand:
         ("p", 59, "modulus 205379 exceeds dlog table bound 200000"),
     ], ids=["zero-denominator", "wrong-order", "huge-modulus", "composite-p", "extra-exponent",
             "short-coeffs", "string-coeffs", "non-string-coeffs", "non-ascii-digit",
-            "float-k", "negative-k", "bool-p", "float-exponent", "string-chi",
+            "float-k", "negative-k", "k-above-bound", "bool-p", "float-exponent", "string-chi",
             "unreduced-exponent", "comma-in-coeff", "int-coeff",
             "zero-m", "negative-p", "m-above-bound", "modulus-above-bound"])
     def test_corrupt_record_is_a_cache_error(self, tmp_path, capsys, field, value, message):
@@ -755,6 +764,33 @@ class TestConsoleScript:
         assert result.returncode == EXIT_CONFIG
         assert result.stderr.splitlines() == [
             f"error: index {index} exceeds Bernoulli/Euler index bound {MAX_INDEX}"
+        ]
+
+    @pytest.mark.parametrize("argv, work", [
+        (["verify", "sun", "--k", "2000", "--n", "17"], 2**17 * 2000),
+        (["verify", "2.4", "--p", "2", "--m", "3", "--k", "2000", "--n", "17"], 2**17 * 2000),
+        (["verify", "3.2", "--p", "2", "--m", "3", "--a", "3", "--k", "1999", "--n", "17"],
+         2**17 * 2000),
+        (["verify", "2.1", "--p", "3", "--m", "1", "--k", "2000", "--n", "11"], 3**11 * 2000),
+        (["verify", "voronoi", "--a", "3", "--p", "199999", "--k", "2000"], 199999 * 2000),
+        (["table", "generalized-bernoulli", "--p", "2", "--m", "12", "--chi", "1,1",
+          "--max-k", "300"], 2**12 * (300 * 301 // 2)),
+    ], ids=["sun", "2.4", "3.2", "2.1", "voronoi", "table"])
+    def test_work_is_bounded_before_the_loop_runs(self, argv, work):
+        # Each index and modulus is inside its bound, but terms x exponent
+        # is not: the sums, the B_(k,chi) rows and the table's rows check it
+        # before they loop, and sun, 3.2 and voronoi before they look up
+        # E_k, L(-k, chi) or B_k.  Each loop would run past the timeout.
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", *argv],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: work {work} exceeds work bound {MAX_WORK}"
         ]
 
     @pytest.mark.parametrize("argv", [

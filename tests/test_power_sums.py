@@ -1,8 +1,7 @@
 import pytest
 
-from lcong.bernoulli import MAX_INDEX
 from lcong.characters import (
-    ResourceLimitError, character, enumerate_characters, enumerate_primitive,
+    MAX_INDEX, ResourceLimitError, character, enumerate_characters, enumerate_primitive,
 )
 from lcong.cyclotomic import CyclotomicElement, congruent_mod
 from lcong.power_sums import DomainError, _floor_row, floor_weighted_sum, power_sum

@@ -1,6 +1,7 @@
 """The runtime is pure stdlib: every absolute import in src/lcong names a
 standard-library module, and the CLI's start-up imports no more than it
-needs.  The element internals stay in cyclotomic and characters."""
+needs.  The element internals stay in cyclotomic and characters, and
+the resource bounds in characters."""
 
 import ast
 import os
@@ -54,3 +55,27 @@ def test_private_cyclotomic_names_stay_in_cyclotomic_and_characters():
         if names:
             private[path.name] = names
     assert private == {}
+
+
+def test_characters_alone_states_the_resource_bounds():
+    # Every other module calls the checks of the bound section of
+    # characters: none assigns a MAX_* bound or raises ResourceLimitError.
+    # No module imports another lcong module's private name, but characters
+    # those of cyclotomic, which the test above allows.
+    bounds, private = {}, {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and "ResourceLimitError" in ast.unparse(node):
+                bounds.setdefault(path.stem, set()).add("raise ResourceLimitError")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                bounds.setdefault(path.stem, set()).update(
+                    name.id for name in ast.walk(node) if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Store) and name.id.startswith("MAX_"))
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.level == 1 or (node.module or "").startswith("lcong"))
+                  and (path.stem, node.module) != ("characters", "cyclotomic")):
+                private.setdefault(path.stem, []).extend(
+                    alias.name for alias in node.names if alias.name.startswith("_"))
+    assert {stem: names for stem, names in bounds.items() if names} == {
+        "characters": {"MAX_TABLE_MODULUS", "MAX_INDEX", "MAX_WORK", "raise ResourceLimitError"}}
+    assert {stem: names for stem, names in private.items() if names} == {}
