@@ -4,7 +4,6 @@ integers, and batch verification of the congruences relating them."""
 
 from .bernoulli import (
     BernoulliCache,
-    DomainError,
     ParityError,
     UndefinedCaseError,
     bernoulli_number,
@@ -15,6 +14,7 @@ from .bernoulli import (
 )
 from .characters import (
     DirichletCharacter,
+    DomainError,
     ResourceLimitError,
     UnitGroup,
     build_unit_group,

@@ -25,17 +25,12 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Callable
 
-from .characters import DirichletCharacter, check_index, check_work, opposite_parity
+from .characters import DirichletCharacter, DomainError, check_index, check_work, opposite_parity
 from .cyclotomic import CyclotomicElement
 
 CharKey = tuple[int, int, tuple[int, ...]]
 #: A twisted value, or a builder of it that is called on first lookup.
 Twisted = CyclotomicElement | Callable[[], CyclotomicElement]
-
-
-class DomainError(ValueError):
-    """A stated hypothesis of the requested operation is violated; a sweep
-    records such a grid point as a skip."""
 
 
 class ParityError(DomainError):
@@ -79,8 +74,6 @@ class BernoulliCache:
         return self._zigzag_numbers[n]
 
     def bernoulli(self, k: int) -> Fraction:
-        if k < 0:
-            raise DomainError("Bernoulli index must be >= 0")
         check_index(k)
         while (j := len(self._bernoulli)) <= k:
             if j % 2:
@@ -92,8 +85,6 @@ class BernoulliCache:
         return self._bernoulli[k]
 
     def euler(self, k: int) -> int:
-        if k < 0:
-            raise DomainError("Euler index must be >= 0")
         check_index(k)
         return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
@@ -172,8 +163,6 @@ def generalized_bernoulli(
     k: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
 ) -> CyclotomicElement:
     """B_(k,chi) evaluated at the modulus of chi."""
-    if k < 0:
-        raise DomainError("index must be >= 0")
     return cache.twisted_bernoulli(chi, k)
 
 

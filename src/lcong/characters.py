@@ -26,6 +26,11 @@ MAX_INDEX = 2000
 MAX_WORK = 1_000_000
 
 
+class DomainError(ValueError):
+    """A stated hypothesis of the requested operation is violated; a sweep
+    records such a grid point as a skip."""
+
+
 class ResourceLimitError(ValueError):
     """An input above one of the bounds of this section."""
 
@@ -46,6 +51,9 @@ def bounded_power(p: int, m: int) -> int:
 
 
 def check_index(k: int) -> None:
+    """The one index range 0..MAX_INDEX: below it no catalog entry applies (a skip)."""
+    if k < 0:
+        raise DomainError(f"index {k} is negative")
     if k > MAX_INDEX:
         raise ResourceLimitError(f"index {k} exceeds Bernoulli/Euler index bound {MAX_INDEX}")
 
@@ -272,6 +280,7 @@ def opposite_parity(chi: DirichletCharacter, k: int) -> bool:
 def enumerate_characters(p: int, m: int) -> list[DirichletCharacter]:
     """All characters modulo p^m, in lexicographic image order."""
     group = build_unit_group(p, m)
+    check_work(group.order * euler_phi(group.order), 1)  # characters x element degree
     ranges = [range(order) for _, order in group.generators]
     return [DirichletCharacter(group, tuple(exps)) for exps in product(*ranges)]
 

@@ -18,14 +18,13 @@ import sys
 from pathlib import Path
 
 from .bernoulli import (
-    DomainError,
     bernoulli_number,
     euler_number,
     generalized_bernoulli,
     l_value,
     script_l,
 )
-from .characters import character, check_index, check_work, enumerate_primitive
+from .characters import DomainError, character, check_index, check_work, enumerate_primitive
 from .sweep import (
     REGISTRY,
     ConfigError,
@@ -52,8 +51,10 @@ PARAM_FLAGS = tuple(dict.fromkeys(
 def _job_from_mapping(mapping: dict) -> SweepJob:
     if "id" not in mapping:
         raise ConfigError("every job needs an 'id'")
+    if not isinstance(job_id := mapping["id"], str):  # the float 1.3 is not the id '1.3'
+        raise ConfigError(f"job id {json.dumps(job_id)} is not a string")
     params = {key: value for key, value in mapping.items() if key != "id"}
-    return SweepJob(id=str(mapping["id"]), params=params)
+    return SweepJob(id=job_id, params=params)
 
 
 def load_config(path: str | Path) -> SweepConfig:

@@ -17,13 +17,13 @@ from typing import NamedTuple, Optional
 from .bernoulli import (
     DEFAULT_CACHE,
     BernoulliCache,
-    DomainError,
     ParityError,
     l_value,
     script_l,
 )
 from .characters import (
     DirichletCharacter,
+    DomainError,
     bounded_power,
     check_bound,
     check_work,
@@ -552,7 +552,6 @@ def verify_sum_lift(
     """
     p, m = chi.p, chi.m
     _require(n >= m, "requires n >= m")
-    _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, bounded_power(p, n), chi)
     rhs = power_sum(k, p**m, chi) * p ** (n - m)
     params = {"chi": chi.label(), "k": k, "n": n}
@@ -565,7 +564,6 @@ def verify_sum_twist(
     """(1 - chi(a) a^k) S_k(p^m, chi) == 0  (mod p^m) for a coprime to p."""
     p, m = chi.p, chi.m
     _require_base(a, p)
-    _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, p**m, chi).times_binomial(1, -a**k, chi.value_exponent(a))
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "a": a}
@@ -621,7 +619,6 @@ def verify_sum_vanishing(
     p, m = chi.p, chi.m
     _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= m and n >= 1, "requires n >= max(m, 1)")
-    _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, bounded_power(p, n), chi)
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "n": n}
@@ -641,7 +638,6 @@ def verify_sum_vanishing_two(
     _require(p == 2, "only defined for p = 2")
     _require(vanishing_character_ok(chi), "requires a primitive character")
     _require(n >= max(m, 2), "requires n >= max(m, 2)")
-    _require(k >= 0, "k must be >= 0")
     lhs = power_sum(k, bounded_power(2, n), chi)
     rhs = CyclotomicElement.zero(chi.zeta_order)
     params = {"chi": chi.label(), "k": k, "n": n}

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bernoulli import DomainError
-from .characters import DirichletCharacter, bounded_power, check_work
+from .characters import DirichletCharacter, DomainError, bounded_power, check_work
 from .cyclotomic import CyclotomicElement
 
 
 @lru_cache(maxsize=65536)
 def power_sum(k: int, n: int, chi: DirichletCharacter) -> CyclotomicElement:
     """S_k(n, chi) = sum_(j=1..n) chi(j) j^k, exact."""
-    if k < 0:
-        raise ValueError("exponent k must be >= 0")
     if n < 1:
         raise ValueError("upper limit must be >= 1")
     check_work(n, k)
@@ -47,8 +44,6 @@ def floor_weighted_sum(
     With chi=None the weight is 1 for every j (the classical, untwisted
     sum).  Requires gcd(a, p) = 1.
     """
-    if k < 0:
-        raise ValueError("exponent k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     if a % p == 0:

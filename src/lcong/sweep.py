@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii as _string_text
 from typing import Iterator, NamedTuple, Optional
 
 from . import congruences as cg
-from .bernoulli import BernoulliCache, DomainError
-from .characters import DirichletCharacter, enumerate_characters, enumerate_primitive
+from .bernoulli import BernoulliCache
+from .characters import DirichletCharacter, DomainError, enumerate_characters, enumerate_primitive
 from .congruences import CongruenceVerdict
 from . import valuecache
 from .valuecache import json_text

@@ -20,6 +20,7 @@ from lcong.bernoulli import (
 )
 from lcong.characters import (
     MAX_INDEX,
+    DomainError,
     ResourceLimitError,
     character,
     enumerate_characters,
@@ -27,6 +28,7 @@ from lcong.characters import (
     opposite_parity,
 )
 from lcong.cyclotomic import CyclotomicElement, p_content_valuation
+from lcong.power_sums import floor_weighted_sum, power_sum
 from bernoulli_oracle import bernoulli_polynomial, bernoulli_recurrence, euler_recurrence
 from fraction_oracle import coordinates
 from moment_oracle import moment_twisted_bernoulli
@@ -191,6 +193,28 @@ def test_index_above_the_bound_is_refused_before_anything_grows(chi8):
                            match=f"^index {MAX_INDEX + 1} exceeds Bernoulli/Euler index bound"):
             lookup(MAX_INDEX + 1)
     assert cache._zigzag_numbers == [1] and not cache._rows and not cache._twisted
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda cache, chi: cache.bernoulli(-1),
+    lambda cache, chi: cache.euler(-1),
+    lambda cache, chi: cache.twisted_bernoulli(chi, -1),
+    lambda cache, chi: bernoulli_number(-1, cache),
+    lambda cache, chi: euler_number(-1, cache),
+    lambda cache, chi: generalized_bernoulli(-1, chi, cache),
+    lambda cache, chi: l_value(-1, chi, cache),
+    lambda cache, chi: script_l(-1, chi, cache),
+    lambda cache, chi: power_sum(-1, 8, chi),
+    lambda cache, chi: floor_weighted_sum(-1, 3, 2, 3, chi),
+], ids=["bernoulli", "euler", "twisted_bernoulli", "bernoulli_number", "euler_number",
+        "generalized_bernoulli", "l_value", "script_l", "power_sum", "floor_weighted_sum"])
+def test_negative_index_is_a_domain_error_everywhere(chi_minus8, lookup):
+    # Every index is checked against the one range 0..MAX_INDEX, so index -1
+    # is a skip wherever it is asked for, and no value is computed for it.
+    cache = BernoulliCache()
+    with pytest.raises(DomainError):
+        lookup(cache, chi_minus8)
+    assert cache.take_new() == {}
 
 
 class TestTwistedBernoulli:

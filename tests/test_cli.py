@@ -16,7 +16,7 @@ from lcong.cli import (
 from lcong import valuecache
 from lcong.bernoulli import BernoulliCache, script_l
 from lcong.characters import MAX_INDEX, MAX_TABLE_MODULUS, MAX_WORK, build_unit_group, character
-from lcong.cyclotomic import CyclotomicElement
+from lcong.cyclotomic import CyclotomicElement, euler_phi
 from lcong.sweep import ConfigError, SweepConfig, SweepJob, run_sweep
 
 
@@ -206,6 +206,32 @@ class TestSweepCommand:
         assert main(["sweep", "--config", self.write_config(tmp_path, body)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("body, message", [
+        ({"jobs": []}, "config must contain a non-empty 'jobs' list"),
+        ({"csv": "report.csv"}, "config must contain a non-empty 'jobs' list"),
+        ({"jobs": [{"k": [0], "n": [1], "q": [1]}]}, "every job needs an 'id'"),
+    ], ids=["empty-jobs", "no-jobs", "no-id"])
+    def test_config_without_jobs_or_ids_is_a_config_error(self, tmp_path, capsys, body,
+                                                          message):
+        assert main(["sweep", "--config", self.write_config(tmp_path, body)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"configuration error: {message}"]
+
+    @pytest.mark.parametrize("job_id, text", [
+        (1.3, "1.3"), ([1], "[1]"), (None, "null"), (True, "true"),
+    ], ids=["float", "list", "null", "bool"])
+    def test_job_id_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, job_id,
+                                                           text):
+        # str(1.3) is the alias '1.3' of stern, so a float id would run a job.
+        cfg = self.write_config(tmp_path, {
+            "jobs": [{"id": job_id, "k": "0..4:2", "n": [1], "q": [1]}],
+        })
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"configuration error: job id {text} is not a string"]
+
     def test_job_that_is_not_an_object(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"jobs": [["id", "1.3"]]})
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
@@ -282,6 +308,10 @@ class TestSweepCommand:
     ({"id": "1.8", "p": [3], "m": [2], "k": [0, 1], "h": [0, 3], "n": [1, 2]}, "k", -1),
     ({"id": "3.2", "p": [3], "m": [2], "a": [2], "k": [0, 1, 2, 3], "n": [2]}, "k", -2),
     ({"id": "nondiv", "p": [3, 5], "m": [2], "d": [0, 1]}, "d", -1),
+    ({"id": "2.1", "p": [3], "m": [1], "k": [0, 1, 2], "n": [1, 2]}, "k", -1),
+    ({"id": "2.2", "p": [3], "m": [2], "k": [0, 1, 2], "a": [2]}, "k", -1),
+    ({"id": "2.4", "p": [3], "m": [2], "k": [0, 1], "n": [2]}, "k", -1),
+    ({"id": "2.5", "m": [3], "k": [0, 1], "n": [3]}, "k", -2),
     ({"id": "stern-iff", "k": [0, 2, 4], "l": [0, 4], "n": [1, 2]}, "k", -2),
 ], ids=lambda value: value["id"] if isinstance(value, dict) else None)
 def test_negative_index_is_a_skip(tmp_path, capsys, job, axis, value):
@@ -322,6 +352,23 @@ class TestTableCommand:
         assert main(["table", "generalized-bernoulli", "--p", "2", "--m", "2",
                      "--chi", "1", "--max-k", "1"]) == EXIT_OK
         assert "-1/2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["l-values", "--p", "5", "--m", "1", "--chi", "1", "--max-k", "3"], [
+            "chi=5:1 k=0  3/5 + 1/5*z4",
+            "chi=5:1 k=1  undefined (k=1 and chi=5:1 (odd) have the same parity)",
+            "chi=5:1 k=2  -4/5 - 2/5*z4",
+            "chi=5:1 k=3  undefined (k=3 and chi=5:1 (odd) have the same parity)",
+        ]),
+        (["script-l", "--p", "2", "--m", "4", "--chi", "1,1", "--max-k", "2"], [
+            "chi=16:1,1 k=0  2",
+            "chi=16:1,1 k=1  undefined (k=1 and chi=16:1,1 (odd) have the same parity)",
+            "chi=16:1,1 k=2  -22 - 8*z8^2",
+        ]),
+    ], ids=["l-values", "script-l"])
+    def test_character_table_prints_element_text(self, capsys, argv, lines):
+        assert main(["table", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_character_table_needs_modulus(self, capsys):
         assert main(["table", "l-values", "--max-k", "4"]) == EXIT_CONFIG
@@ -575,6 +622,18 @@ class TestCacheCommand:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert path.read_text().splitlines() == lines
 
+    def test_verify_reports_a_wrong_value_and_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "values.jsonl"
+        assert main(["verify", "1.4", "--m", "3", "--chi", "0,1", "--k", "1", "--n", "1",
+                     "--q", "1", "--cache", str(path)]) == EXIT_OK
+        good = path.read_text()
+        assert '"coeffs": ["-44", "0"], "k": 4' in good
+        path.write_text(good.replace('["-44", "0"]', '["-45", "0"]'))
+        capsys.readouterr()
+        assert main(["cache", "verify", "--path", str(path)]) == EXIT_INTERNAL
+        assert capsys.readouterr().out.splitlines() == [
+            f"1 mismatches in {path}", "  MISMATCH p=2 m=3 chi=[0, 1] k=4"]
+
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_verify_limit_below_one_is_a_config_error(self, tmp_path, capsys, limit):
         path = tmp_path / "values.jsonl"
@@ -791,6 +850,31 @@ class TestConsoleScript:
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
             f"error: work {work} exceeds work bound {MAX_WORK}"
+        ]
+
+    @pytest.mark.parametrize("argv, p, m", [
+        (["verify", "2.3", "--p", "3", "--m", "11"], 3, 11),
+        (["verify", "nondiv", "--p", "3", "--m", "9", "--d", "0"], 3, 9),
+        (["table", "l-values", "--p", "3", "--m", "9", "--max-k", "1"], 3, 9),
+        (["verify", "1.6", "--p", "199999", "--m", "1", *SHIFT], 199999, 1),
+        (["verify", "2.3", "--p", "2", "--m", "17"], 2, 17),
+    ], ids=["2.3-3^11", "nondiv-3^9", "table-3^9", "1.6-199999", "2.3-2^17"])
+    def test_character_grid_is_bounded_before_the_first_character(self, argv, p, m):
+        # phi(p^m) characters with values of degree phi(phi(p^m)): the grid is
+        # checked against the work bound once the unit group is built, before
+        # the first character.  Building them would run past the timeout or
+        # into the address space cap.
+        order = euler_phi(p**m)
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", *argv],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: work {order * euler_phi(order)} exceeds work bound {MAX_WORK}"
         ]
 
     @pytest.mark.parametrize("argv", [

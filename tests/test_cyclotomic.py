@@ -85,6 +85,16 @@ class TestZeta:
     def test_cube_roots_sum(self):
         assert zeta(3, 1) + zeta(3, 2) == -1
 
+    @pytest.mark.parametrize("element, text", [
+        (zeta(8, 3) - 1, "-1 + z8^3"),
+        (-zeta(8), "-z8"),
+        (3 * zeta(8) - zeta(8, 2), "3*z8 - z8^2"),
+    ])
+    def test_text_of_a_non_rational_element(self, element, text):
+        # Nonzero coefficients in power order, a unit coefficient shown as
+        # its sign alone and a negative one after " - ".
+        assert str(element) == text
+
     def test_power_law_all_orders_up_to_48(self):
         for n in range(1, 49):
             for j in range(n):

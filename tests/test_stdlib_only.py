@@ -1,7 +1,8 @@
 """The runtime is pure stdlib: every absolute import in src/lcong names a
 standard-library module, and the CLI's start-up imports no more than it
-needs.  The element internals stay in cyclotomic and characters, and
-the resource bounds in characters."""
+needs.  The element internals stay in cyclotomic and characters, the
+resource bounds in characters, and each module imports only the modules
+below it."""
 
 import ast
 import os
@@ -79,3 +80,34 @@ def test_characters_alone_states_the_resource_bounds():
     assert {stem: names for stem, names in bounds.items() if names} == {
         "characters": {"MAX_TABLE_MODULUS", "MAX_INDEX", "MAX_WORK", "raise ResourceLimitError"}}
     assert {stem: names for stem, names in private.items() if names} == {}
+
+
+#: The modules from the bottom up: each imports only modules before it.
+LAYERS = ("cyclotomic", "characters", "power_sums", "bernoulli", "congruences", "valuecache",
+          "sweep", "cli")
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    # So the exception family and the bounds, which every layer raises,
+    # live at the bottom, in characters; __init__ only gathers the names.
+    assert sorted(path.stem for path in SOURCES) == sorted(("__init__", *LAYERS))
+    upward = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .x import ... names x; from . import x, y names x and y
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "lcong":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lcong."):
+                names = [node.module.split(".")[1]]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("lcong.")]
+            else:
+                continue
+            upward += [(path.stem, name) for name in names
+                       if LAYERS.index(name) >= LAYERS.index(path.stem)]
+    assert upward == []

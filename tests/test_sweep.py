@@ -28,7 +28,7 @@ from lcong.sweep import (
     write_csv,
     write_records,
 )
-from lcong import bernoulli, congruences, power_sums, sweep, valuecache
+from lcong import bernoulli, characters, congruences, power_sums, sweep, valuecache
 from lcong.cli import (
     EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, build_parser, load_config, main,
 )
@@ -213,6 +213,8 @@ class TestSkipContract:
         assert issubclass(ParityError, DomainError)
         assert issubclass(UndefinedCaseError, DomainError)
         assert DomainError is power_sums.DomainError is bernoulli.DomainError
+        assert DomainError is characters.DomainError
+        assert DomainError.__module__ == "lcong.characters"
         with pytest.raises(DomainError, match="same parity"):
             congruences.verify_lvalue_shift_two(character(2, 3, (0, 1)), k=2, n=1, q=1)
         with pytest.raises(DomainError, match="undefined for conductor 3"):
