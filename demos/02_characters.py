@@ -10,7 +10,6 @@ from lcong import (
     character,
     chi_minus4,
     enumerate_primitive,
-    root_of_unity_order,
 )
 
 # The unit group mod 8 needs two generators:
@@ -27,8 +26,10 @@ chi9 = character(3, 2, (1,))
 print("chi_9(2) =", chi9(2))
 print("chi_9 conductor:", chi9.conductor(), "| primitive:", chi9.is_primitive())
 
-# Characters are totally multiplicative and vanish off the coprime residues:
-print("chi_9(4) = chi_9(2)^2:", chi9(4) == chi9(2) ** 2)
+# Values are roots of unity chi(a) = zeta_N^t, with t = chi.value_exponent(a).
+# Characters are totally multiplicative and vanish off the coprime residues;
+# multiplying by chi_9(2) = zeta_6^t shifts the exponent by t:
+print("chi_9(4) = chi_9(2)^2:", chi9(4) == chi9(2).times_binomial(0, 1, chi9.value_exponent(2)))
 print("chi_9(6) =", chi9(6))
 
 # Enumeration by conductor: exactly phi(p^m) - phi(p^(m-1)) primitive ones.
@@ -37,14 +38,14 @@ for p, m in ((2, 3), (2, 4), (3, 2), (5, 2)):
     parities = {c.parity() for c in prim}
     print(f"{len(prim):2d} primitive characters mod {p}^{m} (parities: {sorted(parities)})")
 
-# Primitivity is visible in value orders: chi(5) has exact order 2^(m-2)
-# for primitive characters of conductor 2^m, m >= 3.
+# Primitivity is visible in value orders: chi(5) = zeta_N^t has exact order
+# N / gcd(t, N) = 2^(m-2) for primitive characters of conductor 2^m, m >= 3.
 for m in (3, 4, 5):
-    orders = {root_of_unity_order(chi(5)) for chi in enumerate_primitive(2, m)}
+    orders = {chi.value_order(5) for chi in enumerate_primitive(2, m)}
     print(f"orders of chi(5) for conductor 2^{m}:", orders)
 
 # Likewise chi(p^(m-k) + 1) has exact order p^k for odd p:
 for chi in enumerate_primitive(3, 3):
-    assert root_of_unity_order(chi(3**2 + 1)) == 3
-    assert root_of_unity_order(chi(3 + 1)) == 9
+    assert chi.value_order(3**2 + 1) == 3
+    assert chi.value_order(3 + 1) == 9
 print("value orders at 1 + p^j check out for all primitive characters mod 27")

@@ -32,7 +32,6 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     p_content_valuation,
-    root_of_unity_order,
     zeta,
 )
 from .power_sums import floor_weighted_sum, power_sum
@@ -70,7 +69,6 @@ __all__ = [
     "opposite_parity",
     "p_content_valuation",
     "power_sum",
-    "root_of_unity_order",
     "run_sweep",
     "script_l",
     "zeta",

@@ -4,12 +4,12 @@ An element is stored as (N, integer numerator vector, positive
 denominator) on the power basis 1, z, ..., z^(phi(N)-1), fully reduced
 modulo the N-th cyclotomic polynomial and normalised by the gcd of the
 denominator and the numerators, so equality is field-wise.  Phi_N is
-monic in Z, so addition, multiplication, reduction and embedding never
-leave integer arithmetic.  Nothing divides by an element: an element is
-divided only by a nonzero rational.  The catalog multiplies no two
-elements either: each of its chi-value factors has the form
-c0 + c1 zeta_N^t, which times_binomial applies as one shift and one
-reduction.
+monic in Z, so sums, rational multiples and reduction never leave
+integer arithmetic.  There is no element product: an element is
+multiplied or divided only by a rational, and each chi-value factor of
+the catalog has the form c0 + c1 zeta_N^t, which times_binomial applies
+as one shift and one reduction.  Two elements meet only at one order,
+or where one of them is rational.
 All "mod p^n" language in this package means: every power-basis
 coefficient of the difference has rational p-adic valuation >= n
 (membership in p^n * Z_(p)[zeta_N]).  Z[zeta_N] is the full ring of
@@ -120,16 +120,6 @@ def _reduce(vec: list[int], order: int) -> list[int]:
     return vec
 
 
-def _poly_mul(a: Iterable[int], b: Iterable[int]) -> list[int]:
-    a, terms = list(a), [(j, y) for j, y in enumerate(b) if y]
-    out = [0] * (len(a) + (terms[-1][0] if terms else 0))
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                out[i + j] += x * y
-    return out
-
-
 def _new(order: int, num: list[int], den: int) -> "CyclotomicElement":
     # num is reduced (length phi(N)) and den > 0; divides out gcd(den, *num).
     return object.__new__(CyclotomicElement)._set(order, num, den)
@@ -140,9 +130,11 @@ class CyclotomicElement:
 
     ``num`` holds integer coordinates on 1, z, ..., z^(phi(N)-1) and
     ``den`` is a positive common denominator with gcd(den, *num) = 1, so
-    equal elements of one order have equal fields.  Immutable; arithmetic
-    with ints and Fractions coerces them to degree-0 elements.  Operands
-    of different order are first embedded into Q(zeta_lcm).
+    equal elements of one order have equal fields.  Immutable.  Sums,
+    differences, equality and congruent_mod take two elements of one
+    order, or a rational (an int, a Fraction or an order-1 element) and
+    an element of any order; two orders above 1 raise ValueError.  Only
+    an int or a Fraction multiplies or divides an element.
     """
 
     __slots__ = ("order", "num", "den")
@@ -230,24 +222,15 @@ class CyclotomicElement:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def embed(self, order: int) -> "CyclotomicElement":
-        """Image under Q(zeta_N) -> Q(zeta_M), zeta_N |-> zeta_M^(M/N); N | M."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValueError(f"cannot embed order {self.order} into order {order}")
-        step = order // self.order
-        vec = [0] * ((len(self.num) - 1) * step + 1)
-        vec[::step] = self.num
-        return _new(order, _reduce(vec, order), self.den)
-
-    def _coerce(self, other: ElementLike) -> "tuple[CyclotomicElement, CyclotomicElement] | None":
-        if isinstance(other, CyclotomicElement):
-            if other.order == self.order:
-                return self, other
-            common = math.lcm(self.order, other.order)
-            return self.embed(common), other.embed(common)
-        return None
+    def _coerce(self, other: "CyclotomicElement") -> "tuple[CyclotomicElement, CyclotomicElement]":
+        # The pair at one order: an order-1 element is rational and meets any order.
+        if other.order == self.order:
+            return self, other
+        if other.order == 1:
+            return self, _new(self.order, _reduce(list(other.num), self.order), other.den)
+        if self.order == 1:
+            return other._coerce(self)[::-1]
+        raise ValueError(f"elements of orders {self.order} and {other.order} do not combine")
 
     # -- arithmetic ---------------------------------------------------
 
@@ -258,10 +241,9 @@ class CyclotomicElement:
             num = [c * scale * d for c in self.num]
             num[0] += sign * other.numerator * self.den
             return _new(self.order, num, self.den * d)
-        pair = self._coerce(other)
-        if pair is None:
+        if not isinstance(other, CyclotomicElement):
             return NotImplemented
-        a, b = pair
+        a, b = self._coerce(other)
         g = math.gcd(a.den, b.den)
         fa, fb = b.den // g, sign * (a.den // g)
         sa = scale * fa
@@ -281,15 +263,11 @@ class CyclotomicElement:
     def __rsub__(self, other: ElementLike) -> "CyclotomicElement":
         return self._add(other, 1, -1)
 
-    def __mul__(self, other: ElementLike) -> "CyclotomicElement":
+    def __mul__(self, other: Scalar) -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
             return _new(self.order, [c * other.numerator for c in self.num],
                         self.den * other.denominator)
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return _new(a.order, _reduce(_poly_mul(a.num, b.num), a.order), a.den * b.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -311,19 +289,6 @@ class CyclotomicElement:
             vec[i] += c0 * x
         return _new(self.order, _reduce(vec, self.order), self.den * d)
 
-    def __pow__(self, exponent: int) -> "CyclotomicElement":
-        if exponent < 0:
-            raise ValueError("negative exponent: elements are never inverted")
-        result = CyclotomicElement.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -335,7 +300,7 @@ class CyclotomicElement:
             return a.num == b.num and a.den == b.den
         return NotImplemented
 
-    __hash__ = None  # mixed-order equality makes a consistent hash impractical
+    __hash__ = None  # equal to the int or Fraction of its value, so a hash would have to be theirs
 
     # -- rendering ----------------------------------------------------
 
@@ -432,17 +397,3 @@ def congruent_mod(
     margin = _content_valuation(diff, x.den * y.den, p)
     return margin >= n, margin
 
-
-def root_of_unity_order(x: CyclotomicElement) -> int:
-    """Least t >= 1 with x^t = 1; raises ValueError if x is not a root of unity.
-
-    The torsion of Q(zeta_N)* is the N-th (N even) or 2N-th (N odd) roots
-    of unity, so divisors of lcm(2, N) form a complete search space.
-    """
-    bound = x.order if x.order % 2 == 0 else 2 * x.order
-    if x ** bound != 1:
-        raise ValueError("not a root of unity")
-    for t in sorted(d for d in range(1, bound + 1) if bound % d == 0):
-        if x ** t == 1:
-            return t
-    raise AssertionError("unreachable")

@@ -18,18 +18,20 @@ def divides_p_locally(d: ElementLike, x: ElementLike, p: int) -> bool:
     d, x = as_element(d), as_element(x)
     if d.is_zero():
         raise ZeroDivisionError("divisor is zero")
-    quotient = oracle.mul((x.order, oracle.coordinates(x)),
-                          oracle.inverse((d.order, oracle.coordinates(d))))
+    quotient = oracle.mul(oracle.element(x), oracle.inverse(oracle.element(d)))
     return oracle.valuation(quotient, p) >= 0
 
 
 def squared_normalizer_divides_p(chi: DirichletCharacter) -> bool:
-    """Reported observation: does (1 - chi(p+1))^2 divide p in Z_(p)[zeta]?
+    """Does (1 - chi(p+1))^2 divide p in Z_(p)[zeta]?
 
-    Recorded as data, not asserted; for m = 2 over p >= 5 the square
-    does divide p because (p) is totally ramified in Q(zeta_p).
+    test_squared_normalizer_observation asserts that it does for every
+    primitive chi of conductor p^2 with p in {3, 5, 7}: 1 - chi(p+1)
+    generates the prime above p in Q(zeta_p), and p is a unit times
+    (1 - zeta_p)^(p-1) with p - 1 >= 2, since (p) is totally ramified.
     """
     p, m = chi.p, chi.m
     if not (p % 2 == 1 and m >= 2 and chi.is_primitive()):
         raise DomainError("needs primitive chi, odd p, m >= 2")
-    return divides_p_locally((1 - chi(p + 1)) ** 2, p, p)
+    normalizer = 1 - chi(p + 1)
+    return divides_p_locally(oracle.product(normalizer, normalizer), p, p)

@@ -5,19 +5,34 @@ An element is a pair (N, coefficient tuple) on the power basis
 are schoolbook, and inverses come from the extended Euclidean algorithm
 over Q: the arithmetic lcong.cyclotomic used before it stored integer
 numerators over one denominator.  The differential tests compare
-CyclotomicElement against it, and every division by an element in the
-tests goes through its inverse.
+CyclotomicElement against it.  lcong has no element product, no power
+and no embedding between orders, so in the tests every product of two
+elements that is not a binomial factor c0 + c1 zeta^t (times_binomial),
+and every division by an element, goes through this module.
 """
 
 import math
 from fractions import Fraction
 
-from lcong.cyclotomic import cyclotomic_polynomial, rational_valuation
+from lcong.cyclotomic import CyclotomicElement, cyclotomic_polynomial, rational_valuation
 
 
 def coordinates(x):
     """The power-basis coordinates of a CyclotomicElement as Fractions."""
     return tuple(Fraction(c, x.den) for c in x.num)
+
+
+def element(x):
+    """The oracle element (N, coordinates) of a CyclotomicElement."""
+    return x.order, coordinates(x)
+
+
+def product(*factors):
+    """The CyclotomicElement product of CyclotomicElements, by mul."""
+    out = reduce(1, [1])
+    for x in factors:
+        out = mul(out, element(x))
+    return CyclotomicElement(*out)
 
 
 def reduce(order, coeffs):
@@ -30,7 +45,8 @@ def reduce(order, coeffs):
         if c:
             coeffs[i] = Fraction(0)
             for j in range(deg):
-                coeffs[i - deg + j] -= c * phi_n[j]
+                if phi_n[j]:
+                    coeffs[i - deg + j] -= c * phi_n[j]
     coeffs = coeffs[:deg]
     coeffs.extend([Fraction(0)] * (deg - len(coeffs)))
     return order, tuple(coeffs)
@@ -64,9 +80,11 @@ def sub(x, y):
 def mul(x, y):
     order, a, b = _common(x, y)
     prod = [Fraction(0)] * (2 * len(a) - 1)
+    terms = [(j, t) for j, t in enumerate(b) if t]
     for i, s in enumerate(a):
-        for j, t in enumerate(b):
-            prod[i + j] += s * t
+        if s:
+            for j, t in terms:
+                prod[i + j] += s * t
     return reduce(order, prod)
 
 
@@ -87,13 +105,20 @@ def inverse(x):
     return reduce(order, [c / r0[0] for c in s0])
 
 
-def power(x, e):
-    if e < 0:
-        return power(inverse(x), -e)
-    result = reduce(x[0], [1])
-    for _ in range(e):
-        result = mul(result, x)
-    return result
+def root_of_unity_order(x):
+    """Least t >= 1 with x^t = 1 for a CyclotomicElement x, by repeated
+    products; ValueError if x is not a root of unity.
+
+    The torsion of Q(zeta_N)* is the N-th (N even) or 2N-th (N odd) roots
+    of unity, so such a t, when it exists, is at most lcm(2, N).
+    """
+    base = element(x)
+    one, power = reduce(x.order, [1]), base
+    for t in range(1, math.lcm(2, x.order) + 1):
+        if power == one:
+            return t
+        power = mul(power, base)
+    raise ValueError("not a root of unity")
 
 
 def equal(x, y):

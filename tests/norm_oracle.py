@@ -19,7 +19,7 @@ from lcong.cyclotomic import (
     rational_valuation,
     zeta,
 )
-from fraction_oracle import coordinates
+from fraction_oracle import coordinates, product
 
 
 def rational_norm(x: CyclotomicElement) -> Fraction:
@@ -27,15 +27,12 @@ def rational_norm(x: CyclotomicElement) -> Fraction:
     n = x.order
     if x.is_rational():
         return x.as_rational() ** euler_phi(n)
-    product = CyclotomicElement.one(n)
-    for t in range(1, n):
-        if math.gcd(t, n) == 1:
-            conj = sum(
-                (zeta(n, i * t) * c for i, c in enumerate(coordinates(x)) if c),
-                CyclotomicElement.zero(n),
-            )
-            product = product * conj
-    return product.as_rational()
+    conjugates = [
+        sum((zeta(n, i * t) * c for i, c in enumerate(coordinates(x)) if c),
+            CyclotomicElement.zero(n))
+        for t in range(1, n) if math.gcd(t, n) == 1
+    ]
+    return product(*conjugates).as_rational()
 
 
 def is_unit_at_p(x: CyclotomicElement, p: int) -> bool:

@@ -49,7 +49,7 @@ from lcong import valuecache
 
 from bernoulli_oracle import power_sum_via_bernoulli
 from divisibility_oracle import squared_normalizer_divides_p
-from fraction_oracle import coordinates
+from fraction_oracle import coordinates, product
 from moment_oracle import moment_twisted_bernoulli
 from test_bernoulli import bernoulli_series_oracle, euler_series_oracle
 from test_sweep import rendered
@@ -285,7 +285,7 @@ def test_criterion7_odd_prime_shift():
         for p in (3, 5, 7)
         for chi in enumerate_primitive(p, 2)[:2]
     }
-    print(f"  (1 - chi(p+1))^2 divides p (reported observation): {observations}")
+    print(f"  (1 - chi(p+1))^2 divides p: {observations}")
 
     # the shift iff in its aligned form: congruence mod p^n <-> p^n | h,
     # asserted in both directions wherever the shift congruence holds
@@ -365,7 +365,7 @@ def test_criterion7_shift_iff_alignment_as_stated():
                     if n == 1:  # h = 0 covers the right side, L*_k0
                         k = k0 + (p - 1) * h
                         l_moment = moment_twisted_bernoulli(chi, k + 1) * Fraction(-1, k + 1)
-                        assert v.lhs == normalizer * l_moment, point
+                        assert v.lhs == product(normalizer, l_moment), point
                         oracle_checks += 1
                     if v.params["expected"] != v.params["congruent"]:
                         disagreements.add(point)

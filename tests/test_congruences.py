@@ -36,9 +36,10 @@ from lcong.congruences import (
     verify_twisted_voronoi,
     verify_voronoi,
 )
-from lcong.cyclotomic import CyclotomicElement, euler_phi, root_of_unity_order, zeta
+from lcong.cyclotomic import CyclotomicElement, euler_phi, zeta
 from lcong.power_sums import DomainError
 from divisibility_oracle import squared_normalizer_divides_p
+from fraction_oracle import root_of_unity_order
 from norm_oracle import least_unit_witness
 
 
@@ -68,9 +69,9 @@ def test_phi_alignment_is_the_euler_phi_test():
 
 
 def fraction_chain_side(chi, p, k, cache):
-    """(1 - chi(p) p^(k-1)) B_(k,chi)/k by element and Fraction arithmetic:
+    """(1 - chi(p) p^(k-1)) B_(k,chi)/k by the Fraction oracle's product:
     the route verify_ernvall took before its one-pass side."""
-    return (1 - chi(p) * Fraction(p) ** (k - 1)) * cache.twisted_bernoulli(chi, k) / k
+    return oracle.product(1 - chi(p) * p ** (k - 1), cache.twisted_bernoulli(chi, k)) / k
 
 
 def full_scan_witness(chi, k):
@@ -92,7 +93,7 @@ def full_scan_witness(chi, k):
 def oracle_quotient_inverse(order, t):
     """1 / (1 - zeta_N^(-t)) as an element, from the Fraction oracle's inverse."""
     divisor = 1 - zeta(order, -t)
-    return CyclotomicElement(*oracle.inverse((order, oracle.coordinates(divisor))))
+    return CyclotomicElement(*oracle.inverse(oracle.element(divisor)))
 
 
 def test_shift_right_side_matches_the_division_route():
@@ -107,7 +108,7 @@ def test_shift_right_side_matches_the_division_route():
             for d in range(4):
                 if opposite_parity(chi, d):
                     got = _normalized_quotient(chi, unit, d, factor, cache)
-                    want = script_l(d, chi, cache) * factor * inverse
+                    want = oracle.product(script_l(d, chi, cache) * factor, inverse)
                     assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
                     assert got.record() == want.record()
                     cases += 1
@@ -416,13 +417,12 @@ class TestNondivisibility:
             check_nondivisibility(character(3, 2, (0,)), 1)
 
     def test_squared_normalizer_observation(self):
-        # Recorded observation, not an assertion of either outcome: for
-        # m = 2 the square of 1 - chi(p+1) does divide p.
-        observed = {
-            squared_normalizer_divides_p(chi)
-            for chi in enumerate_primitive(5, 2)
-        }
-        assert observed == {True}
+        # (1 - chi(p+1))^2 divides p for every primitive chi of conductor
+        # p^2: 1 - chi(p+1) generates the prime above p in Q(zeta_p), which
+        # divides p to the power p - 1 >= 2 (total ramification).
+        observed = [squared_normalizer_divides_p(chi)
+                    for p in (3, 5, 7) for chi in enumerate_primitive(p, 2)]
+        assert len(observed) == 4 + 16 + 36 and all(observed)
 
 
 class TestFloorCountParity:
@@ -474,8 +474,8 @@ class TestSumLemmas:
 
     @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 2), (7, 2), (2, 3), (2, 5), (2, 7)])
     def test_character_orders_match_the_power_route(self, p, m):
-        # 2.3 reads the order of chi(a) = zeta_N^t as N / gcd(t, N);
-        # root_of_unity_order finds it by raising chi(a) to powers.
+        # 2.3 reads the order of chi(a) = zeta_N^t as N / gcd(t, N); the
+        # oracle's root_of_unity_order finds it by raising chi(a) to powers.
         points = [5] if p == 2 else [p ** (m - j) + 1 for j in range(1, m)]
         for chi in enumerate_primitive(p, m):
             orders = list(verify_character_orders(chi).params.values())[1:]

@@ -4,7 +4,8 @@ CyclotomicElement keeps integer numerators over one denominator; the
 oracle in fraction_oracle.py keeps one Fraction per coordinate and
 reduces, multiplies and inverts the schoolbook way.  Both must give the
 same canonical coordinates for every operation, at orders that cover
-prime powers, composites, order 1 and mixed-order operands.
+prime powers, composites and order 1, and for a rational operand of
+order 1 against any order.
 """
 
 import json
@@ -17,13 +18,11 @@ from hypothesis import assume, given, settings, strategies as st
 import fraction_oracle as oracle
 from bezout_oracle import bezout_constant
 from lcong.cli import EXIT_OK, main
-from lcong.cyclotomic import CyclotomicElement, congruent_mod, euler_phi, p_content_valuation, zeta
+from lcong.cyclotomic import CyclotomicElement, congruent_mod, euler_phi, p_content_valuation
 
 ORDERS = (1, 3, 4, 5, 8, 9, 12, 20, 25, 42)
-# Operand orders whose common field stays small enough for the oracle.
-ORDER_PAIRS = [
-    (a, b) for a in ORDERS for b in ORDERS if euler_phi(math.lcm(a, b)) <= 48
-]
+# Operand orders that combine: one order, or order 1 against any.
+ORDER_PAIRS = [(a, b) for a in ORDERS for b in ORDERS if a == b or 1 in (a, b)]
 
 scalars = st.one_of(
     st.integers(-50, 50),
@@ -56,15 +55,11 @@ def operands(draw):
     return draw(pairs(a)), draw(pairs(b))
 
 
-def as_oracle(x):
-    return x.order, oracle.coordinates(x)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ORDERS).flatmap(pairs))
 def test_construction_reduces_like_the_oracle(pair):
     x, ox = pair
-    assert as_oracle(x) == ox
+    assert oracle.element(x) == ox
     assert math.gcd(x.den, *x.num) == 1 and x.den > 0
 
 
@@ -72,9 +67,8 @@ def test_construction_reduces_like_the_oracle(pair):
 @given(operands())
 def test_ring_operations(ops):
     (x, ox), (y, oy) = ops
-    assert as_oracle(x + y) == oracle.add(ox, oy)
-    assert as_oracle(x - y) == oracle.sub(ox, oy)
-    assert as_oracle(x * y) == oracle.mul(ox, oy)
+    assert oracle.element(x + y) == oracle.add(ox, oy)
+    assert oracle.element(x - y) == oracle.sub(ox, oy)
     assert (x == y) == oracle.equal(ox, oy)
     assert (x == x + y) == oracle.equal(oy, oracle.reduce(1, []))
 
@@ -83,14 +77,14 @@ def test_ring_operations(ops):
 @given(operands())
 def test_division_and_inverse(ops):
     # lcong never divides by an element: x / y is refused.  The two
-    # oracles' inverses of y agree, and element products check them.
+    # oracles' inverses of y agree, and the oracle's products check them.
     (x, ox), (y, oy) = ops
     assume(not y.is_zero())
     inverse = CyclotomicElement(*oracle.inverse(oy))
     s, c = bezout_constant(y.num, y.order)
     assert inverse == CyclotomicElement(y.order, s) * Fraction(y.den, c)
-    assert y * inverse == 1
-    assert (x * inverse) * y == x
+    assert oracle.product(y, inverse) == 1
+    assert oracle.product(x, inverse, y) == x
     with pytest.raises(TypeError):
         x / y
     with pytest.raises(TypeError):
@@ -104,18 +98,7 @@ def test_bezout_constant_is_memoised_as_tuples(order):
     s, c = answer = bezout_constant(x.num, order)
     assert type(s) is tuple and all(type(v) is int for v in s) and type(c) is int and c != 0
     assert bezout_constant(x.num, order) is answer
-    assert CyclotomicElement(order, s) * CyclotomicElement(order, x.num) == c
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ORDERS).flatmap(pairs), st.integers(-3, 4))
-def test_powers(pair, e):
-    x, ox = pair
-    if e < 0:  # a negative power would invert x
-        with pytest.raises(ValueError):
-            x ** e
-    else:
-        assert as_oracle(x ** e) == oracle.power(ox, e)
+    assert oracle.product(CyclotomicElement(order, s), CyclotomicElement(order, x.num)) == c
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -123,31 +106,20 @@ def test_powers(pair, e):
 @given(st.data())
 def test_times_binomial_is_the_binomial_product(order, data):
     # (c0 + c1 zeta_N^t) x / d, formed by one shift and one reduction, is
-    # the element product by the binomial and the oracle's product, for t
-    # in [-2N, 2N].  Each example also takes c0 = 0 with a d > 1.
+    # the oracle's product by the binomial, for t in [-2N, 2N].  Each
+    # example also takes c0 = 0 with a d > 1.
     x, ox = data.draw(pairs(order))
     t = data.draw(st.integers(-2 * order, 2 * order))
     c0, c1 = data.draw(st.integers(-60, 60)), data.draw(st.integers(-60, 60))
     d = data.draw(st.integers(1, 12))
     for c0, d in ((c0, d), (0, d + 1)):
         got = x.times_binomial(c0, c1, t, d)
-        assert fields(got) == fields((c0 + c1 * zeta(order, t)) * x / d)
         binomial = [0] * (t % order + 1)
         binomial[0] += c0
         binomial[t % order] += c1
         product = oracle.mul(oracle.reduce(order, binomial), ox)
-        assert as_oracle(got) == (order, tuple(c / d for c in product[1]))
+        assert oracle.element(got) == (order, tuple(c / d for c in product[1]))
         assert got.den > 0 and math.gcd(got.den, *got.num) == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ORDERS).flatmap(pairs), st.sampled_from([1, 2, 3, 4]))
-def test_embedding(pair, factor):
-    x, ox = pair
-    order = x.order * factor
-    assume(euler_phi(order) <= 48)
-    assert as_oracle(x.embed(order)) == oracle.embed(ox, order)
-    assert x.embed(order) == x
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,12 +127,12 @@ def test_embedding(pair, factor):
 def test_scalar_operations(pair, c):
     x, ox = pair
     oc = oracle.reduce(1, [c])
-    assert as_oracle(x * c) == as_oracle(c * x) == oracle.mul(ox, oc)
-    assert as_oracle(x + c) == as_oracle(c + x) == oracle.add(ox, oc)
-    assert as_oracle(c - x) == oracle.sub(oc, ox)
+    assert oracle.element(x * c) == oracle.element(c * x) == oracle.mul(ox, oc)
+    assert oracle.element(x + c) == oracle.element(c + x) == oracle.add(ox, oc)
+    assert oracle.element(c - x) == oracle.sub(oc, ox)
     assert (x == c) == oracle.equal(ox, oc)
     if c:
-        assert as_oracle(x / c) == oracle.mul(ox, oracle.inverse(oc))
+        assert oracle.element(x / c) == oracle.mul(ox, oracle.inverse(oc))
 
 
 # Every order N with phi(N) <= 16.
@@ -173,19 +145,20 @@ scalar_operands = st.one_of(st.sampled_from([0, Fraction(0), -1, Fraction(-1, 3)
 def test_scalar_paths_at_every_small_order(pair, c):
     # Adding, subtracting and dividing by an int or a Fraction touch the
     # fields directly; each agrees with the Fraction oracle and with the
-    # generic element path (a product, for division), in canonical form.
+    # element path (the scalar product by 1/c, for division), in
+    # canonical form.
     x, ox = pair
     oc, generic = oracle.reduce(1, [c]), CyclotomicElement.from_rational(c, x.order)
     for got, want, expected in ((x + c, x + generic, oracle.add(ox, oc)),
                                 (x - c, x - generic, oracle.sub(ox, oc)),
                                 (c - x, generic - x, oracle.sub(oc, ox))):
-        assert as_oracle(got) == expected
+        assert oracle.element(got) == expected
         assert fields(got) == fields(want)
         assert got.den > 0 and math.gcd(got.den, *got.num) == 1
     if c:
         got = x / c
-        assert as_oracle(got) == oracle.mul(ox, oracle.inverse(oc))
-        assert fields(got) == fields(x * CyclotomicElement.from_rational(1 / Fraction(c), x.order))
+        assert oracle.element(got) == oracle.mul(ox, oracle.inverse(oc))
+        assert fields(got) == fields(x * (1 / Fraction(c)))
         assert got.den > 0 and math.gcd(got.den, *got.num) == 1
     else:
         with pytest.raises(ZeroDivisionError):
@@ -193,10 +166,13 @@ def test_scalar_paths_at_every_small_order(pair, c):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SMALL_ORDERS).flatmap(pairs),
-       st.one_of(st.sampled_from(SMALL_ORDERS).flatmap(pairs), scalar_operands.map(lambda c: (c,))),
+@given(st.sampled_from(SMALL_ORDERS).flatmap(
+           lambda order: st.tuples(pairs(order), st.one_of(
+               pairs(order), pairs(1), scalar_operands.map(lambda c: (c,))))),
        st.sampled_from([2, 3, 5, 7]), st.integers(-2, 6))
-def test_congruent_mod_reads_the_content_of_the_difference(pair, other, p, n):
+def test_congruent_mod_reads_the_content_of_the_difference(operands, p, n):
+    # y has x's order, order 1, or is an int or a Fraction.
+    pair, other = operands
     x, y = pair[0], other[0]
     margin = p_content_valuation(x - y, p)
     assert congruent_mod(x, y, p, n) == (margin >= n, margin)
@@ -279,7 +255,7 @@ def test_non_integral_example():
     # (1/6) (1 + 2 zeta_12 - 3/4 zeta_12^5): denominator 24 after reduction
     coeffs = [Fraction(1, 6), Fraction(1, 3), 0, 0, 0, Fraction(-1, 8)]
     x = CyclotomicElement(12, coeffs)
-    assert as_oracle(x) == oracle.reduce(12, coeffs)
+    assert oracle.element(x) == oracle.reduce(12, coeffs)
     assert x.den == 24
     assert p_content_valuation(x, 2) == -3 and p_content_valuation(x, 3) == -1
-    assert x * CyclotomicElement(*oracle.inverse(oracle.reduce(12, coeffs))) == 1
+    assert oracle.product(x, CyclotomicElement(*oracle.inverse(oracle.reduce(12, coeffs)))) == 1

@@ -2,7 +2,7 @@
 standard-library module, and the CLI's start-up imports no more than it
 needs.  The element internals stay in cyclotomic and characters, the
 resource bounds in characters, and each module imports only the modules
-below it."""
+below it.  cyclotomic defines no element product."""
 
 import ast
 import os
@@ -80,6 +80,18 @@ def test_characters_alone_states_the_resource_bounds():
     assert {stem: names for stem, names in bounds.items() if names} == {
         "characters": {"MAX_TABLE_MODULUS", "MAX_INDEX", "MAX_WORK", "raise ResourceLimitError"}}
     assert {stem: names for stem, names in private.items() if names} == {}
+
+
+def test_cyclotomic_defines_no_element_product():
+    # The catalog's ring: sums, rational multiples and times_binomial.  No
+    # element product, power, embedding between orders or order search.
+    tree = ast.parse((SRC / "lcong" / "cyclotomic.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {name.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for name in node.targets if isinstance(name, ast.Name)}
+    assert "times_binomial" in defined
+    assert defined & {"_poly_mul", "embed", "__pow__", "__rpow__", "root_of_unity_order"} == set()
 
 
 #: The modules from the bottom up: each imports only modules before it.
