@@ -71,9 +71,11 @@ def load_config(path: str | Path) -> SweepConfig:
         raise ConfigError("config must contain a non-empty 'jobs' list")
     if not all(isinstance(j, dict) for j in jobs):
         raise ConfigError("every job must be a JSON object")
-    for key in ("csv", "records", "cache"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
-            raise ConfigError(f"'{key}' must be a path string, not {raw[key]!r}")
+    for key, value in raw.items():  # "parallelism", set by older configs, is ignored
+        if key not in ("jobs", "csv", "records", "cache", "parallelism"):
+            raise ConfigError(f"unknown top-level key {key!r}")
+        if key in ("csv", "records", "cache") and value is not None and not isinstance(value, str):
+            raise ConfigError(f"'{key}' must be a path string, not {value!r}")
     return SweepConfig(
         jobs=tuple(_job_from_mapping(j) for j in jobs),
         csv_path=raw.get("csv"),

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import congruences as cg
 from .bernoulli import BernoulliCache
-from .characters import DirichletCharacter, DomainError, enumerate_characters, enumerate_primitive
+from .characters import DirichletCharacter, DomainError, build_unit_group, enumerate_characters
 from .congruences import CongruenceVerdict
 from . import valuecache
 from .valuecache import json_text
@@ -182,7 +182,7 @@ class CongruenceSpec:
     so a probe of an excluded region reports as itself."""
 
     def __init__(self, id: str, aliases: tuple[str, ...], verifier: str,
-                 char_mode: Optional[str] = None,  # None | "primitive" | "all" | "vanishing"
+                 char_mode: Optional[str] = None,  # None or a key of _FAMILY_MEMBER
                  char_axes: tuple[str, str] = ("p", "m"), prime: Optional[int] = None,
                  region: Optional[tuple[str, bool, str]] = None):
         self.id, self.aliases, self.verifier, self.prime = id, aliases, verifier, prime
@@ -201,14 +201,10 @@ class CongruenceSpec:
                 f"char_axes={self.char_axes!r}, prime={self.prime!r}, region={self.region!r})")
 
 
-def _vanishing_family(p: int, m: int) -> list[DirichletCharacter]:
-    return [chi for chi in enumerate_characters(p, m) if cg.vanishing_character_ok(chi)]
-
-
-_CHAR_FAMILIES = {
-    "primitive": enumerate_primitive,
-    "all": enumerate_characters,
-    "vanishing": _vanishing_family,
+_FAMILY_MEMBER = {
+    "primitive": DirichletCharacter.is_primitive,
+    "all": lambda chi: True,
+    "vanishing": cg.vanishing_character_ok,
 }
 
 REGISTRY: dict[str, CongruenceSpec] = {}
@@ -270,23 +266,24 @@ def lookup(id_: str) -> CongruenceSpec:
 
 
 def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCharacter]:
-    """The family's characters at each (p, m), filtered by ``parity`` and by
-    ``chi``.  A ``chi`` entry is read as a character mod p^m, its exponents
+    """The family's characters at each (p, m) that match ``parity``: all, or
+    those ``chi`` names, each built alone and once, in enumeration (image)
+    order.  A ``chi`` entry is read as a character mod p^m, its exponents
     reduced by the constructor, when its length is the generator count;
     other entries are left to the job's other moduli."""
     p_axis, m_axis = spec.char_axes
     out = []
-    parity = job.params.get("parity")
-    restrict = job.params.get("chi")
+    member = _FAMILY_MEMBER[spec.char_mode]
+    parity, named = job.params.get("parity"), job.params.get("chi")
     for p in [spec.prime] if spec.prime else job.axis(p_axis):
         for m in job.axis(m_axis):
-            family = _CHAR_FAMILIES[spec.char_mode](p, m)
-            if restrict is not None and family:
-                group = family[0].group
-                keys = {DirichletCharacter(group, tuple(images)).key()
-                        for images in restrict if len(images) == len(group.generators)}
-                family = [chi for chi in family if chi.key() in keys]
-            out.extend(chi for chi in family if not parity or chi.parity() == parity)
+            if named is None:
+                chis = enumerate_characters(p, m)
+            else:
+                group = build_unit_group(p, m)
+                chis = sorted({DirichletCharacter(group, tuple(images)) for images in named
+                               if len(images) == len(group.generators)}, key=DirichletCharacter.key)
+            out.extend(chi for chi in chis if member(chi) and (not parity or chi.parity() == parity))
     if not out:
         raise ConfigError(f"job '{job.id}': selects no character")
     return out

@@ -390,12 +390,13 @@ def test_criterion7_shift_iff_alignment_as_stated():
            f"{oracle_checks} L* values match the moment-formula oracle", t0)
 
 
-#: 1.8 sweeps at conductors 27, 81 and 125 (m = 3 and 4), with the number
-#: of verdicts each gives.
+#: 1.8 sweeps at conductors 27, 81, 125 and 343 (m = 3 and 4), with the
+#: number of verdicts each gives.
 _SHIFT_IFF_BEYOND_M2 = [
     ({"p": [3], "m": [3], "k": "0..4", "h": "1..9", "n": "1..3"}, 810),
     ({"p": [3], "m": [4], "k": "0..3", "h": "1..9", "n": "1..3"}, 1944),
     ({"p": [5], "m": [3], "k": "0..3", "h": "1..10", "n": "1..2"}, 2400),
+    ({"p": [7], "m": [3], "k": "0..1", "h": "1..7", "n": "1..2"}, 2352),
 ]
 
 
@@ -413,8 +414,8 @@ def test_criterion7_shift_iff_valuation_beyond_m2():
             assert v.observed_margin == rational_valuation(h, p), v.params
             assert v.params["congruent"] == (h % p**n == 0), v.params
     report("7 (1.8 beyond m = 2)",
-           "margin = val_p(h) and congruent iff p^n | h at all 5154 verdicts "
-           "for conductors 27, 81, 125", t0)
+           "margin = val_p(h) and congruent iff p^n | h at all 7506 verdicts "
+           "for conductors 27, 81, 125, 343", t0)
 
 
 #: Criterion 7's 1.6/1.7 grids beyond m = 2, every instance checked:
@@ -424,13 +425,14 @@ _BRANCH_MARGINS_BEYOND_M2 = [
     ((3, 3, range(13), (1, 2, 3)), {("ii", True, 0): 468}, 468),
     ((3, 4, range(5), (1, 2)), {("ii", True, 0): 360}, 360),
     ((5, 3, range(5), (1, 2)), {("i", True, 0): 160, ("ii", True, 0): 640}, 800),
+    ((7, 3, range(3), (1, 2)), {("i", True, 0): 672, ("ii", True, 0): 840}, 1512),
 ]
 
 
 def test_criterion7_branch_margins_beyond_m2():
-    """The 1.6/1.7 shift congruence at conductors 27, 81 and 125: every
+    """The 1.6/1.7 shift congruence at conductors 27, 81, 125 and 343: every
     verdict holds with margin exactly n, in branch (ii) only at 27 and 81
-    and in both branches at 125."""
+    and in both branches at 125 and 343."""
     t0 = time.perf_counter()
     for (p, m, ks, ns), expected, parity_skips in _BRANCH_MARGINS_BEYOND_M2:
         cache, histogram, skips = BernoulliCache(), {}, 0
@@ -449,7 +451,7 @@ def test_criterion7_branch_margins_beyond_m2():
         assert histogram == expected, p**m
         assert skips == parity_skips, p**m
     report("7 (1.6/1.7 beyond m = 2)",
-           "all 1628 verdicts hold with margin exactly n at conductors 27, 81, 125", t0)
+           "all 3140 verdicts hold with margin exactly n at conductors 27, 81, 125, 343", t0)
 
 
 def test_criterion7_branch_excess_at_conductor_9():

@@ -97,6 +97,13 @@ class TestVerifyCommand:
             "configuration error: job '1.4': selects no character"
         ]
 
+    def test_named_character_outside_its_family_exits_two(self, capsys):
+        # 19683:3 is built alone, and it is not primitive: its conductor is 3^8
+        assert main(["verify", "2.3", "--p", "3", "--m", "9", "--chi", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: job '2.3': selects no character"
+        ]
+
     @pytest.mark.parametrize("args, reason", [
         (["kummer", "--p", "4", "--k", "2", "--l", "6", "--n", "1"], "requires a prime p >= 5"),
         (["1.4", "--m", "3", "--k", "1", "--n", "0", "--q", "1"], "n must be >= 1"),
@@ -180,7 +187,7 @@ class TestSweepCommand:
 
     def test_parallelism_key_is_ignored_and_jobs_flag_is_gone(self, tmp_path, capsys):
         # Configs written for the removed thread pool still set
-        # "parallelism"; the key is ignored like any unknown top-level key.
+        # "parallelism"; it is the one top-level key that is read and ignored.
         jobs = [{"id": "1.4", "m": [3, 4], "k": "0..4", "n": [1, 2], "q": [1]}]
         outputs = []
         for extra in ({}, {"parallelism": 2}):
@@ -192,6 +199,17 @@ class TestSweepCommand:
         capsys.readouterr()
         assert main(["sweep", "--config", cfg, "--jobs", "2"]) == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["recrods", "CSV", "jobs "])
+    def test_unknown_top_level_key_exits_two(self, tmp_path, capsys, key):
+        # A misspelt report key must not run and silently write no report.
+        jobs = [{"id": "1.3", "k": [0], "n": [1], "q": [1]}]
+        cfg = self.write_config(tmp_path, {"jobs": jobs, key: str(tmp_path / "out")})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: unknown top-level key {key!r}"
+        ]
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
@@ -876,6 +894,22 @@ class TestConsoleScript:
         assert result.stderr.splitlines() == [
             f"error: work {order * euler_phi(order)} exceeds work bound {MAX_WORK}"
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ["2.3", "--p", "2", "--m", "14", "--chi", "1,1"],
+        ["nondiv", "--p", "3", "--m", "9", "--d", "0", "--chi", "1"],
+    ], ids=["2.3-2^14", "nondiv-3^9"])
+    def test_named_character_past_the_grid_bound_is_built_alone(self, argv):
+        # The whole family mod 2^14 or 3^9 is past the work bound (the test
+        # above), but a job that names one character builds that one only.
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", "verify", *argv],
+            capture_output=True, text=True, timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "total=1 holds=1 fails=0 skips=0" in result.stdout
 
     @pytest.mark.parametrize("argv", [
         ["stern-iff", "--k", "0", "--l", "2"],

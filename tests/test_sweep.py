@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import inspect
 import io
 import json
 import math
+import random
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcong import DomainError, ParityError, UndefinedCaseError
 from lcong.bernoulli import BernoulliCache
-from lcong.characters import character
+from lcong.characters import DirichletCharacter, build_unit_group, character, is_prime
 from lcong.congruences import CongruenceVerdict
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import (
@@ -133,6 +135,86 @@ class TestExpansion:
         assert all(inst["p"] == 2 for _, inst in instances)
 
 
+    def test_named_characters_are_built_once_each_in_enumeration_order(self, monkeypatch):
+        # [1, 11] reduces to [1, 3] mod 32, and [0, 1] comes twice; nothing
+        # is enumerated, so the family's size does not matter.
+        monkeypatch.setattr(sweep, "enumerate_characters", None)
+        job = SweepJob("2.3", {"p": [2], "m": [5], "chi": [[1, 3], [0, 1], [1, 11], [0, 1]]})
+        assert [inst["chi"].label() for _, inst in expand_job(job)] == ["32:0,1", "32:1,3"]
+
+
+@functools.cache
+def _enumerated_family(char_mode, p, m):
+    if char_mode == "primitive":
+        return characters.enumerate_primitive(p, m)
+    family = characters.enumerate_characters(p, m)
+    if char_mode == "vanishing":
+        return [chi for chi in family if congruences.vanishing_character_ok(chi)]
+    return family
+
+
+def _selected_by_enumeration(spec, job):
+    """What a job selects when each (p, m)'s whole family is enumerated and
+    then kept by the keys ``chi`` names and by parity: the oracle of the
+    named-character route."""
+    p_axis, m_axis = spec.char_axes
+    parity, named, out = job.params.get("parity"), job.params.get("chi"), []
+    for p in [spec.prime] if spec.prime else job.axis(p_axis):
+        for m in job.axis(m_axis):
+            family = _enumerated_family(spec.char_mode, p, m)
+            if named is not None:
+                group = build_unit_group(p, m)
+                keys = {DirichletCharacter(group, tuple(images)).key()
+                        for images in named if len(images) == len(group.generators)}
+                family = [chi for chi in family if chi.key() in keys]
+            out.extend(chi for chi in family if parity in (None, chi.parity()))
+    if not out:
+        raise ConfigError(f"job '{job.id}': selects no character")
+    return out
+
+
+def _selection(select, spec, job):
+    try:
+        return [chi.key() for chi in select(spec, job)]
+    except ConfigError as exc:
+        return str(exc)
+
+
+#: Every prime power up to 81.
+_SMALL_MODULI = [(p, m) for p in range(2, 82) if is_prime(p) for m in range(1, 7) if p**m <= 81]
+
+
+@pytest.mark.parametrize("id_", ["2.3", "2.1", "2.4", "1.4", "2.5", "ernvall"])
+def test_named_characters_match_the_enumerated_family(id_):
+    # One id per (family, fixed prime, character axes); every modulus up to
+    # 81 alone without chi, then random chi lists over one or two moduli with
+    # unreduced exponents, duplicates, wrong-length entries and empty lists.
+    spec, rng = lookup(id_), random.Random(id_)
+    p_axis, m_axis = spec.char_axes
+    moduli = [(p, m) for p, m in _SMALL_MODULI if spec.prime in (None, p)]
+    primes = sorted({p for p, _ in moduli})
+    jobs = [{p_axis: [p], m_axis: [m for q, m in moduli if q == p]} for p in primes]
+    for _ in range(60):
+        ps = rng.sample(primes, min(len(primes), rng.choice((1, 1, 2))))
+        ms = [m for m in range(1, 7) if max(ps)**m <= 81]
+        ms = rng.sample(ms, min(len(ms), rng.choice((1, 1, 2))))
+        named = []
+        for _ in range(rng.randrange(5)):
+            generators = build_unit_group(rng.choice(ps), rng.choice(ms)).generators
+            images = [rng.randrange(-2 * order, 3 * order) for _, order in generators]
+            named.append(rng.choice((images, images, images, images[1:], [*images, 0])))
+            if rng.random() < 0.3:
+                named.append(rng.choice(named))
+        jobs.append({p_axis: ps, m_axis: ms, "chi": named})
+    for params in jobs:
+        if spec.prime:
+            del params[p_axis]
+        for parity in (None, "even", "odd"):
+            job = SweepJob(id_, {**params, "parity": parity})
+            assert (_selection(sweep._select_characters, spec, job)
+                    == _selection(_selected_by_enumeration, spec, job)), job
+
+
 class TestRunSweep:
     def test_stern_job(self):
         report = run_sweep(stern_config())
@@ -242,9 +324,10 @@ class TestSkipContract:
 
 def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
     # The benchmark tracer wraps module attributes: the sweep must look each
-    # registry entry's verifier up on the congruences module, and it
-    # must enumerate characters through _CHAR_FAMILIES, or its per-layer
-    # metrics silently read 0.
+    # registry entry's verifier up on the congruences module, and it must
+    # enumerate a whole family through its own `enumerate_characters`, which
+    # the tracer wraps as `characters.enumerate`, or its per-layer metrics
+    # silently read 0.
     verified = []
     verify = congruences.verify_lvalue_shift_two
 
@@ -253,11 +336,11 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
         return verify(*args, **kwargs)
 
     moduli = []
-    family = sweep._CHAR_FAMILIES["primitive"]
+    enumerate_characters = sweep.enumerate_characters
 
     def recording(p, m):
         moduli.append((p, m))
-        return family(p, m)
+        return enumerate_characters(p, m)
 
     # The sweep must also expand jobs and write records through the module
     # attributes, or `sweep.expand_s` and `sweep.report_s` read 0.
@@ -288,7 +371,7 @@ def test_tracer_hooks_see_every_call(monkeypatch, tmp_path):
         return sub(self, other)
 
     monkeypatch.setattr(congruences, "verify_lvalue_shift_two", counting)
-    monkeypatch.setitem(sweep._CHAR_FAMILIES, "primitive", recording)
+    monkeypatch.setattr(sweep, "enumerate_characters", recording)
     monkeypatch.setattr(sweep, "expand_job", expanding)
     monkeypatch.setattr(sweep, "write_records", writing)
     monkeypatch.setattr(congruences, "floor_weighted_sum", summing)
