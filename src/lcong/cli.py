@@ -91,8 +91,8 @@ def _report_and_exit(config: SweepConfig, args) -> int:
         if getattr(args, flag) is not None})
     report = run_sweep(config)
     if report.skips and not report.verdicts:
-        first = report.skips[0]
-        raise ConfigError(f"every instance was skipped, first {first.id}: {first.reason}")
+        first = json.loads(report.skips[0])
+        raise ConfigError(f"every instance was skipped, first {first['id']}: {first['reason']}")
     print(table_text(report))
     return EXIT_OK if report.all_hold else EXIT_FAILURES
 

@@ -19,7 +19,8 @@ import sys
 import time
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _string_text
-from typing import Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import congruences as cg
 from .bernoulli import BernoulliCache
@@ -122,20 +123,14 @@ class SweepConfig(NamedTuple):
         return {"jobs": [{"id": job.id, **job.params} for job in self.jobs]}
 
 
-class SkipRecord(NamedTuple):
-    id: str
-    params: dict
-    reason: str
-
-
 class SweepReport:
     """The verdicts and skips of a sweep in grid order, with a summary
-    counted as each result is added."""
+    counted as each result is added.  A skip is kept as its JSONL line."""
 
     def __init__(self, config: dict):
         self.config = config
         self.verdicts: list[CongruenceVerdict] = []
-        self.skips: list[SkipRecord] = []
+        self.skips: list[str] = []
         self.duration = 0.0
         self.summary: dict = {"total": 0, "holds": 0, "fails": 0, "skips": 0, "per_id": {}}
 
@@ -143,11 +138,14 @@ class SweepReport:
         return (f"SweepReport(config={self.config!r}, verdicts={self.verdicts!r}, "
                 f"skips={self.skips!r}, duration={self.duration!r}, summary={self.summary!r})")
 
-    def add(self, result: CongruenceVerdict | SkipRecord) -> None:
+    def add(self, id_: str, result: CongruenceVerdict | str) -> None:
+        """Count a verdict under its own id, or a skip, its JSONL line, under ``id_``."""
         summary, per_id = self.summary, self.summary["per_id"]
-        row = per_id.get(result.id) or per_id.setdefault(  # a new row on an id's first result
-            result.id, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf})
-        if isinstance(result, SkipRecord):
+        skipped = result.__class__ is str
+        id_ = id_ if skipped else result.id
+        row = per_id.get(id_) or per_id.setdefault(  # a new row on an id's first result
+            id_, {"total": 0, "holds": 0, "fails": 0, "skips": 0, "min_margin": math.inf})
+        if skipped:
             self.skips.append(result)
             row["skips"] += 1
             summary["skips"] += 1
@@ -173,10 +171,11 @@ class SweepReport:
 class CongruenceSpec:
     """One catalog id, read-only by convention.  ``verifier`` names the
     ``congruences`` function that checks an instance; it is looked up on
-    the module at call time and given the instance values its argument
-    names list, plus ``cache`` when it takes one.  The grid ``axes`` are the
-    character axes, but that of a ``prime`` the id fixes, then those names
-    but ``chi``.  ``region``, when set, is ``(predicate, value, reason)``: an
+    the module once per job and given, by position, ``chi`` exactly when
+    the id has a character family, then the ``numeric_axes`` its other
+    argument names list, then ``cache`` when it takes one.  The grid ``axes``
+    are the character axes, but that of a ``prime`` the id fixes, then the
+    numeric axes.  ``region``, when set, is ``(predicate, value, reason)``: an
     instance where ``congruences.<predicate>(chi, k)`` is not ``value`` is
     skipped with ``reason``, and the spec's id is stamped on the verdicts,
     so a probe of an excluded region reports as itself."""
@@ -189,16 +188,36 @@ class CongruenceSpec:
         self.char_mode, self.char_axes, self.region = char_mode, char_axes, region
         code = getattr(cg, verifier).__code__
         self.arguments = code.co_varnames[:code.co_argcount]  # the verifier's, in order
-        # The instance keys it takes; ``cache``, when taken, is last and passed by position.
         self.takes_cache = self.arguments[-1] == "cache"
         self.keys = self.arguments[:-1] if self.takes_cache else self.arguments
+        head = () if char_mode is None else ("chi", *char_axes)  # the character's keys
+        self.numeric_axes = self.keys[1:] if head else self.keys
+        if head and self.keys[:1] != ("chi",) or {"chi", "cache", *head} & {*self.numeric_axes}:
+            raise ValueError(f"{id}: {verifier} must take {'chi, ' if head else ''}"
+                             f"the numeric axes, then optionally cache")
         grid_chars = () if char_mode is None else char_axes[1:] if prime else char_axes
-        self.axes = (*grid_chars, *(key for key in self.keys if key != "chi"))
+        self.axes = (*grid_chars, *self.numeric_axes)
+        self.region_k = None if region is None else self.keys.index("k")
+        # A skip's JSONL line: the instance keys in json_text's sorted order in
+        # the fixed layout, filled from skip_line's values but chi's object.
+        names = (*head, *self.keys)
+        order = sorted((i for i, name in enumerate(names) if name != "chi" or i == 0),
+                       key=names.__getitem__)
+        fields = ", ".join(f"{_string_text(names[i])}: %s" for i in order)  # identifiers: no %
+        self._skip_line = (f'{{"id": {_string_text(id).replace("%", "%%")}, '
+                           f'"params": {{{fields}}}, "reason": %s, "type": "skip"}}\n')
+        self._skip_values = itemgetter(*order, len(names))
 
     def __repr__(self) -> str:
         return (f"CongruenceSpec(id={self.id!r}, aliases={self.aliases!r}, "
                 f"verifier={self.verifier!r}, char_mode={self.char_mode!r}, "
                 f"char_axes={self.char_axes!r}, prime={self.prime!r}, region={self.region!r})")
+
+    def skip_line(self, head: tuple, args: tuple, reason: str) -> str:
+        """The JSONL line of a skip at the verifier arguments ``args``:
+        ``head`` is the character's label as JSON text and its two axes, or
+        () without a family."""
+        return self._skip_line % self._skip_values((*head, *args, _string_text(reason)))
 
 
 _FAMILY_MEMBER = {
@@ -289,11 +308,13 @@ def _select_characters(spec: CongruenceSpec, job: SweepJob) -> list[DirichletCha
     return out
 
 
-def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
+def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, Callable, tuple, tuple]]:
     """Instances of a job in deterministic grid order: per character, the
-    numeric grid with the last axis varying fastest.  An instance maps
-    ``chi`` and the character axes, then each numeric axis, to its value;
-    the verifier takes the names its signature lists.
+    numeric grid with the last axis varying fastest.  An instance is
+    ``(spec, verify, args, head)``: the verifier, looked up once per job;
+    its positional arguments, ``chi`` and then the numeric point; and the
+    character's skip values, its label as JSON text and its two axes (both
+    () without a family).
     A job key must be one of the spec's axes or, with a character family,
     ``chi`` or ``parity``.
     The job is checked on the call, raising ConfigError; the instances
@@ -303,38 +324,30 @@ def expand_job(job: SweepJob) -> Iterator[tuple[CongruenceSpec, dict]]:
     for key in job.params:
         if key not in taken:
             raise ConfigError(f"job '{job.id}': '{key}' is not a parameter of {spec.id}")
-    numeric_axes = [a for a in spec.axes if spec.char_mode is None or a not in spec.char_axes]
-    values = [job.axis(a) for a in numeric_axes]
-    p_axis, m_axis = spec.char_axes
-    heads = [{}] if spec.char_mode is None else [
-        {"chi": chi, p_axis: chi.p, m_axis: chi.m} for chi in _select_characters(spec, job)
+    values = [job.axis(a) for a in spec.numeric_axes]
+    verify = getattr(cg, spec.verifier)
+    heads = [([], ())] if spec.char_mode is None else [  # ([chi's one-value axis], skip values)
+        ([(chi,)], (_string_text(chi.label()), chi.p, chi.m)) for chi in _select_characters(spec, job)
     ]
 
-    def instances() -> Iterator[tuple[CongruenceSpec, dict]]:
-        for head in heads:
-            for point in product(*values):
-                inst = head.copy()
-                inst.update(zip(numeric_axes, point))
-                yield spec, inst
+    def instances() -> Iterator[tuple[CongruenceSpec, Callable, tuple, tuple]]:
+        for chi_axes, head in heads:
+            for args in product(*chi_axes, *values):
+                yield spec, verify, args, head
     return instances()
 
 
-def run_instance(
-    spec: CongruenceSpec, inst: dict, cache: BernoulliCache
-) -> CongruenceVerdict | SkipRecord:
-    """The verdict at one instance, or its skip, whose params are ``inst``
-    itself with ``chi`` replaced by its label: the instance is used up."""
+def run_instance(spec: CongruenceSpec, verify: Callable, args: tuple, head: tuple,
+                 cache: BernoulliCache) -> CongruenceVerdict | str:
+    """The verdict at one instance, or its skip's JSONL line."""
     try:
         if spec.region is not None:
             predicate, value, reason = spec.region
-            if getattr(cg, predicate)(inst["chi"], inst["k"]) != value:
+            if getattr(cg, predicate)(args[0], args[spec.region_k]) != value:
                 raise DomainError(reason)
-        verify, args = getattr(cg, spec.verifier), map(inst.__getitem__, spec.keys)
         verdict = verify(*args, cache) if spec.takes_cache else verify(*args)
     except DomainError as exc:
-        if "chi" in inst:
-            inst["chi"] = inst["chi"].label()
-        return SkipRecord(spec.id, inst, str(exc))
+        return spec.skip_line(head, args, str(exc))
     if spec.region is not None and verdict.id != spec.id:
         verdict = verdict._replace(id=spec.id)
     return verdict
@@ -344,8 +357,8 @@ def _run(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
     instances = chain(*[expand_job(job) for job in config.jobs])
     report = SweepReport(config=config.echo())
     t0 = time.perf_counter()
-    for spec, inst in instances:
-        report.add(run_instance(spec, inst, cache))
+    for spec, verify, args, head in instances:
+        report.add(spec.id, run_instance(spec, verify, args, head, cache))
     report.duration = time.perf_counter() - t0
     return report
 
@@ -389,6 +402,7 @@ def run_sweep(config: SweepConfig, cache: Optional[BernoulliCache] = None) -> Sw
 
 CSV_PARAM_COLUMNS = ("chi", "p", "m", "k", "l", "d", "h", "n", "q", "a")
 CSV_HEADER = ("id", "branch", *CSV_PARAM_COLUMNS, "holds", "required_exponent", "observed_margin", "extra")
+_CSV_COLUMN_SET = frozenset(CSV_PARAM_COLUMNS)
 
 
 def _margin_str(margin) -> str:
@@ -403,11 +417,12 @@ def _element_text(x) -> str:
 
 
 def _csv_row(v: CongruenceVerdict) -> list[str]:
-    extra = {k: v_ for k, v_ in v.params.items() if k not in CSV_PARAM_COLUMNS}
+    params = v.params
+    extra = {k: v_ for k, v_ in params.items() if k not in _CSV_COLUMN_SET}
     return [
         v.id,
         v.branch or "",
-        *[str(v.params.get(col, "")) for col in CSV_PARAM_COLUMNS],
+        *[str(params.get(col, "")) for col in CSV_PARAM_COLUMNS],
         "true" if v.holds else "false",
         str(v.required_modulus_exponent),
         _margin_str(v.observed_margin),
@@ -446,8 +461,9 @@ def _record_lines(report: SweepReport) -> Iterator[str]:
         "config": report.config,
     }
     yield json_text(header) + "\n"
-    # Verdict and skip lines are written from fixed keys, in the order
-    # json_text sorts them, each value as json_text writes it.  Memoised
+    # Verdict lines are written from fixed keys, in the order json_text
+    # sorts them, each value as json_text writes it; a skip is already its
+    # line, from its spec's template.  Memoised
     # values repeat across nearby verdicts, so up to _TEXT_MEMO_SIZE element
     # texts are kept, by id(): the report holds each element, so ids are unique.
     texts: dict[int, str] = {}
@@ -463,9 +479,7 @@ def _record_lines(report: SweepReport) -> Iterator[str]:
                f'"params": {json_text(v.params)}, '
                f'"required_exponent": {v.required_modulus_exponent}, '
                f'"rhs": {rhs}, "type": "verdict"}}\n')
-    for s in report.skips:
-        yield (f'{{"id": {_string_text(s.id)}, "params": {json_text(s.params)}, '
-               f'"reason": {_string_text(s.reason)}, "type": "skip"}}\n')
+    yield from report.skips
     summary = dict(report.summary)
     summary["per_id"] = {
         id_: {**row, "min_margin": _margin_str(row["min_margin"])}

@@ -19,7 +19,6 @@ from lcong.congruences import CongruenceVerdict
 from lcong.cyclotomic import CyclotomicElement
 from lcong.sweep import (
     ConfigError,
-    SkipRecord,
     SweepConfig,
     SweepJob,
     expand_job,
@@ -125,14 +124,15 @@ class TestConfigValidation:
 class TestExpansion:
     def test_grid_order_deterministic(self):
         job = SweepJob("1.3", {"k": [2, 0], "n": [1], "q": [1]})
-        ks = [inst["k"] for _, inst in expand_job(job)]
-        assert ks == [2, 0]  # given order preserved
+        points = [args for _, _, args, _ in expand_job(job)]
+        assert points == [(2, 1, 1), (0, 1, 1)]  # stern takes (k, n, q); given order preserved
 
     def test_character_axes(self):
         job = SweepJob("1.4", {"m": [3], "k": [1], "n": [1], "q": [1]})
         instances = list(expand_job(job))
         assert len(instances) == 2  # two primitive characters mod 8
-        assert all(inst["p"] == 2 for _, inst in instances)
+        assert all(args[1:] == (1, 1, 1) and head == (f'"{args[0].label()}"', 2, 3)
+                   for _, _, args, head in instances)
 
 
     def test_named_characters_are_built_once_each_in_enumeration_order(self, monkeypatch):
@@ -140,7 +140,7 @@ class TestExpansion:
         # is enumerated, so the family's size does not matter.
         monkeypatch.setattr(sweep, "enumerate_characters", None)
         job = SweepJob("2.3", {"p": [2], "m": [5], "chi": [[1, 3], [0, 1], [1, 11], [0, 1]]})
-        assert [inst["chi"].label() for _, inst in expand_job(job)] == ["32:0,1", "32:1,3"]
+        assert [args[0].label() for _, _, args, _ in expand_job(job)] == ["32:0,1", "32:1,3"]
 
 
 @functools.cache
@@ -229,7 +229,7 @@ class TestRunSweep:
         )))
         assert report.summary["skips"] == 2  # parity mismatches
         assert report.summary["fails"] == 0
-        assert all(s.reason for s in report.skips)
+        assert all(json.loads(s)["reason"] for s in report.skips)
 
     @pytest.mark.parametrize("jobs", [
         (SweepJob("2.2", {"p": [3], "m": [2], "k": [0, 1, 2], "a": [1, 2, 3, 4]}),),
@@ -241,14 +241,14 @@ class TestRunSweep:
     def test_summary_counts_match_lists(self, jobs):
         # The summary is counted as the sweep runs; recount it from the lists.
         report = run_sweep(SweepConfig(jobs=jobs))
-        per_id = {}
-        for id_ in {r.id for r in (*report.verdicts, *report.skips)}:
+        per_id, skips = {}, [json.loads(line) for line in report.skips]
+        for id_ in {*(v.id for v in report.verdicts), *(s["id"] for s in skips)}:
             verdicts = [v for v in report.verdicts if v.id == id_]
             per_id[id_] = {
                 "total": len(verdicts),
                 "holds": sum(v.holds for v in verdicts),
                 "fails": sum(not v.holds for v in verdicts),
-                "skips": sum(s.id == id_ for s in report.skips),
+                "skips": sum(s["id"] == id_ for s in skips),
                 "min_margin": min((v.observed_margin for v in verdicts), default=math.inf),
             }
         assert report.summary == {
@@ -309,12 +309,12 @@ class TestSkipContract:
             SweepJob("lerch", {"a": [2], "n": [6]}),
         )))
         parity = "k and l must both have parity opposite to chi"
-        assert [(s.id, list(s.params.items()), s.reason) for s in report.skips] == [
-            ("1.5", [("chi", "8:0,1"), ("p", 2), ("m", 3), ("k", 1), ("l", 0), ("n", 1)], parity),
-            ("1.5", [("chi", "8:1,1"), ("p", 2), ("m", 3), ("k", 1), ("l", 0), ("n", 1)], parity),
-            ("nondiv", [("chi", "3:1"), ("p", 3), ("m", 1), ("d", 0)],
+        assert [(s["id"], s["params"], s["reason"]) for s in map(json.loads, report.skips)] == [
+            ("1.5", {"chi": "8:0,1", "p": 2, "m": 3, "k": 1, "l": 0, "n": 1}, parity),
+            ("1.5", {"chi": "8:1,1", "p": 2, "m": 3, "k": 1, "l": 0, "n": 1}, parity),
+            ("nondiv", {"chi": "3:1", "p": 3, "m": 1, "d": 0},
              "normalized L-value undefined for conductor 3^1"),
-            ("lerch", [("a", 2), ("n", 6)], "a=2 must be coprime to n=6"),
+            ("lerch", {"a": 2, "n": 6}, "a=2 must be coprime to n=6"),
         ]
         assert report.verdicts == []
         assert {id_: row["skips"] for id_, row in report.summary["per_id"].items()} == {
@@ -425,6 +425,46 @@ def test_a_grid_point_repeats_no_value_work(monkeypatch):
     assert len(sides) < len(report.verdicts)  # the sides do repeat
 
 
+def test_a_skip_is_its_line(monkeypatch):
+    # A cost guard over a skip-heavy 1.5 + 1.4 sweep at m = 3..4: each
+    # instance is one run_instance call, a skip is written as the line its
+    # spec rendered (json_text runs for the header, the summary and each
+    # verdict's params, never for a skip), and the skip lines follow the
+    # verdicts in grid order.
+    jobs = (SweepJob("1.5", {"m": "3..4", "k": "0..8", "l": "0..8", "n": "1..2"}),
+            SweepJob("1.4", {"m": "3..4", "k": "0..8", "n": "1..2", "q": [1, 3]}))
+    run, encoder, calls, encoded = sweep.run_instance, valuecache._encoder, [], []
+
+    def counting(*args):
+        calls.append(args[2])
+        return run(*args)
+
+    def counted_encoder(value, level):
+        encoded.append(value)
+        return encoder(value, level)
+
+    monkeypatch.setattr(sweep, "run_instance", counting)
+    report = run_sweep(SweepConfig(jobs=jobs), cache=BernoulliCache())
+    instances = [instance for job in jobs for instance in expand_job(job)]
+    assert calls == [args for _, _, args, _ in instances]
+    assert len(report.skips) > 2 * len(report.verdicts) > 0
+    monkeypatch.setattr(valuecache, "_encoder", counted_encoder)
+    lines = [json.loads(line) for line in rendered(write_records, report).splitlines()[1:-1]]
+    assert len(encoded) <= len(report.verdicts) + 2
+    # The slow route: each instance's verifier called directly, its
+    # hypothesis failures turned into skip records by hand.
+    skipped, cache = [], BernoulliCache()
+    for spec, verify, args, _ in instances:
+        try:
+            verify(*args, cache)
+        except DomainError as exc:
+            chi, point = args[0], dict(zip(spec.numeric_axes, args[1:]))
+            skipped.append({"type": "skip", "id": spec.id, "reason": str(exc),
+                            "params": {"chi": chi.label(), "p": chi.p, "m": chi.m, **point}})
+    assert [line["type"] for line in lines[:len(report.verdicts)]] == ["verdict"] * len(report.verdicts)
+    assert lines[len(report.verdicts):] == skipped
+
+
 class TestReports:
     def test_csv_deterministic(self):
         first, second = (rendered(write_csv, run_sweep(stern_config())) for _ in range(2))
@@ -468,8 +508,8 @@ class TestReports:
 
 
 # Text with the characters JSON escapes: a quote, a backslash, controls
-# and non-ASCII.
-escaped_text = st.text(alphabet=st.sampled_from('ab:,"\\\n\x01\u00e9\u2013\U0001f600'), max_size=6)
+# and non-ASCII; and %, which a skip line's %-template must pass through.
+escaped_text = st.text(alphabet=st.sampled_from('ab:,%"\\\n\x01\u00e9\u2013\U0001f600'), max_size=6)
 param_values = st.one_of(st.integers(-10**20, 10**20), st.booleans(), escaped_text,
                          st.floats(allow_nan=False))
 params = st.dictionaries(st.one_of(st.sampled_from(["chi", "k", "n", "congruent", "expected"]),
@@ -482,15 +522,33 @@ verdicts = st.builds(
     params=params, holds=st.booleans(), required_modulus_exponent=st.integers(0, 10**6),
     observed_margin=st.one_of(st.integers(-5, 60), st.just(math.inf)),
     lhs=elements, rhs=elements, branch=st.sampled_from([None, "i", "ii", "iff"]))
-skips = st.builds(SkipRecord, id=escaped_text, params=params,
-                  reason=escaped_text.map(lambda text: f'{text} "\\\u00e9'))
+ints = st.integers(-10**20, 10**20)
+
+
+@st.composite
+def skip(draw, spec):
+    """A skip of ``spec`` at drawn values, as its spec's line and as the
+    dict the writer built for JSONEncoder(sort_keys=True).encode before a
+    skip was its line: the keys are the spec's own instance keys, ``chi``
+    and its two axes included with a family."""
+    reason = draw(escaped_text.map(lambda text: f'{text} "\\\u00e9'))
+    numeric = tuple(draw(ints) for _ in spec.numeric_axes)
+    params, head, args = dict(zip(spec.numeric_axes, numeric)), (), numeric
+    if spec.char_mode:
+        label, p, m = draw(escaped_text), draw(ints), draw(ints)
+        params.update({"chi": label, spec.char_axes[0]: p, spec.char_axes[1]: m})
+        head, args = (json.dumps(label), p, m), (object(), *numeric)  # chi is not printed
+    record = {"type": "skip", "id": spec.id, "params": params, "reason": reason}
+    return spec.id, spec.skip_line(head, args, reason), record
+
+
+# One drawn skip of every registered spec.
+skips = st.tuples(*(skip(lookup(id_)) for id_ in registered_ids()))
 
 
 def legacy_record(result) -> dict:
-    """A verdict or skip line's dict, as the writer built it for
+    """A verdict line's dict, as the writer built it for
     JSONEncoder(sort_keys=True).encode."""
-    if isinstance(result, SkipRecord):
-        return {"type": "skip", "id": result.id, "params": result.params, "reason": result.reason}
     return {
         "type": "verdict", "id": result.id, "branch": result.branch, "params": result.params,
         "holds": result.holds, "required_exponent": result.required_modulus_exponent,
@@ -501,17 +559,21 @@ def legacy_record(result) -> dict:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(verdicts, max_size=3), st.lists(skips, max_size=3))
+@given(st.lists(verdicts, max_size=3), skips)
 def test_record_lines_match_the_sort_keys_encoder(drawn_verdicts, drawn_skips):
-    # The fixed-key line writer against the generic encoder, line by line;
-    # the one-encoder json_text against it on the same values.
+    # The fixed-key line writer and every spec's skip template against the
+    # generic encoder, line by line; the one-encoder json_text against it
+    # on the same values.
     encode = json.JSONEncoder(sort_keys=True).encode
     report = sweep.SweepReport(config={"jobs": []})
-    for result in drawn_verdicts + drawn_skips:
-        report.add(result)
+    for verdict in drawn_verdicts:
+        report.add(verdict.id, verdict)
+    for id_, line, _ in drawn_skips:
+        report.add(id_, line)
     lines = rendered(write_records, report).splitlines()
-    records = [legacy_record(result) for result in drawn_verdicts + drawn_skips]
+    records = [*map(legacy_record, drawn_verdicts), *(record for _, _, record in drawn_skips)]
     assert lines[1:-1] == [encode(record) for record in records]
+    assert all(line.endswith("\n") for _, line, _ in drawn_skips)
     for record in records:
         assert valuecache.json_text(record) == encode(record)
         assert all(valuecache.json_text(value) == encode(value) for value in record.values())
@@ -543,12 +605,15 @@ def test_file_writers_stream_what_the_views_collect(tmp_path):
 
 
 @pytest.mark.parametrize("id_", registered_ids())
-def test_registry_entry_fits_its_verifier(id_):
+def test_registry_entry_fits_its_verifier(id_, monkeypatch):
     """An entry names a congruences function whose arguments other than
     ``cache`` are all instance keys (an axis, ``chi`` or a character axis),
     since run_instance passes each of them; its region predicate exists,
-    and every axis is a `lcong verify` flag.  ``cache``, when taken, is
-    the last argument, since run_instance passes it by position."""
+    and every axis is a `lcong verify` flag.  The arguments are ``chi``
+    exactly when the entry has a character family, then the numeric axes in
+    grid order, then optionally ``cache``, since run_instance passes them
+    all by position; a verifier that breaks this is refused at
+    registration."""
     spec = lookup(id_)
     parameters = inspect.signature(getattr(congruences, spec.verifier)).parameters
     keys = {*spec.axes, *(("chi", *spec.char_axes) if spec.char_mode else ())}
@@ -557,6 +622,22 @@ def test_registry_entry_fits_its_verifier(id_):
     assert spec.arguments == tuple(parameters)
     assert spec.keys == tuple(name for name in spec.arguments if name != "cache")
     assert required <= set(spec.arguments) - {"cache"} <= keys
+    grid_numeric = [axis for axis in spec.axes if not spec.char_mode or axis not in spec.char_axes]
+    assert spec.keys == (*(("chi",) if spec.char_mode else ()), *grid_numeric)
+    assert spec.numeric_axes == tuple(grid_numeric)
+    family = "all" if spec.char_mode is None else None
+    with pytest.raises(ValueError, match="must take"):  # chi taken without a family, or missing
+        sweep.CongruenceSpec(id_, (), spec.verifier, char_mode=family)
+    # cache not last; an axis ahead of chi, or chi without a family; a
+    # character axis among the numeric ones, or chi last without a family.
+    for names in (("cache", *spec.keys), ("x" if spec.char_mode else "chi", *spec.keys),
+                  (*spec.keys, spec.char_axes[0] if spec.char_mode else "chi")):
+        namespace = {}
+        exec(f"def misordered({', '.join(names)}): pass", namespace)
+        monkeypatch.setattr(congruences, "misordered", namespace["misordered"], raising=False)
+        with pytest.raises(ValueError, match="must take"):
+            sweep.CongruenceSpec(id_, (), "misordered", char_mode=spec.char_mode,
+                                 char_axes=spec.char_axes, prime=spec.prime, region=spec.region)
     if spec.region is not None:
         assert callable(getattr(congruences, spec.region[0]))
     axes = [*spec.axes, *spec.char_axes]
