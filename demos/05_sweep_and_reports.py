@@ -36,7 +36,7 @@ config = SweepConfig(
 
 # run_sweep handles every file the config names: it loads the value cache,
 # runs the grid, appends the values it computed and writes both reports.
-report = run_sweep(config)
+report = run_sweep(config, BernoulliCache())
 
 print(table_text(report))
 print()

@@ -2,16 +2,7 @@
 generalized Bernoulli and Euler numbers, L-values at non-positive
 integers, and batch verification of the congruences relating them."""
 
-from .bernoulli import (
-    BernoulliCache,
-    ParityError,
-    UndefinedCaseError,
-    bernoulli_number,
-    euler_number,
-    generalized_bernoulli,
-    l_value,
-    script_l,
-)
+from .bernoulli import BernoulliCache, ParityError, UndefinedCaseError, l_value, script_l
 from .characters import (
     DirichletCharacter,
     DomainError,
@@ -53,7 +44,6 @@ __all__ = [
     "SweepReport",
     "UndefinedCaseError",
     "UnitGroup",
-    "bernoulli_number",
     "build_unit_group",
     "character",
     "chi_minus4",
@@ -61,10 +51,8 @@ __all__ = [
     "cyclotomic_polynomial",
     "enumerate_characters",
     "enumerate_primitive",
-    "euler_number",
     "euler_phi",
     "floor_weighted_sum",
-    "generalized_bernoulli",
     "l_value",
     "opposite_parity",
     "p_content_valuation",

@@ -48,6 +48,7 @@ class BernoulliCache:
     row; B_(2i) from T_i = A_(2i-1), E_(2i) = (-1)^i A_(2i)), B_k, B_(k,chi),
     the per-modulus integer rows the twisted values are built from, and
     L(-k, chi) of ``l_value`` and L*_k of ``script_l`` keyed by (chi.key(), k).
+    There is no shared memo: every value function takes the one it reads.
 
     The L and L* memos are derived from the twisted values, never persisted
     (the file cache holds B_(k,chi) only), and seeding a twisted value drops
@@ -74,6 +75,7 @@ class BernoulliCache:
         return self._zigzag_numbers[n]
 
     def bernoulli(self, k: int) -> Fraction:
+        """B_k, with B_0 = 1, B_1 = -1/2 (the t/(e^t - 1) normalization)."""
         check_index(k)
         while (j := len(self._bernoulli)) <= k:
             if j % 2:
@@ -85,6 +87,7 @@ class BernoulliCache:
         return self._bernoulli[k]
 
     def euler(self, k: int) -> int:
+        """E_k with E_0 = 1, E_odd = 0 (secant numbers)."""
         check_index(k)
         return 0 if k % 2 else (-1) ** (k // 2) * self._zigzag(k)
 
@@ -112,6 +115,7 @@ class BernoulliCache:
         return row
 
     def twisted_bernoulli(self, chi: DirichletCharacter, k: int) -> CyclotomicElement:
+        """B_(k,chi) evaluated at the modulus of chi."""
         key = (chi.key(), k)
         cached = self.stored_twisted(key)
         if cached is not None:
@@ -145,30 +149,7 @@ class BernoulliCache:
         return {key: self._twisted[key] for key in sorted(new)}
 
 
-#: Default process-wide cache; sweeps re-use values heavily.
-DEFAULT_CACHE = BernoulliCache()
-
-
-def bernoulli_number(k: int, cache: BernoulliCache = DEFAULT_CACHE) -> Fraction:
-    """B_k, with B_0 = 1, B_1 = -1/2 (the t/(e^t - 1) normalization)."""
-    return cache.bernoulli(k)
-
-
-def euler_number(k: int, cache: BernoulliCache = DEFAULT_CACHE) -> int:
-    """E_k with E_0 = 1, E_odd = 0 (secant numbers)."""
-    return cache.euler(k)
-
-
-def generalized_bernoulli(
-    k: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
-) -> CyclotomicElement:
-    """B_(k,chi) evaluated at the modulus of chi."""
-    return cache.twisted_bernoulli(chi, k)
-
-
-def l_value(
-    k: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
-) -> CyclotomicElement:
+def l_value(k: int, chi: DirichletCharacter, cache: BernoulliCache) -> CyclotomicElement:
     """L(-k, chi) = -B_(k+1,chi)/(k+1) for k of parity opposite to chi.
     Memoized on ``cache`` per (chi.key(), k)."""
     key = (chi.key(), k)
@@ -184,9 +165,7 @@ def l_value(
     return value
 
 
-def script_l(
-    k: int, chi: DirichletCharacter, cache: BernoulliCache = DEFAULT_CACHE
-) -> CyclotomicElement:
+def script_l(k: int, chi: DirichletCharacter, cache: BernoulliCache) -> CyclotomicElement:
     """Unit-normalized L-value: (1 - chi(u)) L(-k, chi) with u = 5 for
     conductor 2^m (m >= 3) and u = p + 1 for odd p (m >= 2).
 

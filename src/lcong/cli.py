@@ -17,13 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bernoulli import (
-    bernoulli_number,
-    euler_number,
-    generalized_bernoulli,
-    l_value,
-    script_l,
-)
+from .bernoulli import BernoulliCache, l_value, script_l
 from .characters import DomainError, character, check_index, check_work, enumerate_primitive
 from .sweep import (
     REGISTRY,
@@ -89,7 +83,7 @@ def _report_and_exit(config: SweepConfig, args) -> int:
     config = config._replace(**{
         f"{flag}_path": getattr(args, flag) for flag in ("csv", "records", "cache")
         if getattr(args, flag) is not None})
-    report = run_sweep(config)
+    report = run_sweep(config, BernoulliCache())
     if report.skips and not report.verdicts:
         first = json.loads(report.skips[0])
         raise ConfigError(f"every instance was skipped, first {first['id']}: {first['reason']}")
@@ -116,8 +110,9 @@ def cmd_table(args) -> int:
     if args.max_k < 0:
         raise ConfigError("--max-k must be >= 0")
     check_index(args.max_k)  # before the first row
+    cache = BernoulliCache()
     if kind in ("bernoulli", "euler"):
-        fn = bernoulli_number if kind == "bernoulli" else euler_number
+        fn = cache.bernoulli if kind == "bernoulli" else cache.euler
         rows = [(k, str(fn(k))) for k in range(args.max_k + 1)]
     else:
         if args.p is None or args.m is None:
@@ -140,13 +135,13 @@ def cmd_table(args) -> int:
                 which = f"primitive {args.parity}" if args.parity else "primitive"
                 raise ConfigError(f"table '{kind}': no {which} character mod {args.p}^{args.m}")
         check_work(chis[0].modulus * sum(range(args.max_k + 1)), 1)  # rows shared by all chi mod f
-        fn = {"generalized-bernoulli": generalized_bernoulli, "l-values": l_value,
-              "script-l": script_l}[kind]
+        fn = {"generalized-bernoulli": lambda k, chi, cache: cache.twisted_bernoulli(chi, k),
+              "l-values": l_value, "script-l": script_l}[kind]
         rows = []
         for chi in chis:
             for k in range(args.max_k + 1):
                 try:
-                    value = str(fn(k, chi))
+                    value = str(fn(k, chi, cache))
                 except DomainError as exc:
                     value = f"undefined ({exc})"
                 rows.append((f"chi={chi.label()} k={k}", value))

@@ -14,13 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .bernoulli import (
-    DEFAULT_CACHE,
-    BernoulliCache,
-    ParityError,
-    l_value,
-    script_l,
-)
+from .bernoulli import BernoulliCache, ParityError, l_value, script_l
 from .characters import (
     DirichletCharacter,
     DomainError,
@@ -110,7 +104,7 @@ def _phi_aligned(k: int, l: int, p: int, n: int) -> bool:
 
 
 def verify_kummer_classical(
-    p: int, k: int, l: int, n: int, cache: BernoulliCache = DEFAULT_CACHE
+    p: int, k: int, l: int, n: int, cache: BernoulliCache
 ) -> CongruenceVerdict:
     """(1 - p^(k-1)) B_k/k == (1 - p^(l-1)) B_l/l  (mod p^n)
 
@@ -134,7 +128,7 @@ def verify_ernvall(
     k: int,
     l: int,
     n: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """Kummer-type congruence for twisted Bernoulli numbers:
 
@@ -163,9 +157,7 @@ def _ernvall_side(
     return value.times_binomial(1, -p ** (k - 1), chi.value_exponent(p), k)
 
 
-def verify_euler_kummer(
-    p: int, k: int, l: int, cache: BernoulliCache = DEFAULT_CACHE
-) -> CongruenceVerdict:
+def verify_euler_kummer(p: int, k: int, l: int, cache: BernoulliCache) -> CongruenceVerdict:
     """E_k == E_l (mod p) for odd prime p and even k == l (mod p-1).
 
     Stated for all even k, l >= 0; the boundary k = 0 genuinely fails
@@ -179,9 +171,7 @@ def verify_euler_kummer(
     return _congruence_verdict("euler-kummer", {"p": p, "k": k, "l": l}, lhs, rhs, p, 1)
 
 
-def verify_stern(
-    k: int, n: int, q: int, cache: BernoulliCache = DEFAULT_CACHE
-) -> CongruenceVerdict:
+def verify_stern(k: int, n: int, q: int, cache: BernoulliCache) -> CongruenceVerdict:
     """E_(k + 2^n q) == E_k + 2^n  (mod 2^(n+1)) for even k >= 0, odd q >= 1."""
     _require(k % 2 == 0 and k >= 0, "k must be even >= 0")
     _require(n >= 1, "n must be >= 1")
@@ -192,9 +182,7 @@ def verify_stern(
     return _congruence_verdict("stern", {"k": k, "n": n, "q": q}, lhs, rhs, 2, n + 1)
 
 
-def verify_stern_iff(
-    k: int, l: int, n: int, cache: BernoulliCache = DEFAULT_CACHE
-) -> CongruenceVerdict:
+def verify_stern_iff(k: int, l: int, n: int, cache: BernoulliCache) -> CongruenceVerdict:
     """Two-sided check of:  E_k == E_l (mod 2^n)  iff  k == l (mod 2^n)."""
     _require(k % 2 == 0 and l % 2 == 0, "k, l must be even")
     _require(n >= 1, "n must be >= 1")
@@ -223,7 +211,7 @@ def verify_lvalue_shift_two(
     k: int,
     n: int,
     q: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """For primitive chi of conductor 2^m, m >= 3, writing L* for the
     normalized value (1 - chi(5)) L(-k, chi):
@@ -251,7 +239,7 @@ def verify_lvalue_shift_two_iff(
     k: int,
     l: int,
     n: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """Two-sided check of:  L*_k == L*_l (mod 2^(n+2))  iff  k == l (mod 2^n)."""
     _require(chi.p == 2 and chi.m >= 3, "requires conductor 2^m with m >= 3")
@@ -304,7 +292,7 @@ def verify_lvalue_shift_odd(
     k: int,
     n: int,
     q: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """Shift congruence for primitive chi of odd prime-power conductor p^m.
 
@@ -345,7 +333,7 @@ def verify_lvalue_shift_odd_iff(
     k: int,
     h: int,
     n: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """Two-sided check, under the branch (ii) hypotheses, of:
 
@@ -388,7 +376,7 @@ def verify_twisted_voronoi(
     a: int,
     k: int,
     n: int,
-    cache: BernoulliCache = DEFAULT_CACHE,
+    cache: BernoulliCache,
 ) -> CongruenceVerdict:
     """For a character chi mod p^m, n >= m, p not dividing a, and k of
     parity opposite to chi, provided p >= 5 or (p in {2, 3} and n >= 2):
@@ -411,9 +399,7 @@ def verify_twisted_voronoi(
     return _congruence_verdict("3.2", params, lhs, rhs, p, n)
 
 
-def verify_voronoi(
-    a: int, p: int, k: int, cache: BernoulliCache = DEFAULT_CACHE
-) -> CongruenceVerdict:
+def verify_voronoi(a: int, p: int, k: int, cache: BernoulliCache) -> CongruenceVerdict:
     """Classical floor-sum congruence for Bernoulli numbers:
 
         (a^k - 1) B_k == k a^(k-1) sum_(j<p) j^(k-1) floor(ja/p)  (mod p)
@@ -430,9 +416,7 @@ def verify_voronoi(
     return _congruence_verdict("voronoi", {"a": a, "p": p, "k": k}, lhs, rhs, p, 1)
 
 
-def verify_sun(
-    k: int, n: int, cache: BernoulliCache = DEFAULT_CACHE
-) -> CongruenceVerdict:
+def verify_sun(k: int, n: int, cache: BernoulliCache) -> CongruenceVerdict:
     """Floor-sum congruence for Euler numbers:
 
         (3^(k+1) + 1)/4 * E_k
@@ -495,7 +479,7 @@ def verify_lerch(a: int, n: int) -> CongruenceVerdict:
 
 
 def check_nondivisibility(
-    chi: DirichletCharacter, d: int, cache: BernoulliCache = DEFAULT_CACHE
+    chi: DirichletCharacter, d: int, cache: BernoulliCache
 ) -> CongruenceVerdict:
     """Sharpness of the normalized L-value L*_d = (1 - chi(u)) L(-d, chi):
 

@@ -24,7 +24,10 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import congruences as cg
 from .bernoulli import BernoulliCache
-from .characters import DirichletCharacter, DomainError, build_unit_group, enumerate_characters
+from .characters import (
+    DirichletCharacter, DomainError, ResourceLimitError, build_unit_group, check_work,
+    enumerate_characters,
+)
 from .congruences import CongruenceVerdict
 from . import valuecache
 from .valuecache import json_text
@@ -46,9 +49,13 @@ def parse_values(text: str) -> list[int]:
                 step = int(step) if step else 1
                 if step < 1:  # 'hi + 1' stops only an ascending range
                     raise ValueError(step)
-                out.extend(range(int(lo), int(hi) + 1, step))
+                values = range(int(lo), int(hi) + 1, step)
+                check_work(len(out) + len(values), 1)  # each value is at least one instance
+                out.extend(values)
             elif chunk:
                 out.append(int(chunk))
+    except ResourceLimitError:
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse parameter value {text!r}") from None
     if not out:
@@ -88,6 +95,7 @@ class SweepJob:
         for v in value if isinstance(value, (list, tuple)) else [value]:
             if isinstance(v, str):
                 out.extend(parse_values(v))
+                check_work(len(out), 1)  # the whole axis, as parse_values bounds one string
             elif type(v) is int:  # not a bool, a float or an object
                 out.append(v)
             else:
@@ -363,15 +371,13 @@ def _run(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
     return report
 
 
-def run_sweep(config: SweepConfig, cache: Optional[BernoulliCache] = None) -> SweepReport:
-    """Run a config and handle every file it names: load ``cache_path`` into
-    the memo, check and run the jobs and append the new values; if a verdict
-    fails on loaded values, run again on a fresh memo, warn once per changed
-    verdict and append the fresh values that differ.  Then write the reports,
-    once.  Without ``cache``, the sweep runs on a fresh memo: it starts from
-    the file, not from what the process happens to have memoised."""
+def run_sweep(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
+    """Run a config on ``cache`` and handle every file it names: load
+    ``cache_path`` into the memo, check and run the jobs and append the new
+    values; if a verdict fails on loaded values, run again on a fresh memo,
+    warn once per changed verdict and append the fresh values that differ.
+    Then write the reports, once."""
     cache_path = config.cache_path
-    cache = BernoulliCache() if cache is None else cache
     loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
     if not config.jobs:
         raise ConfigError("no jobs configured")

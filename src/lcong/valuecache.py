@@ -101,8 +101,6 @@ def _check(line: bytes, lineno: int) -> tuple[CacheKey, Callable[[], CyclotomicE
         p, m, k, order, *chi = fields
         # Memoised on ints only: True == 1 would share a key.
         char = _character_key(p, m, order, tuple(chi))
-        if k < 0:
-            raise ValueError(f"k {k} is negative")
         check_index(k)
         coeffs = record["coeffs"]
         CyclotomicElement.check_record(order, coeffs)

@@ -16,9 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from lcong.bernoulli import DomainError, bernoulli_number, generalized_bernoulli
+from lcong.bernoulli import BernoulliCache, DomainError
 from lcong.characters import DirichletCharacter
 from lcong.cyclotomic import CyclotomicElement
+
+#: The oracles' own memo of B_j and B_(j,chi).
+memo = BernoulliCache()
 
 
 def bernoulli_recurrence(limit: int) -> list[Fraction]:
@@ -45,7 +48,7 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
     total = Fraction(0)
     power = Fraction(1)  # x^(k-j), built from the top down
     for j in range(k, -1, -1):
-        b = bernoulli_number(j)
+        b = memo.bernoulli(j)
         if b:
             total += comb(k, j) * b * power
         power *= x
@@ -64,5 +67,5 @@ def power_sum_via_bernoulli(k: int, n: int, chi: DirichletCharacter) -> Cyclotom
     shifted = CyclotomicElement.zero(chi.zeta_order)
     for j in range(k + 1):  # the j = k+1 term cancels against -B_(k+1,chi)
         coeff = comb(k + 1, j) * Fraction(n) ** (k + 1 - j)
-        shifted = shifted + generalized_bernoulli(j, chi) * coeff
+        shifted = shifted + memo.twisted_bernoulli(chi, j) * coeff
     return shifted * Fraction(1, k + 1)

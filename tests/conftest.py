@@ -1,5 +1,6 @@
 import pytest
 
+from lcong.bernoulli import BernoulliCache
 from lcong.characters import character, chi_minus4
 
 
@@ -18,3 +19,9 @@ def chi8():
 def chi_minus8():
     """The odd quadratic character mod 8."""
     return character(2, 3, (1, 1))
+
+
+@pytest.fixture(scope="session")
+def memo():
+    """One value memo shared by the tests that only read values."""
+    return BernoulliCache()

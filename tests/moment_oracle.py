@@ -18,10 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from lcong.bernoulli import bernoulli_number
+from lcong.bernoulli import BernoulliCache
 from lcong.characters import DirichletCharacter
 from lcong.cyclotomic import CyclotomicElement
 from lcong.power_sums import power_sum
+
+#: The oracle's own memo of B_j.
+memo = BernoulliCache()
 
 
 def moment_twisted_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicElement:
@@ -29,7 +32,7 @@ def moment_twisted_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicEleme
     f = chi.modulus
     total = CyclotomicElement.zero(chi.zeta_order)
     for j in range(k + 1):
-        b = bernoulli_number(j)
+        b = memo.bernoulli(j)
         if b:
             weight = comb(k, j) * b * Fraction(f) ** (j - 1)
             total = total + power_sum(k - j, f, chi) * weight

@@ -16,7 +16,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from lcong.bernoulli import BernoulliCache, ParityError, euler_number, l_value
+from lcong.bernoulli import BernoulliCache, ParityError, l_value
 from lcong.characters import (
     character,
     enumerate_characters,
@@ -64,16 +64,14 @@ def opposite_ks(chi, kmax):
     return range(start, kmax + 1, 2)
 
 
-def test_criterion1_identity_suite(chi4):
+def test_criterion1_identity_suite(chi4, memo):
     t0 = time.perf_counter()
-    from lcong.bernoulli import bernoulli_number
-
     b_oracle = bernoulli_series_oracle(31)
-    assert all(bernoulli_number(k) == b_oracle[k] for k in range(31))
+    assert all(memo.bernoulli(k) == b_oracle[k] for k in range(31))
     e_oracle = euler_series_oracle(21)
-    assert all(euler_number(k) == e_oracle[k] for k in range(21))
+    assert all(memo.euler(k) == e_oracle[k] for k in range(21))
     for k in range(0, 31, 2):
-        assert 2 * l_value(k, chi4) == euler_number(k)
+        assert 2 * l_value(k, chi4, memo) == memo.euler(k)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"identity suite took {elapsed:.2f}s (budget 1s)"
     report(1, "Euler/L identity k<=30, series oracles for B_k (k<=30) and E_k (k<=20)", t0)
@@ -97,12 +95,12 @@ def test_criterion2_power_sum_oracle_equivalence():
     report(2, f"power-sum routes agree at {total} instances, 0 mismatches", t0)
 
 
-def test_criterion3_stern_congruence():
+def test_criterion3_stern_congruence(memo):
     t0 = time.perf_counter()
     for k in range(0, 21, 2):
         for n in range(1, 7):
             for q in (1, 3, 5):
-                assert verify_stern(k, n, q).holds, (k, n, q)
+                assert verify_stern(k, n, q, memo).holds, (k, n, q)
     rng = random.Random(20260808)
     checked = 0
     while checked < 100:
@@ -111,7 +109,7 @@ def test_criterion3_stern_congruence():
         l = 2 * rng.randint(0, 40)
         if (k - l) % 2**n == 0:
             continue
-        v = verify_stern_iff(k, l, n)
+        v = verify_stern_iff(k, l, n, memo)
         assert v.holds and not v.params["congruent"], (k, l, n)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -119,9 +117,9 @@ def test_criterion3_stern_congruence():
     report(3, "shift congruence on full grid; 100 violating pairs all non-congruent", t0)
 
 
-def test_criterion4_two_power_shift_theorem(chi8):
+def test_criterion4_two_power_shift_theorem(chi8, memo):
     t0 = time.perf_counter()
-    anchor = verify_lvalue_shift_two(chi8, 1, 1, 1)
+    anchor = verify_lvalue_shift_two(chi8, 1, 1, 1, memo)
     assert anchor.lhs == 24 and anchor.rhs == -8 and anchor.holds
     count = 0
     for m in (3, 4, 5):
@@ -130,13 +128,14 @@ def test_criterion4_two_power_shift_theorem(chi8):
             for k in ks:
                 for n in (1, 2, 3):
                     for q in (1, 3):
-                        v = verify_lvalue_shift_two(chi, k, n, q)
+                        v = verify_lvalue_shift_two(chi, k, n, q, memo)
                         assert v.holds and v.observed_margin >= n + 3, v.params
                         count += 1
             for k in ks:
                 for l in ks:
                     for n in (1, 2, 3):
-                        assert verify_lvalue_shift_two_iff(chi, k, l, n).holds, (chi.label(), k, l, n)
+                        v = verify_lvalue_shift_two_iff(chi, k, l, n, memo)
+                        assert v.holds, (chi.label(), k, l, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"two-power grid took {elapsed:.1f}s (budget 2min)"
     report(4, f"{count} shift instances hold at margin >= n+3; iff agrees on full grid", t0)
@@ -152,9 +151,9 @@ def coprime_sample(p, size=4):
     return out
 
 
-def test_criterion5_twisted_floor_sum_theorem(chi8):
+def test_criterion5_twisted_floor_sum_theorem(chi8, memo):
     t0 = time.perf_counter()
-    anchor = verify_twisted_voronoi(chi8, 3, 1, 3)
+    anchor = verify_twisted_voronoi(chi8, 3, 1, 3, memo)
     assert anchor.lhs == -10 and anchor.rhs == -18 and anchor.holds
     count = 0
     for p in (2, 3, 5):
@@ -166,7 +165,7 @@ def test_criterion5_twisted_floor_sum_theorem(chi8):
                         if p in (2, 3) and n < 2:
                             continue
                         for a in coprime_sample(p):
-                            v = verify_twisted_voronoi(chi, a, k, n)
+                            v = verify_twisted_voronoi(chi, a, k, n, memo)
                             assert v.holds, (p, m, chi.label(), a, k, n, v.observed_margin)
                             count += 1
     elapsed = time.perf_counter() - t0
@@ -244,14 +243,14 @@ def _branch_grid():
                             yield chi, k, n, q
 
 
-def test_criterion7_odd_prime_shift():
+def test_criterion7_odd_prime_shift(memo):
     t0 = time.perf_counter()
     branch_i = []
     branch_ii = []
     skips = 0
     for chi, k, n, q in _branch_grid():
         try:
-            v = verify_lvalue_shift_odd(chi, k, n, q)
+            v = verify_lvalue_shift_odd(chi, k, n, q, memo)
         except DomainError:
             skips += 1
             continue
@@ -302,7 +301,7 @@ def test_criterion7_odd_prime_shift():
         chi = character(p, m, images)
         k, n = v.params["k"], v.params["n"]
         for h in (0, 1, p ** (n - 1), p**n, 2 * p**n):
-            vv = verify_lvalue_shift_odd_iff(chi, k, h, n)
+            vv = verify_lvalue_shift_odd_iff(chi, k, h, n, memo)
             assert vv.params["congruent"] == vv.params["expected_aligned"], (key, h)
             iff_checked += 1
     assert iff_checked
@@ -322,7 +321,7 @@ def _params_to_char_key(label):
     return p, m, images
 
 
-def test_criterion7_shift_iff_alignment_as_stated():
+def test_criterion7_shift_iff_alignment_as_stated(memo):
     """The odd-prime shift iff in its catalog-stated form: congruence mod
     p^n iff h == 0 (mod p^(n-1)).
 
@@ -350,12 +349,12 @@ def test_criterion7_shift_iff_alignment_as_stated():
             k0 = 0 if chi.is_odd() else 1
             if unit_branch_witness(chi, k0) is not None:
                 continue
-            assert check_nondivisibility(chi, k0).holds, chi.label()  # d = k0 < p - 1
+            assert check_nondivisibility(chi, k0, memo).holds, chi.label()  # d = k0 < p - 1
             normalizer = 1 - chi(p + 1)
             for n in (1, 2):
                 for h in sorted({0, 1, p ** (n - 1), 2 * p ** (n - 1), p**n}):
                     point = (chi.label(), k0, n, h)
-                    v = verify_lvalue_shift_odd_iff(chi, k0, h, n)
+                    v = verify_lvalue_shift_odd_iff(chi, k0, h, n, memo)
                     points += 1
                     diff = v.lhs - v.rhs
                     integral = all(c.denominator % p for c in coordinates(diff / p**n))
@@ -371,7 +370,7 @@ def test_criterion7_shift_iff_alignment_as_stated():
                         disagreements.add(point)
                     if vh == n - 1:
                         boundary.add(point)
-                        w = verify_lvalue_shift_odd(chi, k0, n, h // p ** (n - 1))
+                        w = verify_lvalue_shift_odd(chi, k0, n, h // p ** (n - 1), memo)
                         assert w.branch == "ii" and w.holds, point
                         assert w.lhs == diff, point
                         assert p_content_valuation(w.rhs, p) == n - 1, point
@@ -482,21 +481,21 @@ def test_criterion7_branch_excess_at_conductor_9():
     report("7 (1.7 at conductor 9)", "656 verdicts hold; margin n + 1 at exactly 84", t0)
 
 
-def test_criterion8_classical_checks():
+def test_criterion8_classical_checks(memo):
     t0 = time.perf_counter()
     for p in (5, 7, 11):
         for a in range(1, p):
             for k in range(2, 13, 2):
                 if k % (p - 1) == 0:
                     continue
-                assert verify_voronoi(a, p, k).holds, ("voronoi", a, p, k)
+                assert verify_voronoi(a, p, k, memo).holds, ("voronoi", a, p, k)
     for n in (5, 8, 9, 16, 27):
         for a in range(1, n):
             if math.gcd(a, n) == 1:
                 assert verify_lerch(a, n).holds, ("lerch", a, n)
     for k in range(0, 13, 2):
         for n in range(1, 6):
-            assert verify_sun(k, n).holds, ("sun", k, n)
+            assert verify_sun(k, n, memo).holds, ("sun", k, n)
     for m in (3, 4, 5, 6):
         assert verify_floor_count(m).holds
     elapsed = time.perf_counter() - t0
@@ -520,7 +519,7 @@ def test_criterion9_infrastructure(tmp_path):
 
     # cache soundness: after a sweep, every persisted value recomputes identically
     cache_file = tmp_path / "values.jsonl"
-    run_sweep(SweepConfig(jobs=config.jobs, cache_path=str(cache_file)))
+    run_sweep(SweepConfig(jobs=config.jobs, cache_path=str(cache_file)), BernoulliCache())
     assert valuecache.entry_count(cache_file) > 0
     assert valuecache.verify(cache_file) == []
     report(9, "deterministic reports, cache verifies clean", t0)

@@ -12,9 +12,6 @@ from lcong.bernoulli import (
     BernoulliCache,
     ParityError,
     UndefinedCaseError,
-    bernoulli_number,
-    euler_number,
-    generalized_bernoulli,
     l_value,
     script_l,
 )
@@ -94,20 +91,20 @@ def twisted_bernoulli_series_oracle(chi, length):
 
 
 class TestBernoulliNumbers:
-    def test_first_values(self):
-        assert bernoulli_number(0) == 1
-        assert bernoulli_number(1) == Fraction(-1, 2)
-        assert bernoulli_number(2) == Fraction(1, 6)
-        assert bernoulli_number(4) == Fraction(-1, 30)
-        assert bernoulli_number(12) == Fraction(-691, 2730)
+    def test_first_values(self, memo):
+        assert memo.bernoulli(0) == 1
+        assert memo.bernoulli(1) == Fraction(-1, 2)
+        assert memo.bernoulli(2) == Fraction(1, 6)
+        assert memo.bernoulli(4) == Fraction(-1, 30)
+        assert memo.bernoulli(12) == Fraction(-691, 2730)
 
-    def test_against_series_oracle(self):
+    def test_against_series_oracle(self, memo):
         oracle = bernoulli_series_oracle(31)
         for k in range(31):
-            assert bernoulli_number(k) == oracle[k], k
+            assert memo.bernoulli(k) == oracle[k], k
 
-    def test_odd_vanishing(self):
-        assert all(bernoulli_number(k) == 0 for k in range(3, 30, 2))
+    def test_odd_vanishing(self, memo):
+        assert all(memo.bernoulli(k) == 0 for k in range(3, 30, 2))
 
 
 class TestBernoulliPolynomial:
@@ -118,9 +115,9 @@ class TestBernoulliPolynomial:
     def test_quadratic_midpoint(self):
         assert bernoulli_polynomial(2, Fraction(1, 2)) == Fraction(-1, 12)
 
-    def test_value_at_zero_is_bernoulli(self):
+    def test_value_at_zero_is_bernoulli(self, memo):
         for k in range(20):
-            assert bernoulli_polynomial(k, 0) == bernoulli_number(k)
+            assert bernoulli_polynomial(k, 0) == memo.bernoulli(k)
 
     def test_difference_property(self):
         # B_k(x+1) - B_k(x) = k x^(k-1)
@@ -131,16 +128,16 @@ class TestBernoulliPolynomial:
 
 
 class TestEulerNumbers:
-    def test_first_values(self):
-        assert [euler_number(k) for k in range(9)] == [1, 0, -1, 0, 5, 0, -61, 0, 1385]
+    def test_first_values(self, memo):
+        assert [memo.euler(k) for k in range(9)] == [1, 0, -1, 0, 5, 0, -61, 0, 1385]
 
-    def test_against_series_oracle(self):
+    def test_against_series_oracle(self, memo):
         oracle = euler_series_oracle(21)
         for k in range(21):
-            assert euler_number(k) == oracle[k], k
+            assert memo.euler(k) == oracle[k], k
 
-    def test_odd_vanishing(self):
-        assert all(euler_number(k) == 0 for k in range(1, 40, 2))
+    def test_odd_vanishing(self, memo):
+        assert all(memo.euler(k) == 0 for k in range(1, 40, 2))
 
 
 class TestSeidelTriangle:
@@ -200,15 +197,12 @@ def test_index_above_the_bound_is_refused_before_anything_grows(chi8):
     lambda cache, chi: cache.bernoulli(-1),
     lambda cache, chi: cache.euler(-1),
     lambda cache, chi: cache.twisted_bernoulli(chi, -1),
-    lambda cache, chi: bernoulli_number(-1, cache),
-    lambda cache, chi: euler_number(-1, cache),
-    lambda cache, chi: generalized_bernoulli(-1, chi, cache),
     lambda cache, chi: l_value(-1, chi, cache),
     lambda cache, chi: script_l(-1, chi, cache),
     lambda cache, chi: power_sum(-1, 8, chi),
     lambda cache, chi: floor_weighted_sum(-1, 3, 2, 3, chi),
-], ids=["bernoulli", "euler", "twisted_bernoulli", "bernoulli_number", "euler_number",
-        "generalized_bernoulli", "l_value", "script_l", "power_sum", "floor_weighted_sum"])
+], ids=["bernoulli", "euler", "twisted_bernoulli", "l_value", "script_l", "power_sum",
+        "floor_weighted_sum"])
 def test_negative_index_is_a_domain_error_everywhere(chi_minus8, lookup):
     # Every index is checked against the one range 0..MAX_INDEX, so index -1
     # is a skip wherever it is asked for, and no value is computed for it.
@@ -219,20 +213,20 @@ def test_negative_index_is_a_domain_error_everywhere(chi_minus8, lookup):
 
 
 class TestTwistedBernoulli:
-    def test_minus4_first(self, chi4):
-        assert generalized_bernoulli(1, chi4) == Fraction(-1, 2)
+    def test_minus4_first(self, chi4, memo):
+        assert memo.twisted_bernoulli(chi4, 1) == Fraction(-1, 2)
 
-    def test_mod8_values(self, chi8):
-        assert generalized_bernoulli(2, chi8) == 2
-        assert generalized_bernoulli(4, chi8) == -44
+    def test_mod8_values(self, chi8, memo):
+        assert memo.twisted_bernoulli(chi8, 2) == 2
+        assert memo.twisted_bernoulli(chi8, 4) == -44
 
-    def test_against_series_oracle(self, chi4, chi8):
+    def test_against_series_oracle(self, chi4, chi8, memo):
         for chi in (chi4, chi8, character(3, 2, (1,)), character(5, 1, (1,))):
             oracle = twisted_bernoulli_series_oracle(chi, 9)
             for k in range(9):
-                assert generalized_bernoulli(k, chi) == oracle[k], (chi.label(), k)
+                assert memo.twisted_bernoulli(chi, k) == oracle[k], (chi.label(), k)
 
-    def test_against_direct_polynomial_formula(self):
+    def test_against_direct_polynomial_formula(self, memo):
         for chi in (
             character(2, 3, (1, 1)),
             character(3, 2, (1,)),
@@ -241,7 +235,7 @@ class TestTwistedBernoulli:
         ):
             for k in range(11):
                 direct = direct_twisted_bernoulli(chi, k)
-                assert generalized_bernoulli(k, chi) == direct, (chi.label(), k)
+                assert memo.twisted_bernoulli(chi, k) == direct, (chi.label(), k)
 
     @pytest.mark.parametrize(
         "pm",
@@ -258,20 +252,20 @@ class TestTwistedBernoulli:
                 expected = moment_twisted_bernoulli(chi, k)
                 assert cache.twisted_bernoulli(chi, k) == expected, (chi.label(), k)
 
-    def test_wrong_parity_vanishing(self):
+    def test_wrong_parity_vanishing(self, memo):
         for p, m in ((2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
             if p**m > 49:
                 continue
             for chi in enumerate_primitive(p, m):
                 for k in range(13):
                     if opposite_parity(chi, k):
-                        assert generalized_bernoulli(k, chi).is_zero()
+                        assert memo.twisted_bernoulli(chi, k).is_zero()
 
-    def test_zeroth_is_zero_for_nontrivial(self):
+    def test_zeroth_is_zero_for_nontrivial(self, memo):
         for chi in enumerate_primitive(3, 2):
-            assert generalized_bernoulli(0, chi).is_zero()
+            assert memo.twisted_bernoulli(chi, 0).is_zero()
 
-    def test_modulus_vs_conductor_consistency(self, chi4):
+    def test_modulus_vs_conductor_consistency(self, chi4, memo):
         # The character of conductor 4 evaluated as a character mod 8
         # is the same function on the integers, so its twisted Bernoulli
         # numbers agree with the conductor-4 computation once the oracle
@@ -279,27 +273,27 @@ class TestTwistedBernoulli:
         lifted = character(2, 3, (1, 0))
         assert lifted.conductor() == 4
         for k in range(8):
-            assert fraction_oracle.equal(fraction_oracle.element(generalized_bernoulli(k, lifted)),
-                                     fraction_oracle.element(generalized_bernoulli(k, chi4)))
+            assert fraction_oracle.equal(fraction_oracle.element(memo.twisted_bernoulli(lifted, k)),
+                                     fraction_oracle.element(memo.twisted_bernoulli(chi4, k)))
 
 
 class TestLValues:
-    def test_quartic_at_zero(self, chi4):
-        assert l_value(0, chi4) == Fraction(1, 2)
+    def test_quartic_at_zero(self, chi4, memo):
+        assert l_value(0, chi4, memo) == Fraction(1, 2)
 
-    def test_euler_identity(self, chi4):
+    def test_euler_identity(self, chi4, memo):
         for k in range(0, 31, 2):
-            assert l_value(k, chi4) * 2 == euler_number(k)
+            assert l_value(k, chi4, memo) * 2 == memo.euler(k)
 
-    def test_mod8(self, chi8):
-        assert l_value(1, chi8) == -1
-        assert l_value(3, chi8) == 11
+    def test_mod8(self, chi8, memo):
+        assert l_value(1, chi8, memo) == -1
+        assert l_value(3, chi8, memo) == 11
 
-    def test_parity_error(self, chi4, chi8):
+    def test_parity_error(self, chi4, chi8, memo):
         with pytest.raises(ParityError):
-            l_value(1, chi4)
+            l_value(1, chi4, memo)
         with pytest.raises(ParityError):
-            l_value(0, chi8)
+            l_value(0, chi8, memo)
 
     def test_memo_matches_a_fresh_bernoulli_quotient(self):
         # Every L(-k, chi) a warm memo answers, the second time from the
@@ -313,7 +307,7 @@ class TestLValues:
                         with pytest.raises(ParityError):
                             l_value(k, chi, warm)
                         continue
-                    expected = generalized_bernoulli(k + 1, chi, reference) * Fraction(-1, k + 1)
+                    expected = reference.twisted_bernoulli(chi, k + 1) * Fraction(-1, k + 1)
                     value = l_value(k, chi, warm)
                     assert value == expected, (chi.label(), k)
                     assert l_value(k, chi, warm) is value
@@ -332,24 +326,24 @@ class TestLValues:
 
 
 class TestScriptL:
-    def test_mod8_values(self, chi8):
-        assert script_l(1, chi8) == -2
-        assert script_l(3, chi8) == 22
+    def test_mod8_values(self, chi8, memo):
+        assert script_l(1, chi8, memo) == -2
+        assert script_l(3, chi8, memo) == 22
 
-    def test_undefined_cases(self, chi4):
+    def test_undefined_cases(self, chi4, memo):
         with pytest.raises(UndefinedCaseError):
-            script_l(0, chi4)  # p = 2 with m = 2
+            script_l(0, chi4, memo)  # p = 2 with m = 2
         with pytest.raises(UndefinedCaseError):
-            script_l(0, character(3, 1, (1,)))  # odd p with m = 1
+            script_l(0, character(3, 1, (1,)), memo)  # odd p with m = 1
         with pytest.raises(UndefinedCaseError):
-            script_l(1, character(3, 2, (0,)))  # imprimitive
+            script_l(1, character(3, 2, (0,)), memo)  # imprimitive
 
-    def test_parity_error_propagates(self, chi8):
+    def test_parity_error_propagates(self, chi8, memo):
         with pytest.raises(ParityError):
-            script_l(0, chi8)
+            script_l(0, chi8, memo)
 
     @pytest.mark.parametrize("pm", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
-    def test_p_integrality(self, pm):
+    def test_p_integrality(self, pm, memo):
         # For p = 2 the normalized value is a full multiple of 2; for odd
         # p it is p-integral.
         p, m = pm
@@ -357,7 +351,7 @@ class TestScriptL:
         for chi in enumerate_primitive(p, m):
             start = 0 if chi.is_odd() else 1
             for k in range(start, 21, 2):
-                assert p_content_valuation(script_l(k, chi), p) >= bound, (pm, chi.label(), k)
+                assert p_content_valuation(script_l(k, chi, memo), p) >= bound, (pm, chi.label(), k)
 
     @pytest.mark.parametrize("pm", [(2, 3), (2, 4), (2, 5), (3, 2), (5, 2), (3, 3)],
                              ids=lambda pm: f"{pm[0]}^{pm[1]}")
@@ -391,12 +385,12 @@ class TestScriptL:
 
 class TestDenominatorStructure:
     @pytest.mark.parametrize("pm", [(2, 3), (2, 4), (3, 2), (5, 1), (7, 1)])
-    def test_supported_on_conductor_primes(self, pm):
+    def test_supported_on_conductor_primes(self, pm, memo):
         p, m = pm
         for chi in enumerate_primitive(p, m):
             f = chi.modulus
             for k in range(9):
-                element = generalized_bernoulli(k + 1, chi) * (k + 1) * f
+                element = memo.twisted_bernoulli(chi, k + 1) * (k + 1) * f
                 for c in coordinates(element):
                     d = c.denominator
                     while d % p == 0:

@@ -478,7 +478,7 @@ class TestCacheCommand:
         ("coeffs", [True, 0.5], "coefficient True is not n or n/d with d > 0"),
         ("coeffs", ["2", "\u0661"], "coefficient '\u0661' is not n or n/d with d > 0"),
         ("k", 2.7, "p, m, k, order and chi [2, 3, 2.7, 4, 0, 1] are not all integers"),
-        ("k", -3, "k -3 is negative"),
+        ("k", -3, "index -3 is negative"),
         ("k", 5000, f"index 5000 exceeds Bernoulli/Euler index bound {MAX_INDEX}"),
         ("p", True, "p, m, k, order and chi [True, 3, 2, 4, 0, 1] are not all integers"),
         ("chi", [0, 1.0], "p, m, k, order and chi [2, 3, 2, 4, 0, 1.0] are not all integers"),
@@ -635,7 +635,7 @@ class TestCacheCommand:
 
         monkeypatch.setattr(valuecache, "load_into", load_then_serve_l1)
         job = SweepJob("1.4", {"m": 3, "chi": "0,1", "k": 1, "n": 1, "q": 1})
-        report = run_sweep(SweepConfig(jobs=(job,), cache_path=str(path)))
+        report = run_sweep(SweepConfig(jobs=(job,), cache_path=str(path)), BernoulliCache())
         assert report.all_hold
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert path.read_text().splitlines() == lines
@@ -910,6 +910,30 @@ class TestConsoleScript:
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert "total=1 holds=1 fails=0 skips=0" in result.stdout
+
+    @pytest.mark.parametrize("k, length, via_config", [
+        ("0..1000000000", 1000000001, False),
+        ("0..1000000000", 1000000001, True),
+        (["0..999999", "0..999999"], 2000000, True),
+    ], ids=["flag", "config", "config-list"])
+    def test_parameter_axis_is_bounded_before_it_is_built(self, tmp_path, k, length, via_config):
+        # Each value of an axis is at least one instance, so an axis longer
+        # than the work bound is refused before its list is built: a billion
+        # ints would need about 36 GB, past the address space cap.
+        argv = ["verify", "kummer", "--p", "5", "--k", k, "--l", "2", "--n", "1"]
+        if via_config:
+            config = tmp_path / "config.json"
+            job = {"id": "kummer", "p": 5, "k": k, "l": 2, "n": 1}
+            config.write_text(json.dumps({"jobs": [job]}))
+            argv = ["sweep", "--config", str(config)]
+        cap = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "lcong.cli", *argv],
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.splitlines() == [f"error: work {length} exceeds work bound {MAX_WORK}"]
 
     @pytest.mark.parametrize("argv", [
         ["stern-iff", "--k", "0", "--l", "2"],

@@ -44,18 +44,18 @@ from norm_oracle import least_unit_witness
 
 
 class TestKummerClassical:
-    def test_holding_instances(self):
-        assert verify_kummer_classical(5, 2, 6, 1).holds
-        assert verify_kummer_classical(7, 4, 10, 1).holds
-        assert verify_kummer_classical(5, 2, 22, 2).holds  # k == l mod phi(25)
+    def test_holding_instances(self, memo):
+        assert verify_kummer_classical(5, 2, 6, 1, memo).holds
+        assert verify_kummer_classical(7, 4, 10, 1, memo).holds
+        assert verify_kummer_classical(5, 2, 22, 2, memo).holds  # k == l mod phi(25)
 
-    def test_divisible_index_rejected(self):
+    def test_divisible_index_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_kummer_classical(5, 4, 8, 1)
+            verify_kummer_classical(5, 4, 8, 1, memo)
 
-    def test_index_mismatch_rejected(self):
+    def test_index_mismatch_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_kummer_classical(5, 2, 4, 1)
+            verify_kummer_classical(5, 2, 4, 1, memo)
 
 
 def test_phi_alignment_is_the_euler_phi_test():
@@ -128,115 +128,115 @@ class TestErnvall:
                     cases += 1
         assert cases == 82 * 30
 
-    def test_quartic_character(self, chi4):
-        assert verify_ernvall(chi4, 5, 3, 7, 1).holds
-        assert verify_ernvall(chi4, 3, 1, 3, 1).holds
+    def test_quartic_character(self, chi4, memo):
+        assert verify_ernvall(chi4, 5, 3, 7, 1, memo).holds
+        assert verify_ernvall(chi4, 3, 1, 3, 1, memo).holds
 
-    def test_conductor_power_of_p_rejected(self):
+    def test_conductor_power_of_p_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_ernvall(character(3, 2, (1,)), 3, 1, 3, 1)
+            verify_ernvall(character(3, 2, (1,)), 3, 1, 3, 1, memo)
 
-    def test_trivial_conductor_rejected(self):
+    def test_trivial_conductor_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_ernvall(character(3, 2, (0,)), 5, 1, 5, 1)
+            verify_ernvall(character(3, 2, (0,)), 5, 1, 5, 1, memo)
 
     @pytest.mark.parametrize("p", [-5, 0, 1, 4, 6, 9])
-    def test_non_prime_p_rejected(self, chi4, p):
+    def test_non_prime_p_rejected(self, chi4, p, memo):
         with pytest.raises(DomainError, match="requires a prime p"):
-            verify_ernvall(chi4, p, 1, 3, 1)
+            verify_ernvall(chi4, p, 1, 3, 1, memo)
 
-    def test_small_sweep(self, chi4, chi8):
+    def test_small_sweep(self, chi4, chi8, memo):
         for chi in (chi4, chi8):
             for p in (3, 5, 7):
                 for k in range(1, 5):
                     l = k + math.prod([p - 1])
-                    assert verify_ernvall(chi, p, k, l, 1).holds, (chi.label(), p, k)
+                    assert verify_ernvall(chi, p, k, l, 1, memo).holds, (chi.label(), p, k)
 
 
 class TestEulerKummer:
-    def test_holding_instance(self):
-        v = verify_euler_kummer(5, 4, 8)
+    def test_holding_instance(self, memo):
+        v = verify_euler_kummer(5, 4, 8, memo)
         assert v.holds and v.lhs == 5 and v.rhs == 1385
 
-    def test_boundary_failure_at_zero(self):
+    def test_boundary_failure_at_zero(self, memo):
         # E_0 = 1 but E_2 = -1 == 2 (mod 3): the stated congruence fails
         # at k = 0 and the verdict records it.
-        v = verify_euler_kummer(3, 0, 2)
+        v = verify_euler_kummer(3, 0, 2, memo)
         assert not v.holds and v.observed_margin == 0
 
-    def test_equal_indices_infinite_margin(self):
-        v = verify_euler_kummer(3, 2, 2)
+    def test_equal_indices_infinite_margin(self, memo):
+        v = verify_euler_kummer(3, 2, 2, memo)
         assert v.holds and v.observed_margin == math.inf
 
-    def test_positive_grid(self):
+    def test_positive_grid(self, memo):
         for p in (3, 5, 7, 11):
             for k in range(2, 13, 2):
                 for t in range(1, 3):
                     l = k + t * (p - 1) * (2 if (p - 1) % 2 else 1)
                     if l % 2 == 0:
-                        assert verify_euler_kummer(p, k, l).holds, (p, k, l)
+                        assert verify_euler_kummer(p, k, l, memo).holds, (p, k, l)
 
 
 class TestStern:
-    def test_hand_checked(self):
-        v = verify_stern(0, 1, 1)
+    def test_hand_checked(self, memo):
+        v = verify_stern(0, 1, 1, memo)
         assert v.holds and v.lhs == -1 and v.rhs == 3
-        v = verify_stern(2, 2, 1)
+        v = verify_stern(2, 2, 1, memo)
         assert v.holds and v.lhs == -61
-        v = verify_stern(0, 3, 1)
+        v = verify_stern(0, 3, 1, memo)
         assert v.holds and v.lhs == 1385
 
-    def test_odd_q_required(self):
+    def test_odd_q_required(self, memo):
         with pytest.raises(DomainError):
-            verify_stern(0, 1, 2)
+            verify_stern(0, 1, 2, memo)
 
-    def test_iff_agreement(self):
-        assert verify_stern_iff(0, 8, 3).holds      # 0 == 8 mod 8: congruent
-        assert verify_stern_iff(0, 4, 3).holds      # 0 != 4 mod 8: must differ
-        v = verify_stern_iff(2, 2, 4)
+    def test_iff_agreement(self, memo):
+        assert verify_stern_iff(0, 8, 3, memo).holds      # 0 == 8 mod 8: congruent
+        assert verify_stern_iff(0, 4, 3, memo).holds      # 0 != 4 mod 8: must differ
+        v = verify_stern_iff(2, 2, 4, memo)
         assert v.holds and v.params["congruent"]
 
 
 class TestLvalueShiftTwoPower:
-    def test_anchor_instance(self, chi8):
-        v = verify_lvalue_shift_two(chi8, 1, 1, 1)
+    def test_anchor_instance(self, chi8, memo):
+        v = verify_lvalue_shift_two(chi8, 1, 1, 1, memo)
         assert v.holds
         assert v.lhs == 24 and v.rhs == -8
         assert v.required_modulus_exponent == 4
         assert v.observed_margin == 5
 
-    def test_rejects_small_conductor(self, chi4):
+    def test_rejects_small_conductor(self, chi4, memo):
         with pytest.raises(DomainError):
-            verify_lvalue_shift_two(chi4, 0, 1, 1)
+            verify_lvalue_shift_two(chi4, 0, 1, 1, memo)
 
-    def test_rejects_same_parity(self, chi8):
+    def test_rejects_same_parity(self, chi8, memo):
         with pytest.raises(ParityError):
-            verify_lvalue_shift_two(chi8, 0, 1, 1)
+            verify_lvalue_shift_two(chi8, 0, 1, 1, memo)
 
-    def test_rejects_even_q(self, chi8):
+    def test_rejects_even_q(self, chi8, memo):
         with pytest.raises(DomainError):
-            verify_lvalue_shift_two(chi8, 1, 1, 2)
+            verify_lvalue_shift_two(chi8, 1, 1, 2, memo)
 
-    def test_iff_examples(self, chi8):
-        v = verify_lvalue_shift_two_iff(chi8, 1, 3, 1)
+    def test_iff_examples(self, chi8, memo):
+        v = verify_lvalue_shift_two_iff(chi8, 1, 3, 1, memo)
         assert v.holds and v.params["congruent"] and v.params["expected"]
-        v = verify_lvalue_shift_two_iff(chi8, 1, 1, 3)
+        v = verify_lvalue_shift_two_iff(chi8, 1, 1, 3, memo)
         assert v.holds and v.observed_margin == math.inf
 
 
 class TestLvalueShiftOddPrime:
-    def test_quadratic_mod3_outside_both_branches(self):
+    def test_quadratic_mod3_outside_both_branches(self, memo):
         # 1 - chi(a) a^(k+1) is divisible by 3 for every a when chi is
         # the quadratic character mod 3 and k is even, so neither branch
         # hypothesis can be satisfied (branch ii needs m >= 2).
         chi = character(3, 1, (1,))
         assert unit_branch_witness(chi, 2) is None
         with pytest.raises(DomainError):
-            verify_lvalue_shift_odd(chi, 2, 1, 1)
+            verify_lvalue_shift_odd(chi, 2, 1, 1, memo)
 
-    def test_legendre_mod5_branch_i(self):
+    def test_legendre_mod5_branch_i(self, memo):
         chi = character(5, 1, (2,))
-        v = verify_lvalue_shift_odd(chi, 3, 1, 1)
+        v = verify_lvalue_shift_odd(chi, 3, 1, 1, memo)
         assert v.branch == "i" and v.id == "1.6" and v.holds
 
     def test_order4_mod5_never_branch_i(self):
@@ -269,113 +269,113 @@ class TestLvalueShiftOddPrime:
                     assert unit_branch_witness(chi, k) == full_scan_witness(chi, k), (
                         chi.label(), k)
 
-    def test_branch_ii_mod9(self):
+    def test_branch_ii_mod9(self, memo):
         chi = character(3, 2, (1,))
-        v = verify_lvalue_shift_odd(chi, 0, 1, 1)
+        v = verify_lvalue_shift_odd(chi, 0, 1, 1, memo)
         assert v.branch == "ii" and v.id == "1.7"
         assert v.holds
         assert v.params["d"] == 0
 
-    def test_q_divisible_by_p_rejected(self):
+    def test_q_divisible_by_p_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_lvalue_shift_odd(character(3, 2, (1,)), 0, 1, 3)
+            verify_lvalue_shift_odd(character(3, 2, (1,)), 0, 1, 3, memo)
 
-    def test_reproducibility(self):
+    def test_reproducibility(self, memo):
         chi = character(7, 2, (1,))
-        a = verify_lvalue_shift_odd(chi, 0, 1, 1)
-        b = verify_lvalue_shift_odd(chi, 0, 1, 1)
+        a = verify_lvalue_shift_odd(chi, 0, 1, 1, memo)
+        b = verify_lvalue_shift_odd(chi, 0, 1, 1, memo)
         assert a == b
 
-    def test_iff_requires_branch_ii(self):
+    def test_iff_requires_branch_ii(self, memo):
         with pytest.raises(DomainError):
-            verify_lvalue_shift_odd_iff(character(5, 1, (2,)), 3, 1, 1)
+            verify_lvalue_shift_odd_iff(character(5, 1, (2,)), 3, 1, 1, memo)
 
-    def test_iff_margin_is_valuation_of_h(self):
+    def test_iff_margin_is_valuation_of_h(self, memo):
         # The shift difference L*_(k+(p-1)h) - L*_k has 3-content
         # valuation exactly val_3(h); frozen from exact computation.
         chi = character(3, 2, (1,))
         for n in (1, 2):
             for h, vh in ((1, 0), (2, 0), (3, 1), (6, 1), (9, 2)):
-                v = verify_lvalue_shift_odd_iff(chi, 0, h, n)
+                v = verify_lvalue_shift_odd_iff(chi, 0, h, n, memo)
                 assert v.observed_margin == vh, (n, h, v.observed_margin)
 
-    def test_iff_aligned_form_agrees_everywhere(self):
+    def test_iff_aligned_form_agrees_everywhere(self, memo):
         # With the alignment h == 0 (mod p^n), congruence and
         # divisibility agree in both directions at every sampled point.
         chi = character(3, 2, (1,))
         for n in (1, 2):
             for h in (0, 1, 2, 3, 6, 9, 18, 27):
-                v = verify_lvalue_shift_odd_iff(chi, 0, h, n)
+                v = verify_lvalue_shift_odd_iff(chi, 0, h, n, memo)
                 assert v.params["congruent"] == v.params["expected_aligned"], (n, h)
 
-    def test_iff_as_printed_fails_at_boundary(self):
+    def test_iff_as_printed_fails_at_boundary(self, memo):
         # The p^(n-1) alignment disagrees exactly when val_3(h) = n - 1:
         # the difference then has valuation n - 1, one power short.
         chi = character(3, 2, (1,))
-        v = verify_lvalue_shift_odd_iff(chi, 0, 1, 1)
+        v = verify_lvalue_shift_odd_iff(chi, 0, 1, 1, memo)
         assert not v.holds and v.params["expected"] and not v.params["congruent"]
-        v = verify_lvalue_shift_odd_iff(chi, 0, 3, 2)
+        v = verify_lvalue_shift_odd_iff(chi, 0, 3, 2, memo)
         assert not v.holds and v.params["expected"] and not v.params["congruent"]
-        v = verify_lvalue_shift_odd_iff(chi, 0, 9, 2)
+        v = verify_lvalue_shift_odd_iff(chi, 0, 9, 2, memo)
         assert v.holds and v.params["congruent"]
 
 
 class TestTwistedVoronoi:
-    def test_anchor_instance(self, chi8):
-        v = verify_twisted_voronoi(chi8, 3, 1, 3)
+    def test_anchor_instance(self, chi8, memo):
+        v = verify_twisted_voronoi(chi8, 3, 1, 3, memo)
         assert v.holds and v.lhs == -10 and v.rhs == -18
         assert v.observed_margin == 3
 
-    def test_trivial_at_a_one(self, chi8):
-        v = verify_twisted_voronoi(chi8, 1, 1, 3)
+    def test_trivial_at_a_one(self, chi8, memo):
+        v = verify_twisted_voronoi(chi8, 1, 1, 3, memo)
         assert v.lhs.is_zero() and v.rhs.is_zero() and v.holds
 
-    def test_quartic_character_instance(self, chi4):
-        v = verify_twisted_voronoi(chi4, 3, 2, 2)
+    def test_quartic_character_instance(self, chi4, memo):
+        v = verify_twisted_voronoi(chi4, 3, 2, 2, memo)
         assert v.holds
 
-    def test_small_n_for_small_p_rejected(self, chi4):
+    def test_small_n_for_small_p_rejected(self, chi4, memo):
         with pytest.raises(DomainError):
-            verify_twisted_voronoi(chi4, 3, 2, 1)  # p = 2 needs n >= 2... and n >= m
+            verify_twisted_voronoi(chi4, 3, 2, 1, memo)  # p = 2 needs n >= 2... and n >= m
 
-    def test_even_a_rejected(self, chi8):
+    def test_even_a_rejected(self, chi8, memo):
         with pytest.raises(DomainError):
-            verify_twisted_voronoi(chi8, 4, 1, 3)
+            verify_twisted_voronoi(chi8, 4, 1, 3, memo)
 
 
 class TestClassicalVoronoi:
-    def test_hand_checked(self):
-        v = verify_voronoi(2, 5, 4)
+    def test_hand_checked(self, memo):
+        v = verify_voronoi(2, 5, 4, memo)
         assert v.holds and v.lhs == Fraction(-1, 2)
 
-    def test_a_one_trivial(self):
-        v = verify_voronoi(1, 5, 4)
+    def test_a_one_trivial(self, memo):
+        v = verify_voronoi(1, 5, 4, memo)
         assert v.lhs.is_zero() and v.rhs.is_zero()
 
-    def test_full_residue_degenerate_index(self):
+    def test_full_residue_degenerate_index(self, memo):
         # (p-1) | k: both sides stay congruent because a^k == 1 (mod p)
         # cancels the von Staudt-Clausen pole.
-        v = verify_voronoi(3, 7, 6)
+        v = verify_voronoi(3, 7, 6, memo)
         assert v.holds
 
-    def test_p_divides_a_rejected(self):
+    def test_p_divides_a_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_voronoi(5, 5, 4)
+            verify_voronoi(5, 5, 4, memo)
 
 
 class TestSun:
-    def test_hand_checked(self):
-        v = verify_sun(0, 2)
+    def test_hand_checked(self, memo):
+        v = verify_sun(0, 2, memo)
         assert v.holds and v.lhs == 1 and v.rhs == 1
 
-    def test_small_grid(self):
+    def test_small_grid(self, memo):
         for k in range(0, 13, 2):
             for n in range(1, 6):
-                assert verify_sun(k, n).holds, (k, n)
+                assert verify_sun(k, n, memo).holds, (k, n)
 
-    def test_odd_k_rejected(self):
+    def test_odd_k_rejected(self, memo):
         with pytest.raises(DomainError):
-            verify_sun(1, 2)
+            verify_sun(1, 2, memo)
 
 
 class TestLerch:
@@ -402,19 +402,19 @@ class TestLerch:
 
 
 class TestNondivisibility:
-    def test_mod8_sharp(self, chi8):
-        v = check_nondivisibility(chi8, 1)
+    def test_mod8_sharp(self, chi8, memo):
+        v = check_nondivisibility(chi8, 1, memo)
         assert v.holds and v.observed_margin == 1
 
-    def test_mod27(self):
+    def test_mod27(self, memo):
         for chi in enumerate_primitive(3, 3):
             d = 0 if chi.is_odd() else 1
-            v = check_nondivisibility(chi, d)
+            v = check_nondivisibility(chi, d, memo)
             assert v.holds, (chi.label(), v.observed_margin)
 
-    def test_trivial_character_rejected(self):
+    def test_trivial_character_rejected(self, memo):
         with pytest.raises(UndefinedCaseError):
-            check_nondivisibility(character(3, 2, (0,)), 1)
+            check_nondivisibility(character(3, 2, (0,)), 1, memo)
 
     def test_squared_normalizer_observation(self):
         # (1 - chi(p+1))^2 divides p for every primitive chi of conductor
@@ -483,12 +483,12 @@ class TestSumLemmas:
 
 
 class TestVerdictShape:
-    def test_plain_congruence_invariant(self, chi8):
+    def test_plain_congruence_invariant(self, chi8, memo):
         # holds iff margin >= required, for direct congruence checks
         for v in (
-            verify_stern(0, 1, 1),
-            verify_lvalue_shift_two(chi8, 1, 1, 1),
-            verify_twisted_voronoi(chi8, 3, 1, 3),
-            verify_euler_kummer(3, 0, 2),
+            verify_stern(0, 1, 1, memo),
+            verify_lvalue_shift_two(chi8, 1, 1, 1, memo),
+            verify_twisted_voronoi(chi8, 3, 1, 3, memo),
+            verify_euler_kummer(3, 0, 2, memo),
         ):
             assert v.holds == (v.observed_margin >= v.required_modulus_exponent)

@@ -2,9 +2,12 @@
 standard-library module, and the CLI's start-up imports no more than it
 needs.  The element internals stay in cyclotomic and characters, the
 resource bounds in characters, and each module imports only the modules
-below it.  cyclotomic defines no element product."""
+below it.  cyclotomic defines no element product, and every special value
+is computed on a memo its caller names."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -123,3 +126,25 @@ def test_each_module_imports_only_the_layers_below_it():
             upward += [(path.stem, name) for name in names
                        if LAYERS.index(name) >= LAYERS.index(path.stem)]
     assert upward == []
+
+
+def test_every_memo_is_named_by_its_caller():
+    # No module holds a process-wide BernoulliCache, no function gives its
+    # cache parameter a default, and the aliases of the memo's own methods
+    # (B_k, E_k, B_(k,chi)) are not public names.
+    import lcong
+    from lcong.bernoulli import BernoulliCache
+
+    modules = [importlib.import_module(f"lcong.{path.stem}") for path in SOURCES
+               if path.stem != "__init__"]
+    held = [f"{module.__name__}.{name}" for module in (lcong, *modules)
+            for name, value in vars(module).items() if isinstance(value, BernoulliCache)]
+    defaulted = []
+    for module in modules:
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                cache = inspect.signature(fn).parameters.get("cache")
+                if cache is not None and cache.default is not cache.empty:
+                    defaulted.append(f"{module.__name__}.{name}")
+    assert held == [] and defaulted == []
+    assert {"bernoulli_number", "euler_number", "generalized_bernoulli"} & {*lcong.__all__} == set()

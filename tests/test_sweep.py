@@ -52,25 +52,26 @@ def stern_config(**kwargs):
 class TestConfigValidation:
     def test_unknown_id(self):
         with pytest.raises(ConfigError, match="unknown congruence id"):
-            run_sweep(SweepConfig(jobs=(SweepJob("9.9", {"k": [1]}),)))
+            run_sweep(SweepConfig(jobs=(SweepJob("9.9", {"k": [1]}),)), BernoulliCache())
 
     def test_empty_axis(self):
         with pytest.raises(ConfigError, match="missing or empty axis"):
-            run_sweep(SweepConfig(jobs=(SweepJob("1.3", {"k": [], "n": [1], "q": [1]}),)))
+            run_sweep(SweepConfig(jobs=(SweepJob("1.3", {"k": [], "n": [1], "q": [1]}),)),
+                      BernoulliCache())
 
     def test_missing_axis(self):
         with pytest.raises(ConfigError):
-            run_sweep(SweepConfig(jobs=(SweepJob("1.3", {"k": [0]}),)))
+            run_sweep(SweepConfig(jobs=(SweepJob("1.3", {"k": [0]}),)), BernoulliCache())
 
     def test_no_jobs(self):
         with pytest.raises(ConfigError):
-            run_sweep(SweepConfig(jobs=()))
+            run_sweep(SweepConfig(jobs=()), BernoulliCache())
 
     def test_bad_parity(self):
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(jobs=(
                 SweepJob("1.4", {"m": [3], "k": [1], "n": [1], "q": [1], "parity": "left"}),
-            )))
+            )), BernoulliCache())
 
     def test_params_are_parsed_on_construction(self):
         job = SweepJob("1.4", {"m": 3, "k": "0..4:2", "n": [1, "2..3"], "q": (1,),
@@ -110,7 +111,7 @@ class TestConfigValidation:
             "cache": str(tmp_path / "values.jsonl"),
         }))
         with pytest.raises(ConfigError, match="job '1.4'"):
-            run_sweep(load_config(config))
+            run_sweep(load_config(config), BernoulliCache())
         assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
@@ -217,7 +218,7 @@ def test_named_characters_match_the_enumerated_family(id_):
 
 class TestRunSweep:
     def test_stern_job(self):
-        report = run_sweep(stern_config())
+        report = run_sweep(stern_config(), BernoulliCache())
         assert report.summary["total"] == 12
         assert report.summary["fails"] == 0
         assert report.all_hold
@@ -226,7 +227,7 @@ class TestRunSweep:
     def test_out_of_hypothesis_points_become_skips(self):
         report = run_sweep(SweepConfig(jobs=(
             SweepJob("1.4", {"m": [3], "k": [0, 1], "n": [1], "q": [1]}),
-        )))
+        )), BernoulliCache())
         assert report.summary["skips"] == 2  # parity mismatches
         assert report.summary["fails"] == 0
         assert all(json.loads(s)["reason"] for s in report.skips)
@@ -240,7 +241,7 @@ class TestRunSweep:
     ], ids=["one-id", "fails-skips-inf-all-skipped"])
     def test_summary_counts_match_lists(self, jobs):
         # The summary is counted as the sweep runs; recount it from the lists.
-        report = run_sweep(SweepConfig(jobs=jobs))
+        report = run_sweep(SweepConfig(jobs=jobs), BernoulliCache())
         per_id, skips = {}, [json.loads(line) for line in report.skips]
         for id_ in {*(v.id for v in report.verdicts), *(s["id"] for s in skips)}:
             verdicts = [v for v in report.verdicts if v.id == id_]
@@ -274,40 +275,28 @@ class TestRunSweep:
         assert report.all_hold
         assert (chi8.key(), 2) in cache._twisted  # B_(2,chi8) entered the memo
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache-file", "cache-file"])
-    def test_sweep_without_a_memo_leaves_the_default_memo_alone(self, tmp_path, monkeypatch,
-                                                                cached):
-        # The default memo starts empty, so a value a sweep put there would show.
-        for name, value in vars(BernoulliCache()).items():
-            monkeypatch.setattr(bernoulli.DEFAULT_CACHE, name, value)
-        path = str(tmp_path / "values.jsonl") if cached else None
-        job = SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]})
-        assert run_sweep(SweepConfig(jobs=(job,), cache_path=path)).all_hold
-        default = bernoulli.DEFAULT_CACHE
-        assert not default._twisted and not default._l_values and not default._script_l
-
 
 class TestSkipContract:
     """Every failed hypothesis is a DomainError, which a sweep records as a
     skip: the instance's parameters, ``chi`` as its label, and the reason."""
 
-    def test_one_exception_family(self):
+    def test_one_exception_family(self, memo):
         assert issubclass(ParityError, DomainError)
         assert issubclass(UndefinedCaseError, DomainError)
         assert DomainError is power_sums.DomainError is bernoulli.DomainError
         assert DomainError is characters.DomainError
         assert DomainError.__module__ == "lcong.characters"
         with pytest.raises(DomainError, match="same parity"):
-            congruences.verify_lvalue_shift_two(character(2, 3, (0, 1)), k=2, n=1, q=1)
+            congruences.verify_lvalue_shift_two(character(2, 3, (0, 1)), k=2, n=1, q=1, cache=memo)
         with pytest.raises(DomainError, match="undefined for conductor 3"):
-            congruences.check_nondivisibility(character(3, 1, (1,)), 0)
+            congruences.check_nondivisibility(character(3, 1, (1,)), 0, memo)
 
     def test_parity_undefined_and_coprimality_failures_are_skips(self):
         report = run_sweep(SweepConfig(jobs=(
             SweepJob("1.5", {"m": [3], "k": [1], "l": [0], "n": [1]}),
             SweepJob("nondiv", {"p": [3], "m": [1], "d": [0]}),
             SweepJob("lerch", {"a": [2], "n": [6]}),
-        )))
+        )), BernoulliCache())
         parity = "k and l must both have parity opposite to chi"
         assert [(s["id"], s["params"], s["reason"]) for s in map(json.loads, report.skips)] == [
             ("1.5", {"chi": "8:0,1", "p": 2, "m": 3, "k": 1, "l": 0, "n": 1}, parity),
@@ -467,17 +456,18 @@ def test_a_skip_is_its_line(monkeypatch):
 
 class TestReports:
     def test_csv_deterministic(self):
-        first, second = (rendered(write_csv, run_sweep(stern_config())) for _ in range(2))
+        first, second = (rendered(write_csv, run_sweep(stern_config(), BernoulliCache()))
+                         for _ in range(2))
         assert first == second
 
     def test_records_deterministic_modulo_header(self):
-        r1, r2 = (rendered(write_records, run_sweep(stern_config())).splitlines()
+        r1, r2 = (rendered(write_records, run_sweep(stern_config(), BernoulliCache())).splitlines()
                   for _ in range(2))
         assert "timestamp" in json.loads(r1[0])  # the clock reaches the header only
         assert r1[1:] == r2[1:]        # bodies byte-identical
 
     def test_records_carry_exact_sides(self):
-        lines = rendered(write_records, run_sweep(stern_config())).splitlines()
+        lines = rendered(write_records, run_sweep(stern_config(), BernoulliCache())).splitlines()
         verdicts = [json.loads(l) for l in lines if '"type": "verdict"' in l]
         assert verdicts
         for v in verdicts:
@@ -487,7 +477,7 @@ class TestReports:
     def test_infinite_margin_serialization(self):
         report = run_sweep(SweepConfig(jobs=(
             SweepJob("euler-kummer", {"p": [3], "k": [2], "l": [2]}),
-        )))
+        )), BernoulliCache())
         assert "inf" in rendered(write_csv, report)
         # every record line must be strict JSON (no bare Infinity tokens)
         for line in rendered(write_records, report).splitlines():
@@ -495,13 +485,14 @@ class TestReports:
             json.loads(line)
 
     def test_table_text_summary_line(self):
-        text = table_text(run_sweep(stern_config()))
+        text = table_text(run_sweep(stern_config(), BernoulliCache()))
         assert "total=12 holds=12 fails=0" in text
 
     def test_written_files(self, tmp_path):
         csv_path = tmp_path / "out.csv"
         rec_path = tmp_path / "out.jsonl"
-        run_sweep(stern_config(csv_path=str(csv_path), records_path=str(rec_path)))
+        run_sweep(stern_config(csv_path=str(csv_path), records_path=str(rec_path)),
+                  BernoulliCache())
         assert csv_path.read_text().startswith("id,branch,chi")
         first = json.loads(rec_path.read_text().splitlines()[0])
         assert first["type"] == "header" and "timestamp" in first
@@ -585,7 +576,8 @@ def test_file_writers_stream_what_the_views_collect(tmp_path):
     """`write_records` and `write_csv` write to an open file the very lines
     they write to an in-memory stream, one at a time: the memory traced
     while the records are written stays below half of the bytes written."""
-    report = run_sweep(SweepConfig(jobs=(SweepJob("lerch", {"a": "1..100", "n": "1..60"}),)))
+    report = run_sweep(SweepConfig(jobs=(SweepJob("lerch", {"a": "1..100", "n": "1..60"}),)),
+                       BernoulliCache())
     lines = rendered(write_records, report).splitlines()
     assert len(lines) >= 5000
     csv_path, records_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
@@ -697,20 +689,20 @@ class TestLemmaSweep:
 
     def test_scaling_lemma_grid(self):
         grid = {"p": [2, 3], "m": [1, 2], "k": [0, 1, 2], "n": [2, 3]}
-        verdicts = run_sweep(SweepConfig(jobs=(SweepJob("2.1", grid),))).verdicts
+        verdicts = run_sweep(SweepConfig(jobs=(SweepJob("2.1", grid),)), BernoulliCache()).verdicts
         assert verdicts and all(v.holds for v in verdicts)
 
     def test_vanishing_covers_both_forms(self):
         # 2.4's p^(n-1) divisibility, and over p = 2 the full 2^n form 2.5
         grid = {"m": [2], "k": [0, 2], "n": [2, 3]}
         jobs = (SweepJob("2.4", {"p": [2, 3], **grid}), SweepJob("2.5", grid))
-        verdicts = run_sweep(SweepConfig(jobs=jobs)).verdicts
+        verdicts = run_sweep(SweepConfig(jobs=jobs), BernoulliCache()).verdicts
         assert {v.id for v in verdicts} == {"2.4", "2.5"}
         assert all(v.holds for v in verdicts)
 
     def test_order_lemma(self):
         job = SweepJob("2.3", {"p": [2, 3], "m": [3, 2]})
-        verdicts = run_sweep(SweepConfig(jobs=(job,))).verdicts
+        verdicts = run_sweep(SweepConfig(jobs=(job,)), BernoulliCache()).verdicts
         assert verdicts and all(v.holds for v in verdicts)
 
 
@@ -718,7 +710,8 @@ class TestValueCache:
     JOB = SweepJob("1.4", {"m": [3], "k": [1, 3], "n": [1], "q": [1]})
 
     def _sweep_with_cache(self, path, **reports):
-        return run_sweep(SweepConfig(jobs=(self.JOB,), cache_path=str(path), **reports))
+        return run_sweep(SweepConfig(jobs=(self.JOB,), cache_path=str(path), **reports),
+                         BernoulliCache())
 
     def test_roundtrip_and_verify(self, tmp_path):
         path = tmp_path / "values.jsonl"
@@ -775,20 +768,18 @@ class TestValueCache:
         assert valuecache.entry_count(path) == 0
 
     def test_library_sweep_leaves_the_bytes_the_command_leaves(self, tmp_path, capsys):
-        # run_sweep loads and appends the file its config names, on a fresh
-        # memo: the process-wide DEFAULT_CACHE gets none of its values.
+        # run_sweep loads and appends the file its config names, as the
+        # command does.
         library, command = tmp_path / "library.jsonl", tmp_path / "command.jsonl"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"jobs": [{"id": self.JOB.id, **self.JOB.params}],
                                       "cache": str(command)}))
-        default = dict(bernoulli.DEFAULT_CACHE._twisted)
         for run in (1, 2):
             self._sweep_with_cache(library)
             assert main(["sweep", "--config", str(config)]) == EXIT_OK
             if run == 1:
                 written = library.read_bytes()
         assert library.read_bytes() == command.read_bytes() == written  # run 2 appended nothing
-        assert bernoulli.DEFAULT_CACHE._twisted == default
 
     def test_failing_sweep_over_cached_values_writes_each_report_once(self, tmp_path,
                                                                      monkeypatch, capsys):

@@ -11,23 +11,22 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from lcong.bernoulli import bernoulli_number, euler_number
 from lcong.characters import multiplicative_order
 from lcong.cyclotomic import cyclotomic_polynomial, euler_phi
 
 
-def test_bernoulli_numbers():
+def test_bernoulli_numbers(memo):
     for k in range(80):
         b = sympy.bernoulli(k)
         expected = Fraction(int(b.p), int(b.q))
         if k == 1:
             expected = -expected  # sympy uses B_1 = +1/2, lcong t/(e^t - 1)
-        assert bernoulli_number(k) == expected, k
+        assert memo.bernoulli(k) == expected, k
 
 
-def test_euler_numbers():
+def test_euler_numbers(memo):
     for k in range(80):
-        assert euler_number(k) == int(sympy.euler(k)), k
+        assert memo.euler(k) == int(sympy.euler(k)), k
 
 
 def test_cyclotomic_polynomials():
