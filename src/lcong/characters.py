@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import CyclotomicElement, _new, _reduce, euler_phi, prime_factors, zeta
+from .cyclotomic import CyclotomicElement, euler_phi, prime_factors, zeta
 
 # Resource bounds: each size a user gives is checked before what it sizes is formed.
 
@@ -231,7 +231,7 @@ class DirichletCharacter:
         vec = [0] * n
         for r, t in zip(self.group.dlog, exps):
             vec[t % n] += weights[r]
-        return _new(n, _reduce(vec, n), den)
+        return CyclotomicElement(n, vec, den)
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.images))

@@ -109,6 +109,11 @@ def _reduce(vec: list[int], order: int) -> list[int]:
     keeps the reduction in Z.
     """
     deg, low = _modulus(order)
+    if order % 2 == 0:  # Phi_N divides x^(N/2) + 1: fold by zeta^(N/2) = -1 first
+        half = order // 2
+        for i in range(len(vec) - 1, half - 1, -1):
+            vec[i - half] -= vec[i]
+        del vec[half:]
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
         if c:
@@ -139,13 +144,11 @@ class CyclotomicElement:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar]):
-        """sum_i coeffs[i] zeta_N^i for rational coeffs of any length."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        vec = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in vec))
-        self._set(order, _reduce([c.numerator * (den // c.denominator) for c in vec], order), den)
+    def __init__(self, order: int, num: Iterable[int], den: int = 1):
+        """sum_i num[i] zeta_N^i / den for integers num of any length and den >= 1."""
+        if order < 1 or den < 1:
+            raise ValueError(f"order {order} and den {den} must be >= 1")
+        self._set(order, _reduce(list(num), order), den)
 
     def _set(self, order: int, num: list[int], den: int) -> "CyclotomicElement":
         g = math.gcd(den, *num)
@@ -170,14 +173,14 @@ class CyclotomicElement:
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> "CyclotomicElement":
         q = Fraction(value)
-        return _new(order, _reduce([q.numerator], order), q.denominator)
+        return cls(order, [q.numerator], q.denominator)
 
     # -- structure ----------------------------------------------------
 
     def record(self) -> dict:
         """{"order": N, "coeffs": [...]} with each power-basis coordinate
         written as str(Fraction) writes it ("n" or "n/d" in lowest terms):
-        the one coefficient text of reports, the value cache and repr."""
+        the one coefficient text of reports and the value cache."""
         if self.den == 1:
             return {"order": self.order, "coeffs": list(map(str, self.num))}
         coeffs = []
@@ -227,7 +230,7 @@ class CyclotomicElement:
         if other.order == self.order:
             return self, other
         if other.order == 1:
-            return self, _new(self.order, _reduce(list(other.num), self.order), other.den)
+            return self, CyclotomicElement(self.order, other.num, other.den)
         if self.order == 1:
             return other._coerce(self)[::-1]
         raise ValueError(f"elements of orders {self.order} and {other.order} do not combine")
@@ -287,7 +290,7 @@ class CyclotomicElement:
         vec = [0] * (t % self.order) + [c1 * x for x in self.num]
         for i, x in enumerate(self.num):
             vec[i] += c0 * x
-        return _new(self.order, _reduce(vec, self.order), self.den * d)
+        return CyclotomicElement(self.order, vec, self.den * d)
 
     # -- comparison ---------------------------------------------------
 
@@ -330,14 +333,12 @@ class CyclotomicElement:
         return out
 
     def __repr__(self) -> str:
-        return f"CyclotomicElement({self.order}, {self.record()['coeffs']})"
+        return f"CyclotomicElement({self.order}, {list(self.num)}, {self.den})"
 
 
 def zeta(order: int, exponent: int = 1) -> CyclotomicElement:
     """zeta_N^(j mod N) in canonical reduced form."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _new(order, _reduce([0] * (exponent % order) + [1], order), 1)
+    return CyclotomicElement(order, [0] * (exponent % order) + [1])
 
 
 def as_element(value: ElementLike, order: int = 1) -> CyclotomicElement:

@@ -372,11 +372,16 @@ def _run(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
 
 
 def run_sweep(config: SweepConfig, cache: BernoulliCache) -> SweepReport:
-    """Run a config on ``cache`` and handle every file it names: load
-    ``cache_path`` into the memo, check and run the jobs and append the new
-    values; if a verdict fails on loaded values, run again on a fresh memo,
-    warn once per changed verdict and append the fresh values that differ.
-    Then write the reports, once."""
+    """Run a config on ``cache`` and handle the files it names, no two of
+    them one file (else ConfigError): load ``cache_path`` into the memo,
+    check and run the jobs and append the new values; if a verdict fails
+    on loaded values, run again on a fresh memo, warn once per changed
+    verdict and append the fresh values that differ.  Then write the
+    reports, once."""
+    paths = {"csv": config.csv_path, "records": config.records_path, "cache": config.cache_path}
+    paths = {key: path for key, path in paths.items() if path}
+    if len({os.path.realpath(path) for path in paths.values()}) < len(paths):
+        raise ConfigError(f"two of the csv, records and cache paths name one file: {paths}")
     cache_path = config.cache_path
     loaded = valuecache.load_into(cache_path, cache) if cache_path else 0
     if not config.jobs:

@@ -5,10 +5,13 @@ An element is a pair (N, coefficient tuple) on the power basis
 are schoolbook, and inverses come from the extended Euclidean algorithm
 over Q: the arithmetic lcong.cyclotomic used before it stored integer
 numerators over one denominator.  The differential tests compare
-CyclotomicElement against it.  lcong has no element product, no power
-and no embedding between orders, so in the tests every product of two
-elements that is not a binomial factor c0 + c1 zeta^t (times_binomial),
-and every division by an element, goes through this module.
+CyclotomicElement against it.  CyclotomicElement(order, num, den) takes
+integer numerators over one denominator, so to_element is the tests' one
+route from int, Fraction or "n/d" coordinates to an element.  lcong has
+no element product, no power and no embedding between orders, so in the
+tests every product of two elements that is not a binomial factor
+c0 + c1 zeta^t (times_binomial), and every division by an element, goes
+through this module.
 """
 
 import math
@@ -27,12 +30,21 @@ def element(x):
     return x.order, coordinates(x)
 
 
+def to_element(order, coeffs):
+    """The CyclotomicElement sum_i coeffs[i] z^i of rational coefficients
+    (ints, Fractions or "n/d" texts) of any length, over their common
+    denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return CyclotomicElement(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+
 def product(*factors):
     """The CyclotomicElement product of CyclotomicElements, by mul."""
     out = reduce(1, [1])
     for x in factors:
         out = mul(out, element(x))
-    return CyclotomicElement(*out)
+    return to_element(*out)
 
 
 def reduce(order, coeffs):

@@ -319,6 +319,37 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == EXIT_FAILURES
 
 
+JOB_14 = {"id": "1.4", "m": [3], "k": [1], "n": [1], "q": [1]}
+VERIFY_14 = ["verify", "1.4", "--m", "3", "--k", "1", "--n", "1", "--q", "1"]
+
+
+@pytest.mark.parametrize("paths", [
+    {"csv": "out", "records": "out"},
+    {"csv": "out", "cache": "out"},
+    {"records": "out", "cache": "out"},
+    {"csv": "./out", "records": "out"},
+    {"records": "out", "cache": "./out"},
+])
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_two_paths_to_one_file_are_refused(tmp_path, monkeypatch, capsys, paths, via):
+    # Written in turn, the CSV replaced the JSONL report, or the appended
+    # cache lines, which the next run then read as a corrupt cache (exit 3).
+    monkeypatch.chdir(tmp_path)
+    if "cache" in paths:  # an existing cache file, which the refusal leaves as it is
+        assert main([*VERIFY_14, "--cache", "out"]) == EXIT_OK
+    if via == "flags":
+        argv = [*VERIFY_14, *(arg for key, path in paths.items() for arg in (f"--{key}", path))]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"jobs": [JOB_14], **paths}))
+        argv = ["sweep", "--config", "config.json"]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: two of the csv, records")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("job, axis, value", [
     ({"id": "1.4", "m": [3], "k": [1, 3], "n": [1], "q": [1]}, "k", -1),
     ({"id": "1.5", "m": [3], "k": [1, 3], "l": [1, 5], "n": [1, 2]}, "l", -3),

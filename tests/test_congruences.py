@@ -36,7 +36,7 @@ from lcong.congruences import (
     verify_twisted_voronoi,
     verify_voronoi,
 )
-from lcong.cyclotomic import CyclotomicElement, euler_phi, zeta
+from lcong.cyclotomic import euler_phi, zeta
 from lcong.power_sums import DomainError
 from divisibility_oracle import squared_normalizer_divides_p
 from fraction_oracle import root_of_unity_order
@@ -93,7 +93,7 @@ def full_scan_witness(chi, k):
 def oracle_quotient_inverse(order, t):
     """1 / (1 - zeta_N^(-t)) as an element, from the Fraction oracle's inverse."""
     divisor = 1 - zeta(order, -t)
-    return CyclotomicElement(*oracle.inverse(oracle.element(divisor)))
+    return oracle.to_element(*oracle.inverse(oracle.element(divisor)))
 
 
 def test_shift_right_side_matches_the_division_route():

@@ -105,7 +105,7 @@ class TestZeta:
 def oracle_inverse(x):
     """The inverse of a nonzero element, from the Fraction oracle: lcong
     never divides by an element."""
-    return CyclotomicElement(*oracle.inverse(oracle.element(x)))
+    return oracle.to_element(*oracle.inverse(oracle.element(x)))
 
 
 class TestFieldArithmetic:
@@ -145,7 +145,7 @@ def small_rationals():
 def elements(order=12):
     deg = euler_phi(order)
     return st.lists(small_rationals(), min_size=deg, max_size=deg).map(
-        lambda cs: CyclotomicElement(order, cs)
+        lambda cs: oracle.to_element(order, cs)
     )
 
 

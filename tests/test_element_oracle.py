@@ -10,6 +10,7 @@ order 1 against any order.
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ def coefficient_lists(draw, order):
 def pairs(draw, order):
     """(CyclotomicElement, oracle element) built from the same coefficients."""
     coeffs = draw(coefficient_lists(order))
-    return CyclotomicElement(order, coeffs), oracle.reduce(order, coeffs)
+    return oracle.to_element(order, coeffs), oracle.reduce(order, coeffs)
 
 
 @st.composite
@@ -61,6 +62,52 @@ def test_construction_reduces_like_the_oracle(pair):
     x, ox = pair
     assert oracle.element(x) == ox
     assert math.gcd(x.den, *x.num) == 1 and x.den > 0
+
+
+#: Orders N = 1 and 2, small even N, and the N = phi(p^m) of conductors 49,
+#: 343, 3^6 and 2^11; every even N is reduced by zeta^(N/2) = -1 first.
+FOLD_ORDERS = (1, 2, 4, 6, 42, 98, 294, 486, 1024)
+
+
+@pytest.mark.parametrize("order", FOLD_ORDERS)
+def test_constructor_reduces_long_vectors_like_long_division(order):
+    # Lengths 0, N/2, N (a character sum), N - 1 + phi(N) (the longest
+    # shift of times_binomial) and 2N + 1, over 40-digit numerators.
+    rng = random.Random(order)
+    bound = 10**40
+    for length in (0, order // 2, order, order - 1 + euler_phi(order), 2 * order + 1):
+        for _ in range(2):
+            num = [rng.randint(-bound, bound) for _ in range(length)]
+            den = rng.randint(1, 10**6)
+            x = CyclotomicElement(order, num, den)
+            assert oracle.element(x) == oracle.reduce(order, [Fraction(c, den) for c in num])
+            assert len(x.num) == euler_phi(order) and math.gcd(x.den, *x.num) == 1
+
+
+def test_constructor_takes_any_integer_sequence_and_leaves_it_alone():
+    num = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3]  # longer than N = 6
+    x = CyclotomicElement(6, tuple(num), 4)
+    assert oracle.element(x) == oracle.reduce(6, [Fraction(c, 4) for c in num])
+    assert CyclotomicElement(6, num, 4) == CyclotomicElement(6, iter(num), 4) == x
+    assert num == [3, -1, 4, 1, -5, 9, 2, -6, 5, 3]
+    assert repr(x) == f"CyclotomicElement(6, {list(x.num)}, {x.den})"
+    assert eval(repr(x)) == x
+    assert str(oracle.to_element(4, ["1/2", 3])) == "1/2 + 3*z4"
+
+
+@pytest.mark.parametrize("order, num, den", [
+    (0, [1], 1), (-4, [1], 1), (4, [1], 0), (4, [1], -2),
+])
+def test_constructor_refuses_order_or_den_below_one(order, num, den):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        CyclotomicElement(order, num, den)
+
+
+@pytest.mark.parametrize("num", [[Fraction(1, 2), 3], ["1/2", 3], [1, 0.5]])
+def test_constructor_takes_integer_numerators_only(num):
+    # Fraction and "n/d" coefficients go through oracle.to_element.
+    with pytest.raises(TypeError):
+        CyclotomicElement(4, num)
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,7 +127,7 @@ def test_division_and_inverse(ops):
     # oracles' inverses of y agree, and the oracle's products check them.
     (x, ox), (y, oy) = ops
     assume(not y.is_zero())
-    inverse = CyclotomicElement(*oracle.inverse(oy))
+    inverse = oracle.to_element(*oracle.inverse(oy))
     s, c = bezout_constant(y.num, y.order)
     assert inverse == CyclotomicElement(y.order, s) * Fraction(y.den, c)
     assert oracle.product(y, inverse) == 1
@@ -197,12 +244,12 @@ def power_basis_coordinates(draw):
 @given(power_basis_coordinates())
 def test_record_writes_each_coordinate_as_its_fraction(drawn):
     order, coords = drawn
-    x = CyclotomicElement(order, coords)
+    x = oracle.to_element(order, coords)
     record = x.record()
     assert record["order"] == order
     assert record["coeffs"] == [str(Fraction(c, x.den)) for c in x.num]
     assert record["coeffs"] == [str(Fraction(c)) for c in coords]
-    assert CyclotomicElement(record["order"], record["coeffs"]) == x
+    assert oracle.to_element(record["order"], record["coeffs"]) == x
 
 
 def fields(x):
@@ -231,7 +278,7 @@ def test_from_record_matches_the_fraction_route_on_a_cache_file(tmp_path):
     for record in records:
         order, coeffs = record["order"], record["coeffs"]
         assert fields(CyclotomicElement.from_record(order, coeffs)) == fields(
-            CyclotomicElement(order, coeffs))
+            oracle.to_element(order, coeffs))
 
 
 #: Fraction or int() spellings of a coordinate, and JSON values that are
@@ -254,8 +301,8 @@ def test_from_record_rejects_what_record_never_writes(coeffs):
 def test_non_integral_example():
     # (1/6) (1 + 2 zeta_12 - 3/4 zeta_12^5): denominator 24 after reduction
     coeffs = [Fraction(1, 6), Fraction(1, 3), 0, 0, 0, Fraction(-1, 8)]
-    x = CyclotomicElement(12, coeffs)
+    x = oracle.to_element(12, coeffs)
     assert oracle.element(x) == oracle.reduce(12, coeffs)
     assert x.den == 24
     assert p_content_valuation(x, 2) == -3 and p_content_valuation(x, 3) == -1
-    assert oracle.product(x, CyclotomicElement(*oracle.inverse(oracle.reduce(12, coeffs)))) == 1
+    assert oracle.product(x, oracle.to_element(*oracle.inverse(oracle.reduce(12, coeffs)))) == 1

@@ -1,9 +1,9 @@
 """The runtime is pure stdlib: every absolute import in src/lcong names a
 standard-library module, and the CLI's start-up imports no more than it
-needs.  The element internals stay in cyclotomic and characters, the
-resource bounds in characters, and each module imports only the modules
-below it.  cyclotomic defines no element product, and every special value
-is computed on a memo its caller names."""
+needs.  The element internals stay in cyclotomic, the resource bounds in
+characters, and each module imports only the modules below it.
+cyclotomic defines no element product, and every special value is
+computed on a memo its caller names."""
 
 import ast
 import importlib
@@ -45,17 +45,21 @@ def test_cli_start_up_leaves_dataclasses_and_inspect_unimported():
     assert result.stdout == "[]\n"
 
 
-def test_private_cyclotomic_names_stay_in_cyclotomic_and_characters():
-    # Every other module forms its values through the element's public
-    # methods, so only these two know the (order, num, den) representation.
+def test_no_module_but_cyclotomic_names_a_private_cyclotomic_name():
+    # Every other module forms its values through the one door,
+    # CyclotomicElement(order, num, den), and the element's public methods,
+    # so only cyclotomic reduces and knows how an element is stored.
     private = {}
     for path in SOURCES:
-        if path.stem in ("cyclotomic", "characters"):
+        if path.stem == "cyclotomic":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  and (node.level, node.module) in ((1, "cyclotomic"), (0, "lcong.cyclotomic"))
                  for alias in node.names if alias.name.startswith("_")]
+        names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "cyclotomic"
+                  and node.attr.startswith("_")]
         if names:
             private[path.name] = names
     assert private == {}
@@ -64,8 +68,7 @@ def test_private_cyclotomic_names_stay_in_cyclotomic_and_characters():
 def test_characters_alone_states_the_resource_bounds():
     # Every other module calls the checks of the bound section of
     # characters: none assigns a MAX_* bound or raises ResourceLimitError.
-    # No module imports another lcong module's private name, but characters
-    # those of cyclotomic, which the test above allows.
+    # No module imports another lcong module's private name.
     bounds, private = {}, {}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -76,8 +79,7 @@ def test_characters_alone_states_the_resource_bounds():
                     name.id for name in ast.walk(node) if isinstance(name, ast.Name)
                     and isinstance(name.ctx, ast.Store) and name.id.startswith("MAX_"))
             elif (isinstance(node, ast.ImportFrom)
-                  and (node.level == 1 or (node.module or "").startswith("lcong"))
-                  and (path.stem, node.module) != ("characters", "cyclotomic")):
+                  and (node.level == 1 or (node.module or "").startswith("lcong"))):
                 private.setdefault(path.stem, []).extend(
                     alias.name for alias in node.names if alias.name.startswith("_"))
     assert {stem: names for stem, names in bounds.items() if names} == {

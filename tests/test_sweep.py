@@ -34,6 +34,8 @@ from lcong.cli import (
     EXIT_CONFIG, EXIT_FAILURES, EXIT_INTERNAL, EXIT_OK, build_parser, load_config, main,
 )
 
+import fraction_oracle as oracle
+
 
 def rendered(write, report) -> str:
     """What the report writer ``write`` writes of ``report`` to a stream."""
@@ -506,7 +508,7 @@ param_values = st.one_of(st.integers(-10**20, 10**20), st.booleans(), escaped_te
 params = st.dictionaries(st.one_of(st.sampled_from(["chi", "k", "n", "congruent", "expected"]),
                                    escaped_text), param_values, max_size=5)
 elements = st.builds(
-    CyclotomicElement, st.sampled_from([1, 4, 8, 12]),
+    oracle.to_element, st.sampled_from([1, 4, 8, 12]),
     st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=4))
 verdicts = st.builds(
     CongruenceVerdict, id=st.one_of(st.sampled_from(registered_ids()), escaped_text),
